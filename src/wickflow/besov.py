@@ -134,13 +134,18 @@ def _lp_norm(values: np.ndarray, p: float, w: np.ndarray | None) -> float:
 
 def block_norms(u: SpectralField, partition: DyadicPartition,
                 p: float = np.inf, sigma: float = 0.0) -> np.ndarray:
-    """L^p norms of all blocks, j = -1 .. j_max."""
+    """L^p norms of all blocks, j = -1 .. j_max.
+
+    A block with no nonzero coefficient has norm exactly 0.0 and is not
+    transformed.
+    """
     grid = u.grid
     w = _weight(grid, sigma) if sigma else None
-    out = np.empty(partition.j_max + 2)
+    out = np.zeros(partition.j_max + 2)
     for j in range(-1, partition.j_max + 1):
-        vals = grid.coeffs_to_values(block(u, j, partition).coeffs)
-        out[j + 1] = _lp_norm(vals, p, w)
+        coeffs = block(u, j, partition).coeffs
+        if coeffs.any():
+            out[j + 1] = _lp_norm(grid.coeffs_to_values(coeffs), p, w)
     return out
 
 

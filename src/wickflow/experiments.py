@@ -7,6 +7,7 @@ pass/fail rules are fixed here (3 combined standard errors, pre-registered
 observable lists); nothing is tuned per run.
 """
 
+import functools
 import math
 import os
 import subprocess
@@ -34,7 +35,9 @@ from .wick import (
 )
 
 
+@functools.cache
 def version_string() -> str:
+    """Package version plus `git describe` of the checkout, looked up once per process."""
     try:
         desc = subprocess.run(
             ["git", "describe", "--always", "--dirty"],

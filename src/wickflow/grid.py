@@ -27,6 +27,18 @@ from .errors import ConfigurationError, DomainError
 class TorusGrid:
     """Truncated Fourier lattice plus its dealiased real sampling grid.
 
+    The two grid transforms are pruned real-to-complex FFTs.  A real field
+    needs only the half-spectrum ky >= 0, and of that only the
+    (2K+1) x (K+1) corner |kx| <= K, 0 <= ky <= K is nonzero.  The inverse
+    scatters the window's columns ky = 0..K into an M x (K+1) array, runs a
+    complex inverse FFT along axis 0 on those K+1 columns and a
+    complex-to-real FFT along axis 1; columns ky > 0 first take the
+    Hermitian part (c(k) + conj c(-k))/2, so the result equals the real
+    part of the full inverse also for a non-Hermitian coefficient array.
+    The forward transform runs a real FFT along axis 1, keeps K+1 columns,
+    runs a complex FFT along axis 0 and gathers the window rows; the
+    columns ky < 0 follow by conjugate symmetry, exactly.
+
     Parameters
     ----------
     K : int
@@ -55,8 +67,8 @@ class TorusGrid:
         self.ksq = self.kx**2 + self.ky**2
         self.lam = 1.0 + self.ksq.astype(np.float64)
 
-        idx = self.wavenumbers % self.M
-        self._embed = np.ix_(idx, idx)
+        self._rows = self.wavenumbers % self.M  # window rows on the M-point axis
+        self._neg = -np.arange(n) % n  # wrap-order index of -k along one axis
         self.n_modes = n * n
 
         x = self.L * np.arange(self.M) / self.M
@@ -90,19 +102,32 @@ class TorusGrid:
     # -- low-level array transforms (hot path, no field wrappers) ----------
 
     def coeffs_to_values(self, coeffs: np.ndarray) -> np.ndarray:
-        """Window coefficients -> real samples on the fine M x M grid."""
-        big = np.zeros((self.M, self.M), dtype=np.complex128)
-        big[self._embed] = coeffs
-        return np.fft.ifft2(big).real * (self.M**2 / self.L)
+        """Window coefficients -> real samples on the fine M x M grid.
+
+        Equals Re of the full inverse FFT of the zero-padded window, for any
+        complex input; only the columns ky = 0..K are transformed.
+        """
+        K, L = self.K, self.L
+        half = np.zeros((self.M, K + 1), dtype=np.complex128)
+        half[self._rows, 0] = coeffs[:, 0] * (1.0 / L)
+        # the imaginary part of the ky = 0 output is dropped by irfft; the
+        # columns ky > 0 carry k and -k together as the Hermitian part
+        half[self._rows, 1:] = (coeffs[:, 1:K + 1] + np.conj(coeffs[self._neg, :K:-1])) * (0.5 / L)
+        half = np.fft.ifft(half, axis=0, norm="forward")
+        return np.fft.irfft(half, n=self.M, axis=1, norm="forward")
 
     def values_to_coeffs(self, values: np.ndarray) -> np.ndarray:
         """Real samples -> coefficients on the retained window.
 
         Exact as long as the sampled function has no frequency aliasing
         into the window, which `assert_product_degree` guarantees for
-        polynomial operations performed on this grid.
+        polynomial operations performed on this grid.  The columns ky < 0
+        are the exact conjugates of their mirrors, c(-k) = conj c(k).
         """
-        return np.fft.fft2(values)[self._embed] * (self.L / self.M**2)
+        K = self.K
+        half = np.fft.fft(np.fft.rfft(values, axis=1)[:, :K + 1], axis=0)[self._rows]
+        half *= self.L / self.M**2
+        return np.concatenate((half, np.conj(half[self._neg, K:0:-1])), axis=1)
 
     def integrate_values(self, values: np.ndarray) -> float:
         """Exact torus integral of a band-limited sampled function."""

@@ -22,8 +22,10 @@ Seed convention: trajectory i of an ensemble uses streams derived from
 noise, so runs that differ only in initialization share the Wiener path.
 """
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,6 +58,32 @@ def sample_stationary(grid: TorusGrid, rng: np.random.Generator) -> SpectralFiel
     return SpectralField(grid, sigma * hermitian_normals(grid, rng))
 
 
+class StepConstants(NamedTuple):
+    """Per-mode constants of one time step of size delta (read-only arrays).
+
+    decay  = e^{-lambda delta}, the semigroup over one step;
+    sigma  = sqrt((1 - decay^2) / (2 lambda)), the std of the exact OU innovation;
+    weight = delta * drift_scale * (1 - e^{-lambda delta}) / (lambda delta),
+             the exponential-Euler phi-1 weight of the frozen nonlinearity.
+    """
+
+    decay: np.ndarray
+    sigma: np.ndarray
+    weight: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def step_constants(grid: TorusGrid, delta: float, drift_scale: float = 1.0) -> StepConstants:
+    """The constants of a step, computed once per (grid, delta, drift_scale)."""
+    decay = np.exp(-grid.lam * delta)
+    sigma = np.sqrt((1.0 - decay**2) / (2.0 * grid.lam))
+    x = grid.lam * delta
+    weight = delta * drift_scale * ((1.0 - np.exp(-x)) / x)
+    for a in (decay, sigma, weight):
+        a.flags.writeable = False  # shared by every caller of the cache
+    return StepConstants(decay, sigma, weight)
+
+
 @dataclass
 class OUState:
     """State of the stochastic convolution: time, field, and its noise stream."""
@@ -74,8 +102,7 @@ def ou_step(state: OUState, delta: float) -> OUState:
     if delta <= 0:
         raise DomainError(f"step size must be > 0, got {delta}")
     grid = state.z.grid
-    decay = np.exp(-grid.lam * delta)
-    sigma = np.sqrt((1.0 - decay**2) / (2.0 * grid.lam))
+    decay, sigma, _ = step_constants(grid, delta)
     xi = hermitian_normals(grid, state.rng)
     coeffs = decay * state.z.coeffs + sigma * xi
     return OUState(t=state.t + delta, z=SpectralField(grid, coeffs), rng=state.rng)
@@ -215,8 +242,7 @@ class OUNoisePath:
             return
         if rng is None:
             raise ConfigurationError("OUNoisePath needs an rng or explicit innovations")
-        decay = np.exp(-grid.lam * delta)
-        sigma = np.sqrt((1.0 - decay**2) / (2.0 * grid.lam))
+        sigma = step_constants(grid, self.delta).sigma
         n = 2 * grid.K + 1
         self.innovations = np.empty((n_steps, n, n), dtype=np.complex128)
         for i in range(n_steps):
@@ -229,7 +255,7 @@ class OUNoisePath:
             raise ConfigurationError(
                 f"cannot coarsen {self.n_steps} steps by factor {factor}"
             )
-        decay = np.exp(-self.grid.lam * self.delta)
+        decay = step_constants(self.grid, self.delta).decay
         m = self.n_steps // factor
         n = 2 * self.grid.K + 1
         out = np.zeros((m, n, n), dtype=np.complex128)
@@ -241,5 +267,5 @@ class OUNoisePath:
         return OUNoisePath(self.grid, self.delta * factor, m, innovations=out)
 
     def step(self, z: SpectralField, index: int) -> SpectralField:
-        decay = np.exp(-self.grid.lam * self.delta)
+        decay = step_constants(self.grid, self.delta).decay
         return SpectralField(self.grid, decay * z.coeffs + self.innovations[index])

@@ -135,12 +135,17 @@ def run_chain(init: ChainState, n_steps: int, burn_in: int, thinning: int,
     samples = []
     tracked = {name: [] for name in track}
     accepts = np.zeros(n_steps, dtype=bool)
+    h2 = None
     for i in range(n_steps):
         state, acc = pcn_step(state, rho, P, c, action_offset)
         accepts[i] = acc
+        if acc:
+            h2 = None
         if i >= burn_in:
-            xv = grid.coeffs_to_values(state.phi.coeffs)
-            h2 = float(np.sum(xv * xv)) * grid.cell_area - grid.L**2 * cval
+            if h2 is None:
+                # integral of :phi^2: by Parseval, recomputed only when phi moved
+                coeffs = state.phi.coeffs
+                h2 = float(np.vdot(coeffs, coeffs).real) - grid.L**2 * cval
             for name in track:
                 if name == "wick2":
                     tracked[name].append(h2)

@@ -34,7 +34,10 @@ import numpy as np
 
 from .errors import BlowUpError, ConfigurationError, NonContractionError
 from .grid import SpectralField, TorusGrid, apply_semigroup
-from .ou import CounterTable, OUNoisePath, OUState, build_tower, counter_table, ou_step, sample_stationary, substream
+from .ou import (
+    CounterTable, OUNoisePath, OUState, build_tower, counter_table, ou_step, sample_stationary,
+    step_constants, substream,
+)
 from .wick import PolynomialSpec, WickTower, hermite_tower_values
 
 
@@ -96,11 +99,6 @@ MODE_OBSERVABLES = [
 ]
 
 
-def _phi1(lam: np.ndarray, delta: float) -> np.ndarray:
-    x = lam * delta
-    return (1.0 - np.exp(-x)) / x
-
-
 def nonlinear_term(Y: SpectralField, tower: WickTower, P: PolynomialSpec | None) -> SpectralField:
     """The shifted-equation nonlinearity
 
@@ -142,8 +140,7 @@ def step(Y: SpectralField, tower: WickTower, cfg: SolverConfig, P: PolynomialSpe
     """One exponential-Euler step of the shifted equation."""
     grid = Y.grid
     F = nonlinear_term(Y, tower, P)
-    decay = np.exp(-grid.lam * cfg.delta)
-    weight = cfg.delta * cfg.drift_scale * _phi1(grid.lam, cfg.delta)
+    decay, _, weight = step_constants(grid, cfg.delta, cfg.drift_scale)
     coeffs = decay * Y.coeffs - weight * F.coeffs
     if not np.all(np.isfinite(coeffs)) or np.max(np.abs(coeffs)) > cfg.blowup_threshold:
         raise BlowUpError(t=np.nan, last_state=Y)
@@ -316,8 +313,7 @@ def picard_solve(y0, towers: list, delta: float, P: PolynomialSpec,
     if n < 1:
         raise ConfigurationError("picard_solve needs towers at least at t=0 and t=delta")
     scale = cfg.drift_scale if cfg is not None else 1.0
-    decay = np.exp(-grid.lam * delta)
-    weight = delta * scale * _phi1(grid.lam, delta)
+    decay, _, weight = step_constants(grid, delta, scale)
     path = [y0.copy() for _ in range(n + 1)]
     residuals = []
     grow = 0

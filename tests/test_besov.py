@@ -16,6 +16,8 @@ from wickflow.besov import (
     DyadicPartition,
     besov_norm,
     block,
+    _lp_norm,
+    _weight,
     block_norms,
     build_partition,
     heat_norm_curve,
@@ -244,3 +246,22 @@ def test_heat_norm_curve_monotone(g16, p16):
     t_grid = np.geomspace(5e-3, 0.5, 8)
     curve = heat_norm_curve(u, BesovSpec(0.3), t_grid, p16)
     assert np.all(np.diff(curve) < 0)  # smoothing decays the stronger norm
+
+
+def test_block_norms_skip_zero_blocks_bit_for_bit():
+    # a field restricted to |k|_inf <= 4 on the K = 32 grid leaves the
+    # annuli j >= 3 empty, as in the Wick convergence suite
+    grid = TorusGrid(32, max_degree=3)
+    partition = build_partition(grid)
+    u = sample_stationary(grid, np.random.default_rng(21))
+    mask = (np.abs(grid.kx) <= 4) & (np.abs(grid.ky) <= 4)
+    v = SpectralField(grid, np.where(mask, u.coeffs, 0.0))
+    for p, sigma in ((np.inf, 0.0), (2.0, 0.0), (3.0, 2.5)):
+        w = _weight(grid, sigma) if sigma else None
+        unskipped = np.array([
+            _lp_norm(grid.coeffs_to_values(block(v, j, partition).coeffs), p, w)
+            for j in range(-1, partition.j_max + 1)
+        ])
+        norms = block_norms(v, partition, p, sigma)
+        assert np.array_equal(norms, unskipped)
+        assert np.count_nonzero(norms == 0.0) == 3

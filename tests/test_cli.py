@@ -1,8 +1,10 @@
 import json
 import os
+import subprocess
 
 import pytest
 
+from wickflow import __version__, experiments
 from wickflow.cli import main
 from wickflow.experiments import ExperimentConfig
 
@@ -100,3 +102,20 @@ def test_config_schema_round_trip():
     assert cfg.K == 3 and cfg.n_traj == 2
     resolved = cfg.resolved()
     assert resolved["delta"] == 2e-3
+
+
+def test_version_string_runs_git_once_per_process(monkeypatch):
+    calls = []
+
+    def fake_run(args, **kwargs):
+        calls.append(args)
+        return subprocess.CompletedProcess(args, 0, stdout="abc123\n", stderr="")
+
+    monkeypatch.setattr(experiments.subprocess, "run", fake_run)
+    experiments.version_string.cache_clear()
+    try:
+        reports = [experiments._report("x", ExperimentConfig(), {}, True) for _ in range(2)]
+    finally:
+        experiments.version_string.cache_clear()
+    assert len(calls) == 1
+    assert reports[0]["version"] == reports[1]["version"] == f"wickflow {__version__} (abc123)"

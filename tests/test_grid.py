@@ -222,3 +222,55 @@ def test_dealiasing_grid_size_rule():
     g7.assert_product_degree(7)
     with pytest.raises(ConfigurationError):
         g7.assert_product_degree(9)
+
+
+# -- pruned real transforms against the full complex FFT ----------------------
+
+TRANSFORM_KS = (0, 1, 4, 32)
+
+
+def full_inverse(grid, coeffs):
+    """Re of the full M x M inverse FFT of the zero-padded window."""
+    idx = grid.wavenumbers % grid.M
+    big = np.zeros((grid.M, grid.M), dtype=np.complex128)
+    big[np.ix_(idx, idx)] = coeffs
+    return np.fft.ifft2(big).real * (grid.M**2 / grid.L)
+
+
+def full_forward(grid, values):
+    idx = grid.wavenumbers % grid.M
+    return np.fft.fft2(values)[np.ix_(idx, idx)] * (grid.L / grid.M**2)
+
+
+def assert_rel_close(a, b, rel):
+    assert np.max(np.abs(a - b)) <= rel * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("K", TRANSFORM_KS)
+def test_inverse_transform_matches_full_fft_for_non_hermitian_input(K):
+    grid = TorusGrid(K)
+    n = 2 * K + 1
+    rng = np.random.default_rng(100 + K)
+    coeffs = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    assert_rel_close(grid.coeffs_to_values(coeffs), full_inverse(grid, coeffs), 1e-14)
+
+
+@pytest.mark.parametrize("K", TRANSFORM_KS)
+def test_inverse_transform_matches_full_fft_for_single_modes(K):
+    grid = TorusGrid(K)
+    for k1, k2 in {(K, K), (-K, K), (K, -K), (-K, -K), (K, 0), (-K, 0), (0, 0)}:
+        u = SpectralField.zero(grid)
+        u.set_mode(k1, k2, 0.7 - 1.3j)
+        assert_rel_close(grid.coeffs_to_values(u.coeffs), full_inverse(grid, u.coeffs), 1e-14)
+
+
+@pytest.mark.parametrize("K", TRANSFORM_KS)
+def test_forward_transform_matches_full_fft_and_is_hermitian(K):
+    grid = TorusGrid(K)
+    values = np.random.default_rng(200 + K).standard_normal((grid.M, grid.M))
+    coeffs = grid.values_to_coeffs(values)
+    assert_rel_close(coeffs, full_forward(grid, values), 1e-14)
+    u = SpectralField(grid, coeffs)
+    for k1 in range(-K, K + 1):
+        for k2 in range(1, K + 1):
+            assert u.get_mode(-k1, -k2) == np.conj(u.get_mode(k1, k2))

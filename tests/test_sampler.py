@@ -132,6 +132,30 @@ def test_run_chain_bookkeeping():
         pcn_step(make_chain(grid, None, c, 5), 1.5, None, c)
 
 
+def test_run_chain_wick2_by_parseval_matches_grid_sum_and_leaves_chain_unchanged():
+    grid = TorusGrid(4, max_degree=4)
+    P = PolynomialSpec.quartic(0.25)
+    c = counterterm_C(grid)
+    n_steps, burn_in, thinning, rho = 120, 20, 10, 0.9
+    res = run_chain(make_chain(grid, P, c, 11), n_steps, burn_in, thinning, rho, P, c)
+    # reference: the same chain stepped by hand, wick2 as a grid sum
+    state = make_chain(grid, P, c, 11)
+    accepts, samples, wick2 = [], [], []
+    for i in range(n_steps):
+        state, acc = pcn_step(state, rho, P, c)
+        accepts.append(acc)
+        if i >= burn_in:
+            xv = grid.coeffs_to_values(state.phi.coeffs)
+            wick2.append(float(np.sum(xv * xv)) * grid.cell_area - grid.L**2 * c.c)
+            if (i - burn_in) % thinning == 0:
+                samples.append(state.phi.coeffs)
+    assert 0 < sum(accepts) < n_steps  # both branches ran
+    assert np.array_equal(res.accept_history, accepts)
+    assert len(res.samples) == len(samples)
+    assert all(np.array_equal(s.coeffs, ref) for s, ref in zip(res.samples, samples))
+    np.testing.assert_allclose(res.observables["wick2"], wick2, rtol=1e-12, atol=0.0)
+
+
 def test_low_acceptance_warning():
     grid = TorusGrid(2, max_degree=4)
     P = PolynomialSpec.quartic(200.0)

@@ -6,6 +6,7 @@ from wickflow import (
     ConfigurationError,
     NonContractionError,
     OUNoisePath,
+    OUState,
     PolynomialSpec,
     RealField,
     SpectralField,
@@ -17,6 +18,7 @@ from wickflow import (
     to_spectral,
     wick_nonlinearity,
 )
+from wickflow.ou import hermitian_normals, ou_step, step_constants
 from wickflow.solver import (
     SolverConfig,
     nonlinear_term,
@@ -96,6 +98,34 @@ def test_step_pure_semigroup_when_free():
     out = step(Y, field_tower(SpectralField.zero(grid), 0.0, 2), cfg, None)
     expected = Y.coeffs * np.exp(-grid.lam * 0.05)
     assert np.max(np.abs(out.coeffs - expected)) < 1e-14
+
+
+def test_step_constants_are_cached_and_bitwise_equal_to_inline_formulas():
+    grid = TorusGrid(4, max_degree=4)
+    delta = 2e-3
+    decay = np.exp(-grid.lam * delta)
+    sigma = np.sqrt((1.0 - decay**2) / (2.0 * grid.lam))
+    x = grid.lam * delta
+    phi1 = (1.0 - np.exp(-x)) / x
+    P = PolynomialSpec.quartic(0.25, a2=0.1)
+    Y = sample_stationary(grid, substream(1, 0, 0))
+    z = sample_stationary(grid, substream(1, 0, 1))
+    tower = field_tower(z, 0.0, P.degree)
+    cfg = SolverConfig(delta=delta, T=1.0, drift_scale=0.3)
+    expected = decay * Y.coeffs - delta * 0.3 * phi1 * nonlinear_term(Y, tower, P).coeffs
+    assert np.array_equal(step(Y, tower, cfg, P).coeffs, expected)
+    moved = ou_step(OUState(0.0, z, substream(2, 0, 1)), delta).z.coeffs
+    xi = hermitian_normals(grid, substream(2, 0, 1))
+    assert np.array_equal(moved, decay * z.coeffs + sigma * xi)
+    path = OUNoisePath(grid, delta, 2, rng=substream(3, 0, 1))
+    rng = substream(3, 0, 1)
+    innovations = [sigma * hermitian_normals(grid, rng) for _ in range(2)]
+    assert np.array_equal(path.innovations, innovations)
+    assert np.array_equal(path.step(z, 1).coeffs, decay * z.coeffs + innovations[1])
+    consts = step_constants(TorusGrid(4, max_degree=4), delta, 0.3)
+    assert consts is step_constants(grid, delta, 0.3)
+    assert np.array_equal(consts.weight, delta * 0.3 * phi1)
+    assert not any(a.flags.writeable for a in consts)
 
 
 def test_step_linear_closed_form_and_order():
