@@ -3,7 +3,7 @@ scalar field dynamics on the 2-torus: renormalized nonlinearities, exact
 stochastic convolution, the shifted-equation solver, Gibbs sampling, and
 Besov-regularity diagnostics."""
 
-from .errors import BlowUpError, ConfigurationError, DomainError, NonContractionError
+from .errors import BlowUpError, ConfigurationError, DomainError, NonContractionError, WarmupError
 from .grid import (
     RealField,
     SpectralField,

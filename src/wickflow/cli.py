@@ -9,7 +9,7 @@ run writes <out>/<command>_report.json embedding the resolved config and
 version string.
 
 Exit codes: 0 success/PASS, 1 experiment reported FAIL, 2 usage or config
-error, 3 trajectory blow-up, 4 chain warm-up failure.
+error, 3 trajectory blow-up, 4 chain warm-up failure (`WarmupError`).
 """
 
 import argparse
@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from .errors import BlowUpError, ConfigurationError, DomainError
+from .errors import BlowUpError, ConfigurationError, DomainError, WarmupError
 from .experiments import (
     ExperimentConfig,
     run_equivalence,
@@ -121,10 +121,10 @@ def main(argv=None) -> int:
         return 2
     try:
         report = COMMANDS[args.command](cfg)
+    except WarmupError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 4
     except (ConfigurationError, DomainError) as err:
-        if "warm-up" in str(err):
-            print(f"error: {err}", file=sys.stderr)
-            return 4
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except BlowUpError as err:

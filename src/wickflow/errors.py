@@ -6,6 +6,10 @@ class ConfigurationError(ValueError):
     orders, insufficient dealiasing padding, invalid run configs."""
 
 
+class WarmupError(ConfigurationError):
+    """The sampler warm-up failed: pCN acceptance fell below 1%."""
+
+
 class DomainError(ValueError):
     """Argument outside the mathematical domain of an operation
     (negative time, negative mollification scale, negative counterterm...)."""

@@ -17,10 +17,15 @@ import numpy as np
 
 from . import __version__
 from .besov import BesovSpec, besov_norm, build_partition, regularity_estimate
-from .errors import ConfigurationError
+from .errors import ConfigurationError, WarmupError
 from .grid import SpectralField, TorusGrid, apply_semigroup
-from .ou import CounterTable, OUNoisePath, OUState, counter_table, ou_step, sample_stationary, substream
-from .sampler import ChainState, gibbs_samples, observables, run_chain
+from .ou import (
+    CounterTable, OUNoisePath, OUState, build_tower, convert_tower, counter_table, ct_tower,
+    ou_step, sample_stationary, substream,
+)
+from .sampler import (
+    ChainState, gibbs_samples, integrated_autocorrelation, observables, pcn_step, run_chain,
+)
 from .snapshots import write_snapshots
 from .solver import SolverConfig, Trajectory, solve, solve_alternative_splitting, stationary_solve
 from .wick import (
@@ -29,6 +34,7 @@ from .wick import (
     binomial_identity_check,
     counterterm_C,
     field_tower,
+    hermite,
     hermite_variance,
     recombine,
     wick_power,
@@ -73,7 +79,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        kw = {}
+        """Build and validate a config; unknown sections or keys are errors."""
         sections = {
             "grid": {"K": "K", "dealiasing_degree": "dealiasing_degree"},
             "polynomial": {"N": "N", "a": "a"},
@@ -83,24 +89,31 @@ class ExperimentConfig:
             "ensemble": {"n_traj": "n_traj", "master_seed": "master_seed"},
             "output": {"dir": "out_dir", "formats": "formats"},
         }
-        for section, keys in sections.items():
-            for key, attr in keys.items():
-                if section in data and key in data[section]:
-                    kw[attr] = data[section][key]
-        for key in ("threads",):
-            if key in data:
-                kw[key] = data[key]
+        if not isinstance(data, dict):
+            raise ConfigurationError("a config must be a JSON object")
         unknown = set(data) - set(sections) - {"threads"}
         if unknown:
             raise ConfigurationError(f"unknown config sections: {sorted(unknown)}")
+        kw = {"threads": data["threads"]} if "threads" in data else {}
+        for section, keys in sections.items():
+            body = data.get(section, {})
+            if not isinstance(body, dict):
+                raise ConfigurationError(f"config section {section!r} must be an object")
+            unknown = set(body) - set(keys)
+            if unknown:
+                raise ConfigurationError(f"unknown keys in section {section!r}: {sorted(unknown)}")
+            kw.update((keys[key], value) for key, value in body.items())
         cfg = cls(**kw)
         cfg.validate()
         return cfg
 
     def validate(self) -> None:
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value}")
         self.a = tuple(float(x) for x in self.a)
         self.formats = tuple(self.formats)
-        PolynomialSpec(self.N, self.a)  # enforces a_{2N} > 0 and coefficient count
+        PolynomialSpec(self.N, self.a)  # enforces finite coefficients, a_{2N} > 0 and their count
         if self.K < 0:
             raise ConfigurationError("K must be >= 0")
         if not (0 < self.delta <= self.T):
@@ -111,6 +124,8 @@ class ExperimentConfig:
             raise ConfigurationError("rho must lie in (0, 1]")
         if self.n_traj < 1:
             raise ConfigurationError("n_traj must be >= 1")
+        if self.threads < 1:
+            raise ConfigurationError("threads must be >= 1")
         bad = set(self.formats) - {"csv", "json", "wck1"}
         if bad:
             raise ConfigurationError(f"unknown output formats: {sorted(bad)}")
@@ -121,25 +136,11 @@ class ExperimentConfig:
     def grid(self) -> TorusGrid:
         return TorusGrid(self.K, max_degree=max(self.dealiasing_degree, 2 * self.N))
 
-    def solver_config(self, **over) -> SolverConfig:
-        kw = dict(delta=self.delta, T=self.T, record_every=self.record_every)
-        kw.update(over)
-        return SolverConfig(**kw)
+    def solver_config(self) -> SolverConfig:
+        return SolverConfig(delta=self.delta, T=self.T, record_every=self.record_every)
 
     def resolved(self) -> dict:
         return asdict(self)
-
-
-class ScaledCounterTable(CounterTable):
-    """Counterterms multiplied by a constant: the negative-control knob."""
-
-    def __init__(self, grid: TorusGrid, factor: float):
-        super().__init__(grid)
-        self._factor = float(factor)
-        self.c_C = self._factor * self.c_C
-
-    def c_t(self, t: float) -> float:
-        return self._factor * super().c_t(t)
 
 
 def _report(name: str, cfg: ExperimentConfig, results: dict, passed) -> dict:
@@ -160,7 +161,7 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _trajectory_rows(traj: Trajectory):
-    names = sorted(k for k in traj.observables if k != "tower_top")
+    names = sorted(traj.observables)
     header = ["t"] + names
     rows = []
     for i, t in enumerate(traj.times):
@@ -240,7 +241,6 @@ def run_identities(cfg: ExperimentConfig) -> dict:
     for n in range(11):
         for _ in range(100):
             s, t = rng.uniform(-5, 5, 2)
-            from .wick import hermite
             worst = max(worst, binomial_identity_check(n, s, t) / (1 + abs(hermite(n, s + t))))
     out["hermite_binomial"] = worst
 
@@ -248,7 +248,6 @@ def run_identities(cfg: ExperimentConfig) -> dict:
     g = TorusGrid(8, max_degree=6)
     counters = counter_table(g)
     cC = counters.counterterm("C")
-    from .ou import convert_tower, ct_tower
     worst = 0.0
     rng = substream(seed, 0, 1)
     for t in (0.01, 0.1, 1.0):
@@ -274,7 +273,6 @@ def run_identities(cfg: ExperimentConfig) -> dict:
     out["recombination"] = worst
 
     # initial-datum tower vs direct Wick power of zbar
-    from .ou import build_tower
     worst = 0.0
     rng = substream(seed, 0, 2)
     for t in (0.05, 0.5):
@@ -302,14 +300,6 @@ def run_identities(cfg: ExperimentConfig) -> dict:
 # invariance
 # ----------------------------------------------------------------------
 
-REGISTERED_OBSERVABLES = [
-    "wick2", "wick4", "besov",
-    "mode2_0_0", "mode2_1_0", "mode2_0_1", "mode2_1_1", "mode2_1_-1",
-    "mode2_2_0", "mode2_0_2", "mode2_2_1", "mode2_1_2", "mode2_2_-1",
-    "mode2_-1_2", "mode2_2_2", "mode2_2_-2",
-]
-
-
 def _pmap(fn, payloads, threads):
     if threads <= 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
@@ -321,11 +311,12 @@ def _pmap(fn, payloads, threads):
 
 
 def _drift_worker(payload):
-    (K, degree, N, a, factor, delta, T, seed, i, eta_bytes, n) = payload
+    (K, degree, N, a, scale, delta, T, seed, i, eta_bytes) = payload
     grid = TorusGrid(K, max_degree=degree)
     P = PolynomialSpec(N, a)
-    counters = counter_table(grid) if factor == 1.0 else ScaledCounterTable(grid, factor)
+    counters = CounterTable(grid, scale=scale)
     c_obs = counterterm_C(grid)
+    n = 2 * K + 1
     eta = SpectralField(grid, np.frombuffer(eta_bytes, dtype=np.complex128).reshape(n, n).copy())
     scfg = SolverConfig(delta=delta, T=T, record_every=10**9)
     traj = stationary_solve(eta, substream(seed, i, 1), scfg, P,
@@ -333,25 +324,24 @@ def _drift_worker(payload):
     return observables(eta, P, c_obs), observables(traj.X[-1], P, c_obs)
 
 
-def _drift_zscores(samples, cfg, P, counters, c_obs, delta, T, seed):
-    factor = getattr(counters, "_factor", 1.0)
-    degree = max(cfg.dealiasing_degree, 2 * cfg.N)
-    n = 2 * cfg.K + 1
+def _drift_zscores(samples, cfg, counters, delta, T, seed):
+    """Paired drift z-score of every observable of `sampler.observables`."""
+    grid = counters.grid
     payloads = [
-        (cfg.K, degree, cfg.N, cfg.a, factor, delta, T, seed, i,
-         eta.coeffs.tobytes(), n)
+        (grid.K, grid.max_degree, cfg.N, cfg.a, counters.scale, delta, T, seed, i,
+         eta.coeffs.tobytes())
         for i, eta in enumerate(samples)
     ]
     pairs = _pmap(_drift_worker, payloads, cfg.threads)
-    start = {name: [o0[name] for o0, _ in pairs] for name in REGISTERED_OBSERVABLES}
-    end = {name: [oT[name] for _, oT in pairs] for name in REGISTERED_OBSERVABLES}
     stats = {}
-    for name in REGISTERED_OBSERVABLES:
-        d = np.asarray(end[name]) - np.asarray(start[name])
+    for name in pairs[0][0]:
+        start = np.asarray([o0[name] for o0, _ in pairs])
+        end = np.asarray([oT[name] for _, oT in pairs])
+        d = end - start
         se = d.std(ddof=1) / math.sqrt(len(d))  # combined SE of the paired drift
         stats[name] = {
-            "mean0": float(np.mean(start[name])),
-            "meanT": float(np.mean(end[name])),
+            "mean0": float(np.mean(start)),
+            "meanT": float(np.mean(end)),
             "se": float(se),
             "z": float(d.mean() / se) if se > 0 else 0.0,
         }
@@ -378,11 +368,10 @@ def run_invariance(cfg: ExperimentConfig, negative_control: bool = True) -> dict
     samples, chain = gibbs_samples(grid, P, c_obs, cfg.n_traj, cfg.rho,
                                    cfg.burn_in, cfg.thinning, rng)
     if chain.acceptance_rate < 0.01:
-        raise ConfigurationError("chain warm-up failure: acceptance below 1%")
+        raise WarmupError("chain warm-up failure: acceptance below 1%")
 
-    stats_d = _drift_zscores(samples, cfg, P, counters, c_obs, cfg.delta, cfg.T,
-                             seed=cfg.master_seed + 1)
-    stats_h = _drift_zscores(samples, cfg, P, counters, c_obs, cfg.delta / 2, cfg.T,
+    stats_d = _drift_zscores(samples, cfg, counters, cfg.delta, cfg.T, seed=cfg.master_seed + 1)
+    stats_h = _drift_zscores(samples, cfg, counters, cfg.delta / 2, cfg.T,
                              seed=cfg.master_seed + 2)
     zmax_d = max(abs(s["z"]) for s in stats_d.values())
     zmax_h = max(abs(s["z"]) for s in stats_h.values())
@@ -398,9 +387,8 @@ def run_invariance(cfg: ExperimentConfig, negative_control: bool = True) -> dict
     }
 
     if negative_control:
-        broken = ScaledCounterTable(grid, 2.0)
-        stats_b = _drift_zscores(samples, cfg, P, broken, c_obs, cfg.delta, cfg.T,
-                                 seed=cfg.master_seed + 3)
+        broken = CounterTable(grid, scale=2.0)
+        stats_b = _drift_zscores(samples, cfg, broken, cfg.delta, cfg.T, seed=cfg.master_seed + 3)
         zmax_b = max(abs(s["z"]) for s in stats_b.values())
         results["negative_control"] = stats_b
         results["negative_control_max_abs_z"] = zmax_b
@@ -432,7 +420,6 @@ def run_gaussian_exactness(K: int = 4, a2: float = 0.5, seed: int = 0,
     state = ChainState.initial(sample_stationary(grid, rng), P, c, rng)
     burn = n_chain // 10
     chain_vals = {k: [] for k in modes}
-    from .sampler import pcn_step
     for i in range(n_chain):
         state, _ = pcn_step(state, 0.5, P, c)
         if i >= burn and i % 10 == 0:
@@ -463,7 +450,6 @@ def run_gaussian_exactness(K: int = 4, a2: float = 0.5, seed: int = 0,
     chain_stats = zscores(chain_vals)
     sde_stats = zscores(sde_vals)
     # correct the chain z for autocorrelation of the thinned series
-    from .sampler import integrated_autocorrelation
     for k in modes:
         series = np.asarray(chain_vals[k])
         tau = integrated_autocorrelation(series)
@@ -491,7 +477,7 @@ def run_regularity(cfg: ExperimentConfig, n_runs: int = 100) -> dict:
     """
     grid = TorusGrid(16, max_degree=max(cfg.dealiasing_degree, 4))
     part = build_partition(grid)
-    P = PolynomialSpec(cfg.N, cfg.a)
+    P = cfg.polynomial()
     counters = counter_table(grid)
     T, delta = 0.1, 1e-3
     scfg = SolverConfig(delta=delta, T=T, record_every=10**9)
@@ -610,8 +596,7 @@ def run_wick_convergence(cfg: ExperimentConfig, n_pairs: int = 200) -> dict:
     part = build_partition(big)
     spec = BesovSpec(-0.2)
     masks = {K: (np.abs(big.kx) <= K) & (np.abs(big.ky) <= K) for K in (*Ks, 32)}
-    cterm = {K: float(np.sum((1.0 / (2.0 * big.lam))[masks[K]])) / (2 * np.pi) ** 2
-             for K in (*Ks, 32)}
+    cterm = {K: counterterm_C(TorusGrid(K, max_degree=2)).c for K in (*Ks, 32)}
     window = masks[min(Ks)]
 
     monotone = 0

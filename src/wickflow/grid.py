@@ -69,7 +69,6 @@ class TorusGrid:
 
         self._rows = self.wavenumbers % self.M  # window rows on the M-point axis
         self._neg = -np.arange(n) % n  # wrap-order index of -k along one axis
-        self.n_modes = n * n
 
         x = self.L * np.arange(self.M) / self.M
         self.x1 = x[:, None] * np.ones(self.M)[None, :]
@@ -129,11 +128,6 @@ class TorusGrid:
         half *= self.L / self.M**2
         return np.concatenate((half, np.conj(half[self._neg, K:0:-1])), axis=1)
 
-    def integrate_values(self, values: np.ndarray) -> float:
-        """Exact torus integral of a band-limited sampled function."""
-        return float(np.sum(values) * self.cell_area)
-
-
 class RealField:
     """Real samples of a field on the fine grid of a `TorusGrid`."""
 
@@ -153,10 +147,6 @@ class RealField:
     @classmethod
     def constant(cls, grid: TorusGrid, c: float) -> "RealField":
         return cls(grid, np.full((grid.M, grid.M), float(c)))
-
-    def integral(self) -> float:
-        return self.grid.integrate_values(self.values)
-
 
 class SpectralField:
     """Coefficients of a real field against e_k = (2*pi)^{-1} exp(i k.x).
@@ -270,8 +260,3 @@ def dealiased_product(fields, degree: int | None = None) -> SpectralField:
     for f in fields[1:]:
         prod = prod * grid.coeffs_to_values(f.coeffs)
     return SpectralField(grid, grid.values_to_coeffs(prod))
-
-
-def project(values: np.ndarray, grid: TorusGrid) -> SpectralField:
-    """Project fine-grid samples onto the retained window |k|_inf <= K."""
-    return SpectralField(grid, grid.values_to_coeffs(values))

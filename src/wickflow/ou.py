@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .grid import SpectralField, TorusGrid, apply_semigroup
-from .wick import CounterTerm, WickTower, hermite_tower_values
+from .wick import CounterTerm, WickTower, counterterm_C, hermite_tower_values
 
 
 def substream(master_seed: int, trajectory: int, role: int) -> np.random.Generator:
@@ -111,26 +111,28 @@ def ou_step(state: OUState, delta: float) -> OUState:
 class CounterTable:
     """Counterterms of the truncated dynamics: c_C, c_t(t), c_{C_t}(t).
 
-    All three are exact mode sums; `times` just records the schedule a
-    caller asked about (`table` evaluates it).  c_t is nonpositive,
-    nondecreasing, c_t(0) = -c_C (so c_{C_t}(0) = 0) and c_t -> 0 at
-    large times.
+    All three are exact mode sums times `scale` (2 for the negative control
+    of the invariance suite); `times` just records the schedule a caller
+    asked about (`table` evaluates it).  At scale 1, c_C = counterterm_C,
+    c_t is nonpositive, nondecreasing, c_t(0) = -c_C and c_t -> 0 at large times.
     """
 
-    def __init__(self, grid: TorusGrid, times=()):
+    def __init__(self, grid: TorusGrid, times=(), scale: float = 1.0):
         self.grid = grid
         self.times = tuple(float(t) for t in times)
         for t in self.times:
             if t < 0:
                 raise DomainError(f"counterterm times must be >= 0, got {t}")
+        self.scale = float(scale)
         self._weights = 1.0 / (2.0 * grid.lam)
         self._norm = 1.0 / (2.0 * np.pi) ** 2
-        self.c_C = float(np.sum(self._weights)) * self._norm
+        self.c_C = self.scale * counterterm_C(grid).c
 
     def c_t(self, t: float) -> float:
         if t < 0:
             raise DomainError(f"time must be >= 0, got {t}")
-        return -float(np.sum(np.exp(-2.0 * self.grid.lam * t) * self._weights)) * self._norm
+        c = -float(np.sum(np.exp(-2.0 * self.grid.lam * t) * self._weights)) * self._norm
+        return self.scale * c
 
     def c_Ct(self, t: float) -> float:
         return self.c_C + self.c_t(t)

@@ -13,6 +13,7 @@ case (V = 0) the chain is exactly an AR(1) in every mode.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,8 @@ from .besov import BesovSpec, besov_norm, build_partition
 from .errors import ConfigurationError, DomainError
 from .grid import SpectralField, TorusGrid
 from .ou import sample_stationary
-from .solver import MODE_OBSERVABLES
-from .wick import CounterTerm, PolynomialSpec, hermite_tower_values, wick_action
+from .solver import field_observables
+from .wick import _c_value, wick_action
 
 _partitions: dict = {}
 
@@ -83,19 +84,10 @@ class ChainResult:
 
 
 def observables(phi: SpectralField, P, c) -> dict:
-    """Registered scalar observables of one field configuration."""
-    grid = phi.grid
-    cval = c.c if isinstance(c, CounterTerm) else float(c)
-    xv = grid.coeffs_to_values(phi.coeffs)
-    h = hermite_tower_values(xv, cval, 5)
-    out = {
-        "wick2": float(np.sum(h[2])) * grid.cell_area,
-        "wick4": float(np.sum(h[4])) * grid.cell_area,
-        "besov": besov_norm(phi, BesovSpec(-0.1), _partition_for(grid)),
-    }
-    for k in MODE_OBSERVABLES:
-        if max(abs(k[0]), abs(k[1])) <= grid.K:
-            out[f"mode2_{k[0]}_{k[1]}"] = abs(phi.get_mode(*k)) ** 2
+    """Registered scalar observables of one field configuration: those of
+    `solver.field_observables` plus its B^{-0.1}_{inf,inf} norm, "besov"."""
+    out = field_observables(phi, c)
+    out["besov"] = besov_norm(phi, BesovSpec(-0.1), _partition_for(phi.grid))
     return out
 
 
@@ -118,8 +110,7 @@ def integrated_autocorrelation(series: np.ndarray, window_factor: float = 5.0) -
 
 
 def run_chain(init: ChainState, n_steps: int, burn_in: int, thinning: int,
-              rho: float, P, c, action_offset: float = 0.0,
-              keep_samples: bool = True, track=("wick2",)) -> ChainResult:
+              rho: float, P, c, action_offset: float = 0.0) -> ChainResult:
     """Drive the chain, discard burn-in, thin, and report diagnostics.
 
     Emits a warning flag through the result when acceptance drops below 1%
@@ -131,9 +122,9 @@ def run_chain(init: ChainState, n_steps: int, burn_in: int, thinning: int,
         raise ConfigurationError("thinning must be >= 1")
     state = init
     grid = init.phi.grid
-    cval = c.c if isinstance(c, CounterTerm) else float(c)
+    cval = _c_value(c)
     samples = []
-    tracked = {name: [] for name in track}
+    wick2 = []
     accepts = np.zeros(n_steps, dtype=bool)
     h2 = None
     for i in range(n_steps):
@@ -146,24 +137,18 @@ def run_chain(init: ChainState, n_steps: int, burn_in: int, thinning: int,
                 # integral of :phi^2: by Parseval, recomputed only when phi moved
                 coeffs = state.phi.coeffs
                 h2 = float(np.vdot(coeffs, coeffs).real) - grid.L**2 * cval
-            for name in track:
-                if name == "wick2":
-                    tracked[name].append(h2)
-                else:
-                    tracked[name].append(observables(state.phi, P, c)[name])
-            if (i - burn_in) % thinning == 0 and keep_samples:
+            wick2.append(h2)
+            if (i - burn_in) % thinning == 0:
                 samples.append(state.phi.copy())
     rate = state.accepted / max(state.proposed, 1)
     if rate < 0.01:
-        import warnings
-
         warnings.warn(f"pCN acceptance rate {rate:.2%} < 1%: step parameter too large")
-    wick2 = np.asarray(tracked.get("wick2", []), dtype=np.float64)
+    wick2 = np.asarray(wick2, dtype=np.float64)
     return ChainResult(
         samples=samples,
-        observables={k: np.asarray(v) for k, v in tracked.items()},
+        observables={"wick2": wick2},
         acceptance_rate=rate,
-        iat_wick2=integrated_autocorrelation(wick2) if wick2.size else float("nan"),
+        iat_wick2=integrated_autocorrelation(wick2),
         accept_history=accepts,
     )
 
@@ -173,8 +158,7 @@ def gibbs_samples(grid: TorusGrid, P, c, n_samples: int, rho: float,
     """Convenience: equilibrated, thinned draws from the truncated Gibbs measure."""
     state = ChainState.initial(sample_stationary(grid, rng), P, c, rng)
     n_steps = burn_in + n_samples * thinning
-    result = run_chain(state, n_steps, burn_in, thinning, rho, P, c,
-                       keep_samples=True, track=("wick2",))
+    result = run_chain(state, n_steps, burn_in, thinning, rho, P, c)
     if len(result.samples) < n_samples:
         raise ConfigurationError("chain produced fewer samples than requested")
     return result.samples[:n_samples], result

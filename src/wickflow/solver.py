@@ -38,7 +38,7 @@ from .ou import (
     CounterTable, OUNoisePath, OUState, build_tower, counter_table, ou_step, sample_stationary,
     step_constants, substream,
 )
-from .wick import PolynomialSpec, WickTower, hermite_tower_values
+from .wick import PolynomialSpec, WickTower, _c_value, hermite_tower_values
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,6 @@ class SolverConfig:
     record_every: int = 1
     scheme: str = "exponential-euler"
     drift_scale: float = 1.0
-    tower_refresh: int = 1
     blowup_threshold: float = 1e8
 
     def __post_init__(self):
@@ -58,8 +57,6 @@ class SolverConfig:
             raise ConfigurationError(f"unknown scheme {self.scheme!r}")
         if self.record_every < 1:
             raise ConfigurationError("record_every must be >= 1")
-        if self.tower_refresh < 1:
-            raise ConfigurationError("tower_refresh must be >= 1")
 
     @property
     def n_steps(self) -> int:
@@ -97,6 +94,24 @@ MODE_OBSERVABLES = [
     (0, 0), (1, 0), (0, 1), (1, 1), (1, -1),
     (2, 0), (0, 2), (2, 1), (1, 2), (2, -1), (-1, 2), (2, 2), (2, -2),
 ]
+
+
+def field_observables(X: SpectralField, c) -> dict:
+    """The registered observables of a field X, Wick-ordered with counterterm c.
+
+    wick2 and wick4 are the integrals of :X^2: and :X^4:; mode2_<k1>_<k2> is
+    |X_k|^2 for every k of MODE_OBSERVABLES that the grid retains.
+    """
+    grid = X.grid
+    h = hermite_tower_values(grid.coeffs_to_values(X.coeffs), _c_value(c), 5)
+    out = {
+        "wick2": float(np.sum(h[2])) * grid.cell_area,
+        "wick4": float(np.sum(h[4])) * grid.cell_area,
+    }
+    for k in MODE_OBSERVABLES:
+        if max(abs(k[0]), abs(k[1])) <= grid.K:
+            out[f"mode2_{k[0]}_{k[1]}"] = abs(X.get_mode(*k)) ** 2
+    return out
 
 
 def nonlinear_term(Y: SpectralField, tower: WickTower, P: PolynomialSpec | None) -> SpectralField:
@@ -159,39 +174,27 @@ def _as_noise(grid: TorusGrid, noise, cfg: SolverConfig):
 
 
 class _Recorder:
-    def __init__(self, grid: TorusGrid, counters: CounterTable, cfg: SolverConfig):
+    def __init__(self, grid: TorusGrid, counters: CounterTable):
         self.grid = grid
         self.c = counters.c_C
-        self.cfg = cfg
         self.times = []
         self.Y = []
         self.X = []
         self.zbar = []
-        self.obs = {"wick2": [], "wick4": [], "sup_Y": [], "tower_top": []}
-        for k in MODE_OBSERVABLES:
-            if max(abs(k[0]), abs(k[1])) <= grid.K:
-                self.obs[f"mode2_{k[0]}_{k[1]}"] = []
+        self.obs = {}
         self.defect = 0.0
 
-    def record(self, t, Y, zbar, tower_top_sup=np.nan):
-        grid = self.grid
+    def record(self, t, Y, zbar):
         X = Y + zbar
         self.times.append(t)
         self.Y.append(Y)
         self.X.append(X)
         self.zbar.append(zbar)
         self.defect = max(self.defect, float(np.max(np.abs(X.coeffs - Y.coeffs - zbar.coeffs))))
-        xv = grid.coeffs_to_values(X.coeffs)
-        h = hermite_tower_values(xv, self.c, 5)
-        self.obs["wick2"].append(float(np.sum(h[2])) * grid.cell_area)
-        self.obs["wick4"].append(float(np.sum(h[4])) * grid.cell_area)
-        yv = grid.coeffs_to_values(Y.coeffs)
-        self.obs["sup_Y"].append(float(np.max(np.abs(yv))))
-        self.obs["tower_top"].append(tower_top_sup)
-        for k in MODE_OBSERVABLES:
-            key = f"mode2_{k[0]}_{k[1]}"
-            if key in self.obs:
-                self.obs[key].append(abs(X.get_mode(*k)) ** 2)
+        obs = field_observables(X, self.c)
+        obs["sup_Y"] = float(np.max(np.abs(self.grid.coeffs_to_values(Y.coeffs))))
+        for name, value in obs.items():
+            self.obs.setdefault(name, []).append(value)
 
     def done(self, cfg, P):
         return Trajectory(
@@ -207,7 +210,7 @@ def _run(grid, cfg, P, counters, Y0, z_init_datum, noise, record_fields=True):
     """Shared driver: advance (Z, Y), rebuild towers, record X = Y + zbar."""
     rng, path = _as_noise(grid, noise, cfg)
     n_orders = max(P.degree, 2) if P is not None else 2
-    rec = _Recorder(grid, counters, cfg)
+    rec = _Recorder(grid, counters)
     Z = SpectralField.zero(grid)
     Y = Y0.copy()
     v = z_init_datum
@@ -216,11 +219,11 @@ def _run(grid, cfg, P, counters, Y0, z_init_datum, noise, record_fields=True):
         return Z + apply_semigroup(v, t) if v is not None else Z
 
     tower = build_tower(Z, v, 0.0, counters, n_orders)
-    rec.record(0.0, Y, zbar_at(0.0), float(np.max(np.abs(tower.raw[-1]))))
+    rec.record(0.0, Y, zbar_at(0.0))
     n_steps = cfg.n_steps
     for n in range(n_steps):
         t = n * cfg.delta
-        if n % cfg.tower_refresh == 0 and tower.t != t:
+        if tower.t != t:
             tower = build_tower(Z, v, t, counters, n_orders)
         try:
             Y = step(Y, tower, cfg, P)
@@ -229,9 +232,10 @@ def _run(grid, cfg, P, counters, Y0, z_init_datum, noise, record_fields=True):
         Z = path.step(Z, n) if path is not None else ou_step(OUState(t, Z, rng), cfg.delta).z
         t_next = (n + 1) * cfg.delta
         if (n + 1) % cfg.record_every == 0 or n + 1 == n_steps:
-            # serves both the record diagnostics and the next step start
+            # the next step's tower, built at each record (after the last step
+            # too), so a run builds n_steps + 1 towers whatever record_every is
             tower = build_tower(Z, v, t_next, counters, n_orders)
-            rec.record(t_next, Y, zbar_at(t_next), float(np.max(np.abs(tower.raw[-1]))))
+            rec.record(t_next, Y, zbar_at(t_next))
     traj = rec.done(cfg, P)
     if not record_fields:
         traj.Y, traj.X, traj.zbar = traj.Y[-1:], traj.X[-1:], traj.zbar[-1:]

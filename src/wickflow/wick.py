@@ -45,7 +45,9 @@ class PolynomialSpec:
             raise ConfigurationError(
                 f"need 2N+1={2 * N + 1} coefficients a_0..a_{2 * N}, got {len(a)}"
             )
-        if a[2 * N] <= 0:
+        if not all(math.isfinite(x) for x in a):
+            raise ConfigurationError(f"coefficients must be finite, got {a}")
+        if not a[2 * N] > 0:
             raise ConfigurationError(f"leading coefficient a_{2 * N} must be > 0")
         object.__setattr__(self, "N", int(N))
         object.__setattr__(self, "a", a)
@@ -167,8 +169,8 @@ class WickTower:
 
     `raw` holds exact pointwise values on the fine grid, shape
     (n_orders, M, M); keeping the unprojected samples is what makes the
-    recombination identities exact at finite dimension.  `orders` exposes
-    the window-projected fields.
+    recombination identities exact at finite dimension.  `order` gives a
+    window-projected field.
     """
 
     grid: TorusGrid
@@ -188,10 +190,6 @@ class WickTower:
 
     def order(self, j: int) -> SpectralField:
         return SpectralField(self.grid, self.grid.values_to_coeffs(self.order_values(j)))
-
-    @property
-    def orders(self) -> list:
-        return [self.order(j) for j in range(self.n_orders)]
 
 
 def field_tower(z, c, n_orders: int) -> WickTower:

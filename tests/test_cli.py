@@ -4,8 +4,9 @@ import subprocess
 
 import pytest
 
-from wickflow import __version__, experiments
+from wickflow import __version__, cli, experiments
 from wickflow.cli import main
+from wickflow.errors import ConfigurationError, WarmupError
 from wickflow.experiments import ExperimentConfig
 
 
@@ -69,6 +70,35 @@ def test_invalid_polynomial_exit_2(tmp_path):
 def test_unknown_section_exit_2(tmp_path):
     cfg = write_config(tmp_path / "c.json", {"grids": {"K": 3}})
     assert main(["simulate", "--config", cfg]) == 2
+
+
+@pytest.mark.parametrize("data", [
+    {"grid": {"k": 3}},                # unknown key inside a section, once run at K=8
+    {"solver": {"T": float("inf")}},   # json writes Infinity; once an OverflowError
+    {"grid": {"K": float("nan")}},
+    {"threads": -3},
+    {"grid": 3},                        # a section that is not an object
+], ids=["unknown-key", "infinite-T", "nan-K", "negative-threads", "section-not-object"])
+def test_invalid_config_exit_2(tmp_path, data):
+    cfg = write_config(tmp_path / "c.json", data)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_threads_flag_below_one_exit_2(tmp_path):
+    assert main(["simulate", "--threads", "0", "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("error, code", [
+    (WarmupError("acceptance below 1%"), 4),
+    (ConfigurationError("a message that mentions warm-up"), 2),
+], ids=["warmup-error", "config-error-saying-warm-up"])
+def test_warmup_exit_code_follows_the_error_type(tmp_path, monkeypatch, error, code):
+    def fail(cfg):
+        raise error
+
+    monkeypatch.setitem(cli.COMMANDS, "gibbs", fail)
+    assert main(["gibbs", "--out", str(tmp_path / "out"), "--threads", "1"]) == code
 
 
 def test_bad_json_exit_2(tmp_path):

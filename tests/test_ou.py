@@ -3,6 +3,7 @@ import pytest
 
 from wickflow import (
     ConfigurationError,
+    CounterTable,
     DomainError,
     OUNoisePath,
     OUState,
@@ -154,6 +155,22 @@ def test_counter_table_structure():
         for t in ts:
             assert table.c_Ct(t) == pytest.approx(table.c_C + table.c_t(t), rel=1e-14)
     assert len(counter_table(TorusGrid(1), times=(0.0, 1.0)).table) == 2
+
+
+def test_counter_table_c_C_is_counterterm_C_bitwise():
+    for K in range(41):
+        grid = TorusGrid(K)
+        assert counter_table(grid).c_C == counterterm_C(grid).c, K
+
+
+def test_counter_table_scale_doubles_every_counterterm_exactly():
+    for K in (0, 3, 10):
+        grid = TorusGrid(K)
+        plain, doubled = CounterTable(grid), CounterTable(grid, scale=2.0)
+        assert doubled.c_C == 2.0 * plain.c_C
+        for t in (0.0, 0.01, 0.3, 2.0):
+            assert doubled.c_t(t) == 2.0 * plain.c_t(t)
+            assert doubled.c_Ct(t) == 2.0 * plain.c_Ct(t)
 
 
 def test_convert_tower_low_order_identities():

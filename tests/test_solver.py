@@ -19,6 +19,7 @@ from wickflow import (
     wick_nonlinearity,
 )
 from wickflow.ou import hermitian_normals, ou_step, step_constants
+from wickflow.sampler import observables
 from wickflow.solver import (
     SolverConfig,
     nonlinear_term,
@@ -184,6 +185,21 @@ def test_reconstruction_identity():
     assert traj.reconstruction_defect < 1e-12
     for t, X, Y, zb in zip(traj.times, traj.X, traj.Y, traj.zbar):
         assert np.max(np.abs(X.coeffs - Y.coeffs - zb.coeffs)) < 1e-12
+
+
+def test_recorded_observables_equal_sampler_observables_bitwise():
+    grid = TorusGrid(4, max_degree=4)
+    P = PolynomialSpec.quartic(0.25)
+    counters = counter_table(grid)
+    cfg = SolverConfig(delta=1e-3, T=0.02, record_every=5)
+    z0 = sample_stationary(grid, substream(8, 0, 0))
+    traj = solve(None, z0, substream(8, 0, 1), cfg, P, counters=counters)
+    assert len(traj.X) == 5
+    for i, X in enumerate(traj.X):
+        obs = observables(X, P, counters.counterterm("C"))
+        assert set(traj.observables) == set(obs) - {"besov"} | {"sup_Y"}
+        for name in set(obs) - {"besov"}:
+            assert traj.observables[name][i] == obs[name], name
 
 
 def test_scheme_self_convergence_on_fixed_path():

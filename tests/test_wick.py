@@ -309,6 +309,11 @@ def test_polynomial_spec_validation():
         PolynomialSpec(2, (0, 0, 0, 0, 0.0))   # leading coefficient must be positive
     with pytest.raises(ConfigurationError):
         PolynomialSpec(2, (0, 0, 0.5))          # wrong length
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError):
+            PolynomialSpec(2, (0, 0, 0, 0, bad))  # NaN would pass `a_4 <= 0`
+        with pytest.raises(ConfigurationError):
+            PolynomialSpec(2, (0, 0, bad, 0, 0.25))
     P = PolynomialSpec.quartic(0.25, a2=0.1)
     assert P.degree == 4 and P.a[4] == 0.25
     assert P.scaled(0.5).a[4] == 0.125
