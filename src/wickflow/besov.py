@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .grid import SpectralField, TorusGrid
+from .grid import SpectralField, TorusGrid, apply_semigroup
 
 _PLATEAU_RADIUS = 1.0       # S == 1 inside; theta vanishes below this
 _SUPPORT_RADIUS = 4.0 / 3.0  # S == 0 outside; theta support ends at twice this
@@ -193,8 +193,6 @@ def regularity_estimate(u: SpectralField, partition: DyadicPartition | None = No
 def heat_norm_curve(u: SpectralField, spec: BesovSpec, t_grid,
                     partition: DyadicPartition | None = None) -> np.ndarray:
     """||e^{tA} u|| in the given Besov norm along a time grid."""
-    from .grid import apply_semigroup
-
     partition = partition or build_partition(u.grid)
     return np.array([besov_norm(apply_semigroup(u, t), spec, partition) for t in t_grid])
 

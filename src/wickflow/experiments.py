@@ -9,9 +9,10 @@ observable lists); nothing is tuned per run.
 
 import functools
 import math
+import numbers
 import os
 import subprocess
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -29,7 +30,6 @@ from .sampler import (
 from .snapshots import write_snapshots
 from .solver import SolverConfig, Trajectory, solve, solve_alternative_splitting, stationary_solve
 from .wick import (
-    CounterTerm,
     PolynomialSpec,
     binomial_identity_check,
     counterterm_C,
@@ -108,9 +108,17 @@ class ExperimentConfig:
         return cfg
 
     def validate(self) -> None:
-        for name, value in vars(self).items():
+        types = {int: numbers.Integral, float: numbers.Real, str: str, tuple: (list, tuple)}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, types[f.type]):
+                raise ConfigurationError(f"{f.name} must be {f.type.__name__}, got {value!r}")
             if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigurationError(f"{name} must be finite, got {value}")
+                raise ConfigurationError(f"{f.name} must be finite, got {value}")
+        if any(isinstance(x, bool) or not isinstance(x, numbers.Real) for x in self.a):
+            raise ConfigurationError(f"coefficients a must be numbers, got {self.a!r}")
+        if not all(isinstance(x, str) for x in self.formats):
+            raise ConfigurationError(f"formats must be strings, got {self.formats!r}")
         self.a = tuple(float(x) for x in self.a)
         self.formats = tuple(self.formats)
         PolynomialSpec(self.N, self.a)  # enforces finite coefficients, a_{2N} > 0 and their count
@@ -360,6 +368,8 @@ def run_invariance(cfg: ExperimentConfig, negative_control: bool = True) -> dict
     doubled inside the dynamics (observables and initial chain keep the
     true counterterm) and must FAIL, i.e. some registered |z| > 3.
     """
+    if cfg.n_traj < 2:  # a drift's standard error needs two trajectories
+        raise ConfigurationError(f"invariance needs n_traj >= 2, got {cfg.n_traj}")
     grid = cfg.grid()
     P = cfg.polynomial()
     c_obs = counterterm_C(grid)
@@ -488,7 +498,7 @@ def run_regularity(cfg: ExperimentConfig, n_runs: int = 100) -> dict:
                      counters=counters, grid=grid, record_fields=True)
         Z = traj.zbar[-1]
         Y = traj.Y[-1]
-        z2 = wick_power(Z, 2, CounterTerm(counters.c_Ct(T), "C_t", grid.K, T))
+        z2 = wick_power(Z, 2, counters.counterterm("C_t", T))
         az, rz = regularity_estimate(Z, part)
         az2, _ = regularity_estimate(z2, part)
         ay, ry = regularity_estimate(Y, part)

@@ -189,8 +189,7 @@ class SpectralField:
         return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2)))
 
     def hermitian_defect(self) -> float:
-        flipped = np.conj(self.coeffs[::-1, ::-1])
-        sym = np.roll(flipped, (1, 1), axis=(0, 1))  # maps k -> -k slot
+        sym = np.conj(self.coeffs[self.grid._neg][:, self.grid._neg])  # conj at -k
         return float(np.max(np.abs(self.coeffs - sym)))
 
     def __add__(self, other: "SpectralField") -> "SpectralField":

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .grid import SpectralField, TorusGrid, apply_semigroup
-from .wick import CounterTerm, WickTower, counterterm_C, hermite_tower_values
+from .wick import CounterTerm, WickTower, binomial_fold, counterterm_C, hermite_tower_values
 
 
 def substream(master_seed: int, trajectory: int, role: int) -> np.random.Generator:
@@ -48,8 +48,7 @@ def hermitian_normals(grid: TorusGrid, rng: np.random.Generator) -> np.ndarray:
     n = 2 * grid.K + 1
     raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     raw *= math.sqrt(0.5)
-    flipped = np.conj(np.roll(raw[::-1, ::-1], (1, 1), axis=(0, 1)))
-    return (raw + flipped) * math.sqrt(0.5)
+    return (raw + np.conj(raw[grid._neg][:, grid._neg])) * math.sqrt(0.5)
 
 
 def sample_stationary(grid: TorusGrid, rng: np.random.Generator) -> SpectralField:
@@ -209,14 +208,7 @@ def build_tower(
     if z0.grid != grid:
         raise ConfigurationError("initial datum lives on a different grid")
     v = grid.coeffs_to_values(apply_semigroup(z0, t).coeffs)
-    raw = np.empty_like(base.raw)
-    for n in range(n_orders):
-        acc = base.raw[n].copy()
-        vpow = np.ones_like(v)
-        for k in range(n - 1, -1, -1):
-            vpow = vpow * v
-            acc += math.comb(n, k) * vpow * base.raw[k]
-        raw[n] = acc
+    raw = np.stack([binomial_fold(v, base.raw, n) for n in range(n_orders)])
     return WickTower(grid=grid, t=t, kind="C", counterterm=counters.c_C, raw=raw)
 
 

@@ -12,6 +12,7 @@ reversible with respect to nu for every rho in (0, 1], and in the free
 case (V = 0) the chain is exactly an AR(1) in every mode.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -25,13 +26,7 @@ from .ou import sample_stationary
 from .solver import field_observables
 from .wick import _c_value, wick_action
 
-_partitions: dict = {}
-
-
-def _partition_for(grid: TorusGrid):
-    if grid not in _partitions:
-        _partitions[grid] = build_partition(grid)
-    return _partitions[grid]
+_partition_for = functools.cache(build_partition)
 
 
 def _action(phi: SpectralField, P, c) -> float:

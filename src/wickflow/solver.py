@@ -8,6 +8,11 @@ tower of zbar:
     dY/dt = A Y - sum_{k=1}^{2N} k a_k sum_{l=0}^{k-1} C(k-1, l)
                    Y^l :zbar^{k-1-l}:,        Y(0) = y.
 
+On the lattice :zbar^j: = He_j(zbar; c_C) pointwise, so the Hermite
+binomial identity makes the inner sum exactly :(Y + zbar)^{k-1}:_C and a
+step evaluates :p(Y + zbar):_C by one Hermite recurrence at the samples
+of X; the paper's tower route (`ou.build_tower`) stays a verified identity.
+
 Time stepping is first-order exponential Euler with the exact phi-1
 weight, per mode
 
@@ -27,7 +32,6 @@ with the literal coefficients (drift_scale = 1), which is what the
 deterministic scheme tests exercise.
 """
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,10 +39,13 @@ import numpy as np
 from .errors import BlowUpError, ConfigurationError, NonContractionError
 from .grid import SpectralField, TorusGrid, apply_semigroup
 from .ou import (
-    CounterTable, OUNoisePath, OUState, build_tower, counter_table, ou_step, sample_stationary,
+    CounterTable, OUNoisePath, OUState, counter_table, ou_step, sample_stationary,
     step_constants, substream,
 )
-from .wick import PolynomialSpec, WickTower, _c_value, hermite_tower_values
+from .wick import (
+    PolynomialSpec, WickTower, _c_value, field_tower, hermite_tower_values,
+    wick_nonlinearity_values,
+)
 
 
 @dataclass(frozen=True)
@@ -119,8 +126,8 @@ def nonlinear_term(Y: SpectralField, tower: WickTower, P: PolynomialSpec | None)
 
         F = sum_{k=1}^{2N} k a_k sum_{l=0}^{k-1} C(k-1, l) Y^l :zbar^{k-1-l}:,
 
-    evaluated pointwise on the dealiased grid and projected to the window.
-    P = None is the free case: F = 0.
+    evaluated as :p(Y + zbar): with the tower's counterterm, pointwise on
+    the dealiased grid and projected to the window.  P = None: F = 0.
     """
     grid = Y.grid
     if P is None:
@@ -132,23 +139,9 @@ def nonlinear_term(Y: SpectralField, tower: WickTower, P: PolynomialSpec | None)
             f"tower holds orders 0..{tower.n_orders - 1}, nonlinearity needs 0..{P.degree - 1}"
         )
     grid.assert_product_degree(max(P.degree - 1, 1))
-    yv = grid.coeffs_to_values(Y.coeffs)
-    # coefficient of y^l * tower[j] summed over k = l + j + 1
-    out = np.zeros_like(yv)
-    ypow = np.ones_like(yv)
-    for l in range(P.degree):
-        if l > 0:
-            ypow = ypow * yv
-        acc = None
-        for k in range(l + 1, P.degree + 1):
-            ka = k * P.a[k]
-            if ka == 0.0:
-                continue
-            term = ka * math.comb(k - 1, l) * tower.order_values(k - 1 - l)
-            acc = term if acc is None else acc + term
-        if acc is not None:
-            out += ypow * acc
-    return SpectralField(grid, grid.values_to_coeffs(out))
+    x = grid.coeffs_to_values(Y.coeffs) + tower.order_values(1)
+    F = wick_nonlinearity_values(x, P, tower.counterterm)
+    return SpectralField(grid, grid.values_to_coeffs(F))
 
 
 def step(Y: SpectralField, tower: WickTower, cfg: SolverConfig, P: PolynomialSpec) -> SpectralField:
@@ -218,13 +211,16 @@ def _run(grid, cfg, P, counters, Y0, z_init_datum, noise, record_fields=True):
     def zbar_at(t):
         return Z + apply_semigroup(v, t) if v is not None else Z
 
-    tower = build_tower(Z, v, 0.0, counters, n_orders)
+    def tower_at(t):  # :zbar^n:_C = He_n(zbar; c_C), the tower by definition
+        return replace(field_tower(zbar_at(t), counters.c_C, n_orders), t=t)
+
+    tower = tower_at(0.0)
     rec.record(0.0, Y, zbar_at(0.0))
     n_steps = cfg.n_steps
     for n in range(n_steps):
         t = n * cfg.delta
         if tower.t != t:
-            tower = build_tower(Z, v, t, counters, n_orders)
+            tower = tower_at(t)
         try:
             Y = step(Y, tower, cfg, P)
         except BlowUpError as err:
@@ -234,7 +230,7 @@ def _run(grid, cfg, P, counters, Y0, z_init_datum, noise, record_fields=True):
         if (n + 1) % cfg.record_every == 0 or n + 1 == n_steps:
             # the next step's tower, built at each record (after the last step
             # too), so a run builds n_steps + 1 towers whatever record_every is
-            tower = build_tower(Z, v, t_next, counters, n_orders)
+            tower = tower_at(t_next)
             rec.record(t_next, Y, zbar_at(t_next))
     traj = rec.done(cfg, P)
     if not record_fields:

@@ -239,12 +239,17 @@ def wick_nonlinearity(u, P: PolynomialSpec | None, c):
     if P is None:
         return _return_like(u, grid, np.zeros_like(values))
     grid.assert_product_degree(max(P.degree - 1, 1))
-    tower = hermite_tower_values(values, cval, P.degree)
+    return _return_like(u, grid, wick_nonlinearity_values(values, P, cval))
+
+
+def wick_nonlinearity_values(values: np.ndarray, P: PolynomialSpec, c: float) -> np.ndarray:
+    """Pointwise :p(u):_c = sum_n n a_n He_{n-1}(u; c) at the samples of u."""
+    tower = hermite_tower_values(values, c, P.degree)
     out = np.zeros_like(values)
     for n in range(1, P.degree + 1):
         if P.a[n] != 0.0:
             out += n * P.a[n] * tower[n - 1]
-    return _return_like(u, grid, out)
+    return out
 
 
 def wick_action(u, P: PolynomialSpec | None, c) -> float:
@@ -286,9 +291,14 @@ def recombine(y, tower: WickTower, n: int):
         )
     if n >= 2:
         grid.assert_product_degree(n)
-    out = tower.order_values(n).copy()
-    ypow = np.ones_like(yvals)
+    return _return_like(y, grid, binomial_fold(yvals, tower.raw, n))
+
+
+def binomial_fold(y: np.ndarray, raw: np.ndarray, n: int) -> np.ndarray:
+    """Pointwise sum_k C(n, k) y^{n-k} raw[k]: :(y + z)^n: from the tower samples raw of z."""
+    out = raw[n].copy()
+    ypow = np.ones_like(y)
     for k in range(n - 1, -1, -1):
-        ypow = ypow * yvals
-        out += math.comb(n, k) * ypow * tower.order_values(k)
-    return _return_like(y, grid, out)
+        ypow = ypow * y
+        out += math.comb(n, k) * ypow * raw[k]
+    return out

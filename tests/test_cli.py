@@ -78,7 +78,23 @@ def test_unknown_section_exit_2(tmp_path):
     {"grid": {"K": float("nan")}},
     {"threads": -3},
     {"grid": 3},                        # a section that is not an object
-], ids=["unknown-key", "infinite-T", "nan-K", "negative-threads", "section-not-object"])
+    {"grid": {"K": 3.5}},               # once ran at K=3 and exited 0
+    {"grid": {"K": "8"}},               # once a TypeError traceback
+    {"ensemble": {"n_traj": 2.5}},      # once a TypeError traceback
+    {"grid": {"K": True}},
+    {"threads": 1.0},
+    {"sampler": {"burn_in": 10.0}},
+    {"ensemble": {"master_seed": "7"}},
+    {"solver": {"T": "0.25"}},
+    {"sampler": {"rho": True}},
+    {"polynomial": {"a": [0, 0, 0, 0, "0.25"]}},
+    {"polynomial": {"a": 0.25}},
+    {"output": {"formats": "csv"}},
+    {"output": {"dir": 5}},
+], ids=["unknown-key", "infinite-T", "nan-K", "negative-threads", "section-not-object",
+        "fractional-K", "string-K", "fractional-n_traj", "bool-K", "float-threads",
+        "float-burn_in", "string-seed", "string-T", "bool-rho", "string-coefficient",
+        "scalar-a", "string-formats", "integer-dir"])
 def test_invalid_config_exit_2(tmp_path, data):
     cfg = write_config(tmp_path / "c.json", data)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
@@ -87,6 +103,17 @@ def test_invalid_config_exit_2(tmp_path, data):
 
 def test_threads_flag_below_one_exit_2(tmp_path):
     assert main(["simulate", "--threads", "0", "--out", str(tmp_path / "out")]) == 2
+
+
+def test_invariance_with_one_trajectory_exit_2(tmp_path):
+    # one paired drift has no standard error; this once reported FAIL (exit 1)
+    cfg = write_config(tmp_path / "c.json", {
+        "grid": {"K": 2}, "ensemble": {"n_traj": 1},
+        "sampler": {"n_steps": 200, "burn_in": 100, "thinning": 10},
+    })
+    out = tmp_path / "out"
+    assert main(["invariance", "--config", cfg, "--out", str(out), "--threads", "1"]) == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("error, code", [

@@ -49,6 +49,19 @@ def test_hermitian_normals_statistics():
     assert np.max(np.abs(xi0.imag)) == 0.0  # self-paired mode stays real
 
 
+@pytest.mark.parametrize("K", [0, 1, 4, 32])
+def test_hermitian_normals_equal_the_roll_formula_bitwise(K):
+    # element [i, j] of the flipped-and-rolled array is raw[-i % n, -j % n]
+    grid = TorusGrid(K)
+    n = 2 * K + 1
+    rng = np.random.default_rng(K)
+    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    raw *= np.sqrt(0.5)
+    flipped = np.conj(np.roll(raw[::-1, ::-1], (1, 1), axis=(0, 1)))
+    expected = (raw + flipped) * np.sqrt(0.5)
+    assert np.array_equal(hermitian_normals(grid, np.random.default_rng(K)), expected)
+
+
 def test_ou_mode_variance_ito_isometry():
     # Var(z_k(t)) = (1 - e^{-2 lambda t})/(2 lambda), Monte Carlo within 3 SE
     grid = TorusGrid(1)

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wickflow import (
     BlowUpError,
@@ -18,7 +22,8 @@ from wickflow import (
     to_spectral,
     wick_nonlinearity,
 )
-from wickflow.ou import hermitian_normals, ou_step, step_constants
+from wickflow.grid import apply_semigroup
+from wickflow.ou import build_tower, hermitian_normals, ou_step, step_constants
 from wickflow.sampler import observables
 from wickflow.solver import (
     SolverConfig,
@@ -29,6 +34,7 @@ from wickflow.solver import (
     stationary_solve,
     step,
 )
+from wickflow.wick import recombine
 
 
 def zero_noise_path(grid, delta, n_steps):
@@ -82,6 +88,60 @@ def test_nonlinear_term_collapses_to_wick_polynomial():
     F = nonlinear_term(Y, field_tower(zbar, c, 4), P)
     direct = wick_nonlinearity(Y + zbar, P, c)
     assert np.max(np.abs(F.coeffs - direct.coeffs)) < 1e-11 * (1 + np.max(np.abs(direct.coeffs)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=st.integers(0, 8), N=st.sampled_from([1, 2, 3]),
+       c=st.floats(0.0, 2.0), extra=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+def test_nonlinear_term_is_the_recombination_of_every_tower_order(K, N, c, extra, seed):
+    # F = sum_k k a_k :(Y + zbar)^{k-1}:, each power recombined from the tower of zbar
+    grid = TorusGrid(K, max_degree=2 * N + extra)
+    rng = np.random.default_rng(seed)
+    zbar, Y = sample_stationary(grid, rng), sample_stationary(grid, rng)
+    a = list(rng.uniform(-1.0, 1.0, 2 * N + 1))
+    a[2 * N] = abs(a[2 * N]) + 0.1
+    P = PolynomialSpec(N, a)
+    tower = field_tower(zbar, c, 2 * N + extra)
+    F = nonlinear_term(Y, tower, P)
+    oracle = SpectralField.zero(grid)
+    for k in range(1, 2 * N + 1):
+        oracle = oracle + recombine(Y, tower, k - 1) * (k * P.a[k])
+    assert np.max(np.abs(F.coeffs - oracle.coeffs)) <= 1e-12 * (1 + np.max(np.abs(oracle.coeffs)))
+
+
+def tower_route_final_state(z0, path, cfg, P, counters):
+    """(Y(T), X(T)) by the paper's route: build_tower each step, then the binomial
+    fold sum_k k a_k sum_l C(k-1, l) Y^l :zbar^{k-1-l}: of the shifted equation."""
+    grid = z0.grid
+    decay, _, weight = step_constants(grid, cfg.delta, cfg.drift_scale)
+    Y, Z = SpectralField.zero(grid), SpectralField.zero(grid)
+    for n in range(cfg.n_steps):
+        tower = build_tower(Z, z0, n * cfg.delta, counters, P.degree)
+        yv = grid.coeffs_to_values(Y.coeffs)
+        F = np.zeros_like(yv)
+        for k in range(1, P.degree + 1):
+            for l in range(k):
+                F += k * P.a[k] * math.comb(k - 1, l) * yv**l * tower.order_values(k - 1 - l)
+        Y = SpectralField(grid, decay * Y.coeffs - weight * grid.values_to_coeffs(F))
+        Z = path.step(Z, n)
+    return Y, Y + Z + apply_semigroup(z0, cfg.T)
+
+
+@pytest.mark.parametrize("P", [
+    PolynomialSpec.quartic(0.25, a2=0.4, a1=0.1),
+    PolynomialSpec(3, (0.0, 0.05, 0.3, -0.1, 0.2, 0.0, 0.1)),
+], ids=["quartic-a2", "sextic"])
+def test_solve_matches_the_tower_route_step_by_step(P):
+    grid = TorusGrid(4, max_degree=P.degree)
+    counters = counter_table(grid)
+    cfg = SolverConfig(delta=1e-3, T=0.04, record_every=7)
+    path = OUNoisePath(grid, cfg.delta, cfg.n_steps, substream(21, 0, 1))
+    z0 = sample_stationary(grid, substream(21, 0, 0))
+    traj = solve(None, z0, path, cfg, P, counters=counters)
+    for got, expected in zip((traj.Y[-1], traj.X[-1]),
+                             tower_route_final_state(z0, path, cfg, P, counters)):
+        scale = np.max(np.abs(expected.coeffs))
+        assert np.max(np.abs(got.coeffs - expected.coeffs)) <= 1e-12 * scale
 
 
 def test_nonlinear_term_missing_orders():
@@ -230,7 +290,6 @@ def test_alternative_splitting_coupled_and_relation():
     tb = solve_alternative_splitting(z0, path, cfg, P, stationary_init=z1)
     # same mild equation, same path: reconstructions agree to roundoff
     assert np.max(np.abs(ta.X[-1].coeffs - tb.X[-1].coeffs)) < 1e-11
-    from wickflow.grid import apply_semigroup
     rel = ta.Y[-1] - (tb.Y[-1] + apply_semigroup(z1, T) - apply_semigroup(z0, T))
     assert np.max(np.abs(rel.coeffs)) < 1e-11
 
