@@ -9,7 +9,8 @@ run writes <out>/<command>_report.json embedding the resolved config and
 version string.
 
 Exit codes: 0 success/PASS, 1 experiment reported FAIL, 2 usage or config
-error, 3 trajectory blow-up, 4 chain warm-up failure (`WarmupError`).
+error, 3 trajectory blow-up, 4 chain warm-up failure (`WarmupError`: the
+pCN acceptance of `gibbs` or `invariance` fell below 1%).
 """
 
 import argparse

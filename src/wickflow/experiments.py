@@ -25,7 +25,8 @@ from .ou import (
     ou_step, sample_stationary, substream,
 )
 from .sampler import (
-    ChainState, gibbs_samples, integrated_autocorrelation, observables, pcn_step, run_chain,
+    MIN_ACCEPTANCE, ChainState, gibbs_samples, integrated_autocorrelation, observables, pcn_step,
+    run_chain,
 )
 from .snapshots import write_snapshots
 from .solver import SolverConfig, Trajectory, solve, solve_alternative_splitting, stationary_solve
@@ -161,6 +162,13 @@ def _report(name: str, cfg: ExperimentConfig, results: dict, passed) -> dict:
     }
 
 
+def _check_warmup(acceptance_rate: float) -> None:
+    """The warm-up rule of the chain suites: exit 4 below `MIN_ACCEPTANCE`."""
+    if acceptance_rate < MIN_ACCEPTANCE:
+        raise WarmupError(f"chain warm-up failure: acceptance {acceptance_rate:.2%} "
+                          f"below {MIN_ACCEPTANCE:.0%}")
+
+
 def _write_csv(path, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
@@ -217,6 +225,7 @@ def run_gibbs(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     rng = substream(cfg.master_seed, 0, 0)
     state = ChainState.initial(sample_stationary(grid, rng), P, c, rng)
     result = run_chain(state, cfg.n_steps, cfg.burn_in, cfg.thinning, cfg.rho, P, c)
+    _check_warmup(result.acceptance_rate)
     out = out_dir or cfg.out_dir
     os.makedirs(out, exist_ok=True)
     if "csv" in cfg.formats:
@@ -229,7 +238,7 @@ def run_gibbs(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
         "iat_wick2": result.iat_wick2,
         "n_samples": len(result.samples),
     }
-    return _report("gibbs", cfg, results, passed=result.acceptance_rate >= 0.01)
+    return _report("gibbs", cfg, results, passed=True)  # a chain that warmed up passes
 
 
 # ----------------------------------------------------------------------
@@ -323,28 +332,28 @@ def _drift_worker(payload):
     grid = TorusGrid(K, max_degree=degree)
     P = PolynomialSpec(N, a)
     counters = CounterTable(grid, scale=scale)
-    c_obs = counterterm_C(grid)
     n = 2 * K + 1
     eta = SpectralField(grid, np.frombuffer(eta_bytes, dtype=np.complex128).reshape(n, n).copy())
     scfg = SolverConfig(delta=delta, T=T, record_every=10**9)
     traj = stationary_solve(eta, substream(seed, i, 1), scfg, P,
                             counters=counters, record_fields=False)
-    return observables(eta, P, c_obs), observables(traj.X[-1], P, c_obs)
+    return observables(traj.X[-1], P, counterterm_C(grid))
 
 
-def _drift_zscores(samples, cfg, counters, delta, T, seed):
-    """Paired drift z-score of every observable of `sampler.observables`."""
+def _drift_zscores(samples, start_obs, cfg, counters, delta, T, seed):
+    """Paired drift z-score of every observable of `sampler.observables`;
+    `start_obs[i]` holds the observables of `samples[i]`."""
     grid = counters.grid
     payloads = [
         (grid.K, grid.max_degree, cfg.N, cfg.a, counters.scale, delta, T, seed, i,
          eta.coeffs.tobytes())
         for i, eta in enumerate(samples)
     ]
-    pairs = _pmap(_drift_worker, payloads, cfg.threads)
+    end_obs = _pmap(_drift_worker, payloads, cfg.threads)
     stats = {}
-    for name in pairs[0][0]:
-        start = np.asarray([o0[name] for o0, _ in pairs])
-        end = np.asarray([oT[name] for _, oT in pairs])
+    for name in start_obs[0]:
+        start = np.asarray([o0[name] for o0 in start_obs])
+        end = np.asarray([oT[name] for oT in end_obs])
         d = end - start
         se = d.std(ddof=1) / math.sqrt(len(d))  # combined SE of the paired drift
         stats[name] = {
@@ -377,11 +386,12 @@ def run_invariance(cfg: ExperimentConfig, negative_control: bool = True) -> dict
     rng = substream(cfg.master_seed, 0, 0)
     samples, chain = gibbs_samples(grid, P, c_obs, cfg.n_traj, cfg.rho,
                                    cfg.burn_in, cfg.thinning, rng)
-    if chain.acceptance_rate < 0.01:
-        raise WarmupError("chain warm-up failure: acceptance below 1%")
+    _check_warmup(chain.acceptance_rate)
+    start = [observables(eta, P, c_obs) for eta in samples]
 
-    stats_d = _drift_zscores(samples, cfg, counters, cfg.delta, cfg.T, seed=cfg.master_seed + 1)
-    stats_h = _drift_zscores(samples, cfg, counters, cfg.delta / 2, cfg.T,
+    stats_d = _drift_zscores(samples, start, cfg, counters, cfg.delta, cfg.T,
+                             seed=cfg.master_seed + 1)
+    stats_h = _drift_zscores(samples, start, cfg, counters, cfg.delta / 2, cfg.T,
                              seed=cfg.master_seed + 2)
     zmax_d = max(abs(s["z"]) for s in stats_d.values())
     zmax_h = max(abs(s["z"]) for s in stats_h.values())
@@ -398,7 +408,8 @@ def run_invariance(cfg: ExperimentConfig, negative_control: bool = True) -> dict
 
     if negative_control:
         broken = CounterTable(grid, scale=2.0)
-        stats_b = _drift_zscores(samples, cfg, broken, cfg.delta, cfg.T, seed=cfg.master_seed + 3)
+        stats_b = _drift_zscores(samples, start, cfg, broken, cfg.delta, cfg.T,
+                                 seed=cfg.master_seed + 3)
         zmax_b = max(abs(s["z"]) for s in stats_b.values())
         results["negative_control"] = stats_b
         results["negative_control_max_abs_z"] = zmax_b

@@ -19,6 +19,8 @@ The linear operator throughout is A = Laplacian - 1, with eigenvalues
 -lambda_k, lambda_k = 1 + |k|^2 > 0.
 """
 
+import functools
+
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
@@ -69,6 +71,7 @@ class TorusGrid:
 
         self._rows = self.wavenumbers % self.M  # window rows on the M-point axis
         self._neg = -np.arange(n) % n  # wrap-order index of -k along one axis
+        self._neg_flat = (self._neg[:, None] * n + self._neg[None, :]).ravel()  # -k, flat
 
         x = self.L * np.arange(self.M) / self.M
         self.x1 = x[:, None] * np.ones(self.M)[None, :]
@@ -87,6 +90,18 @@ class TorusGrid:
 
     def __repr__(self):
         return f"TorusGrid(K={self.K}, M={self.M}, max_degree={self.max_degree})"
+
+    def compute_grid(self, degree: int) -> "TorusGrid":
+        """Where a degree-`degree` polynomial of this grid's fields is evaluated.
+
+        Its derivative's products are alias-free, and its integral's
+        quadrature exact, on M >= degree*K + 1 points: the smallest such
+        grid of the lattice if it is coarser than this one, else this one
+        (which stays too small where it was).  Coefficient arrays have the
+        same shape on both, so fields move between them without a copy.
+        """
+        small = _lattice_grid(self.K, max(degree - 1, 1))
+        return small if small.M < self.M else self
 
     def assert_product_degree(self, d: int):
         """Raise unless degree-d pointwise products are alias-free on this grid."""
@@ -127,6 +142,10 @@ class TorusGrid:
         half = np.fft.fft(np.fft.rfft(values, axis=1)[:, :K + 1], axis=0)[self._rows]
         half *= self.L / self.M**2
         return np.concatenate((half, np.conj(half[self._neg, K:0:-1])), axis=1)
+
+
+_lattice_grid = functools.cache(TorusGrid)
+
 
 class RealField:
     """Real samples of a field on the fine grid of a `TorusGrid`."""

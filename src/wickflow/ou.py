@@ -46,9 +46,12 @@ def hermitian_normals(grid: TorusGrid, rng: np.random.Generator) -> np.ndarray:
     entry comes out real with unit variance.
     """
     n = 2 * grid.K + 1
-    raw = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    draws = rng.standard_normal((2, n, n))  # the stream of two (n, n) draws, real then imag
+    raw = np.empty((n, n), dtype=np.complex128)
+    raw.real = draws[0]
+    raw.imag = draws[1]
     raw *= math.sqrt(0.5)
-    return (raw + np.conj(raw[grid._neg][:, grid._neg])) * math.sqrt(0.5)
+    return (raw + np.conj(raw.ravel()[grid._neg_flat].reshape(n, n))) * math.sqrt(0.5)
 
 
 def sample_stationary(grid: TorusGrid, rng: np.random.Generator) -> SpectralField:
@@ -261,5 +264,6 @@ class OUNoisePath:
         return OUNoisePath(self.grid, self.delta * factor, m, innovations=out)
 
     def step(self, z: SpectralField, index: int) -> SpectralField:
+        """Advance z by one step of the path; the result stays on z's grid."""
         decay = step_constants(self.grid, self.delta).decay
-        return SpectralField(self.grid, decay * z.coeffs + self.innovations[index])
+        return SpectralField(z.grid, decay * z.coeffs + self.innovations[index])

@@ -10,6 +10,9 @@ preserves mu exactly, so the Metropolis ratio only sees the change of V:
 accept with probability min(1, exp(V(phi) - V(phi'))).  The kernel is
 reversible with respect to nu for every rho in (0, 1], and in the free
 case (V = 0) the chain is exactly an AR(1) in every mode.
+
+V is evaluated on the compute grid of the chain's grid, where its
+quadrature is exact; samples and their observables stay on the chain's grid.
 """
 
 import functools
@@ -27,10 +30,14 @@ from .solver import field_observables
 from .wick import _c_value, wick_action
 
 _partition_for = functools.cache(build_partition)
+MIN_ACCEPTANCE = 0.01  # below it a chain has not warmed up: the step parameter is too large
 
 
 def _action(phi: SpectralField, P, c) -> float:
-    return 0.0 if P is None else wick_action(phi, P, c)
+    """V(phi), by quadrature on the compute grid of phi's grid (exact there)."""
+    if P is None:
+        return 0.0
+    return wick_action(SpectralField(phi.grid.compute_grid(P.degree), phi.coeffs), P, c)
 
 
 @dataclass
@@ -108,8 +115,8 @@ def run_chain(init: ChainState, n_steps: int, burn_in: int, thinning: int,
               rho: float, P, c, action_offset: float = 0.0) -> ChainResult:
     """Drive the chain, discard burn-in, thin, and report diagnostics.
 
-    Emits a warning flag through the result when acceptance drops below 1%
-    (step parameter too large for the target).
+    Warns when acceptance drops below `MIN_ACCEPTANCE` (step parameter
+    too large for the target).
     """
     if n_steps <= burn_in:
         raise ConfigurationError(f"n_steps={n_steps} must exceed burn_in={burn_in}")
@@ -136,8 +143,9 @@ def run_chain(init: ChainState, n_steps: int, burn_in: int, thinning: int,
             if (i - burn_in) % thinning == 0:
                 samples.append(state.phi.copy())
     rate = state.accepted / max(state.proposed, 1)
-    if rate < 0.01:
-        warnings.warn(f"pCN acceptance rate {rate:.2%} < 1%: step parameter too large")
+    if rate < MIN_ACCEPTANCE:
+        warnings.warn(f"pCN acceptance rate {rate:.2%} < {MIN_ACCEPTANCE:.0%}: "
+                      "step parameter too large")
     wick2 = np.asarray(wick2, dtype=np.float64)
     return ChainResult(
         samples=samples,

@@ -23,6 +23,11 @@ which is unconditionally stable and treats the linear part exactly.  Z
 advances by its exact transition law, so the only scheme error is the
 frozen-nonlinearity error in Y.
 
+Y, Z, zbar and the towers live on the compute grid of the caller's grid
+(`TorusGrid.compute_grid`), the smallest one on which the step is exact;
+records move the coefficients back onto the caller's grid, so every
+recorded field and observable is the caller's.
+
 Drift scaling: with the free measure fixed to mode variance 1/(2 lambda_k)
 and unit cylindrical noise, the dynamics that preserves the Gibbs density
 exp(-integral :q:) carries HALF the gradient of the action (the Langevin
@@ -178,6 +183,7 @@ class _Recorder:
         self.defect = 0.0
 
     def record(self, t, Y, zbar):
+        Y, zbar = SpectralField(self.grid, Y.coeffs), SpectralField(self.grid, zbar.coeffs)
         X = Y + zbar
         self.times.append(t)
         self.Y.append(Y)
@@ -200,13 +206,15 @@ class _Recorder:
 
 
 def _run(grid, cfg, P, counters, Y0, z_init_datum, noise, record_fields=True):
-    """Shared driver: advance (Z, Y), rebuild towers, record X = Y + zbar."""
+    """The loop of every solve: advance (Z, Y) on the compute grid, rebuild
+    towers, record X = Y + zbar on `grid`."""
     rng, path = _as_noise(grid, noise, cfg)
     n_orders = max(P.degree, 2) if P is not None else 2
+    cgrid = grid.compute_grid(n_orders)
     rec = _Recorder(grid, counters)
-    Z = SpectralField.zero(grid)
-    Y = Y0.copy()
-    v = z_init_datum
+    Z = SpectralField.zero(cgrid)
+    Y = SpectralField(cgrid, Y0.coeffs.copy())
+    v = SpectralField(cgrid, z_init_datum.coeffs) if z_init_datum is not None else None
 
     def zbar_at(t):
         return Z + apply_semigroup(v, t) if v is not None else Z
@@ -224,7 +232,7 @@ def _run(grid, cfg, P, counters, Y0, z_init_datum, noise, record_fields=True):
         try:
             Y = step(Y, tower, cfg, P)
         except BlowUpError as err:
-            raise BlowUpError(t=t, last_state=Y) from err
+            raise BlowUpError(t=t, last_state=SpectralField(grid, Y.coeffs)) from err
         Z = path.step(Z, n) if path is not None else ou_step(OUState(t, Z, rng), cfg.delta).z
         t_next = (n + 1) * cfg.delta
         if (n + 1) % cfg.record_every == 0 or n + 1 == n_steps:

@@ -243,12 +243,22 @@ def wick_nonlinearity(u, P: PolynomialSpec | None, c):
 
 
 def wick_nonlinearity_values(values: np.ndarray, P: PolynomialSpec, c: float) -> np.ndarray:
-    """Pointwise :p(u):_c = sum_n n a_n He_{n-1}(u; c) at the samples of u."""
-    tower = hermite_tower_values(values, c, P.degree)
-    out = np.zeros_like(values)
-    for n in range(1, P.degree + 1):
+    """Pointwise :p(u):_c = sum_n n a_n He_{n-1}(u; c) at the samples of u.
+
+    He_{n-1} comes from the recurrence of `hermite_tower_values` in two
+    buffers, with the same operations, so the sum is bitwise the one over
+    the stacked tower.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    out = np.zeros_like(x)
+    if P.a[1] != 0.0:
+        out += P.a[1]  # 1 a_1 He_0, He_0 = 1
+    prev, cur = np.ones_like(x), x
+    for n in range(2, P.degree + 1):  # cur = He_{n-1}
         if P.a[n] != 0.0:
-            out += n * P.a[n] * tower[n - 1]
+            out += n * P.a[n] * cur
+        if n < P.degree:
+            prev, cur = cur, x * cur - (n - 1) * c * prev
     return out
 
 

@@ -128,6 +128,18 @@ def test_warmup_exit_code_follows_the_error_type(tmp_path, monkeypatch, error, c
     assert main(["gibbs", "--out", str(tmp_path / "out"), "--threads", "1"]) == code
 
 
+def test_gibbs_below_one_percent_acceptance_exit_4(tmp_path):
+    # this once wrote its outputs and reported FAIL (exit 1)
+    cfg = write_config(tmp_path / "c.json", {
+        "grid": {"K": 4}, "polynomial": {"N": 2, "a": [0, 0, 0, 0, 1000]},
+        "sampler": {"rho": 1.0, "n_steps": 600, "burn_in": 100, "thinning": 10},
+    })
+    out = tmp_path / "out"
+    with pytest.warns(UserWarning, match="acceptance"):
+        assert main(["gibbs", "--config", cfg, "--out", str(out), "--threads", "1"]) == 4
+    assert not out.exists()
+
+
 def test_bad_json_exit_2(tmp_path):
     path = tmp_path / "c.json"
     path.write_text("{not json")

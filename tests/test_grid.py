@@ -274,3 +274,22 @@ def test_forward_transform_matches_full_fft_and_is_hermitian(K):
     for k1 in range(-K, K + 1):
         for k2 in range(1, K + 1):
             assert u.get_mode(-k1, -k2) == np.conj(u.get_mode(k1, k2))
+
+
+@pytest.mark.parametrize("K, M, M_compute", [(32, 162, 130), (16, 82, 66), (10, 52, 42), (8, 42, 34)])
+def test_compute_grid_is_the_smallest_exact_grid_of_the_quartic(K, M, M_compute):
+    grid = TorusGrid(K, max_degree=4)
+    small = grid.compute_grid(4)
+    assert (grid.M, small.M, small.K) == (M, M_compute, K)
+    assert small.M >= 4 * K + 1 and small.M % 2 == 0
+    assert TorusGrid(K, max_degree=4).compute_grid(4) is small  # built once
+    assert small.compute_grid(4) is small
+
+
+def test_compute_grid_keeps_a_grid_that_is_not_larger():
+    quadratic = TorusGrid(4, max_degree=2)  # the 2(2K+1) floor: M = 18 either way
+    assert quadratic.compute_grid(2) is quadratic
+    too_small = TorusGrid(8, max_degree=2)  # a sextic step needs M >= 49
+    assert too_small.compute_grid(6) is too_small
+    with pytest.raises(ConfigurationError):
+        too_small.compute_grid(6).assert_product_degree(5)

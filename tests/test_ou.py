@@ -59,7 +59,9 @@ def test_hermitian_normals_equal_the_roll_formula_bitwise(K):
     raw *= np.sqrt(0.5)
     flipped = np.conj(np.roll(raw[::-1, ::-1], (1, 1), axis=(0, 1)))
     expected = (raw + flipped) * np.sqrt(0.5)
-    assert np.array_equal(hermitian_normals(grid, np.random.default_rng(K)), expected)
+    got_rng = np.random.default_rng(K)
+    assert np.array_equal(hermitian_normals(grid, got_rng), expected)
+    assert got_rng.standard_normal() == rng.standard_normal()  # the same draws consumed
 
 
 def test_ou_mode_variance_ito_isometry():

@@ -15,6 +15,7 @@ from wickflow import (
     to_spectral,
     wick_action,
 )
+from wickflow import sampler as sampler_module
 from wickflow.sampler import (
     ChainState,
     ChainResult,
@@ -172,6 +173,24 @@ def test_action_cache_consistency():
     for _ in range(50):
         state, _ = pcn_step(state, 0.5, P, c)
     assert state.action == pytest.approx(wick_action(state.phi, P, c), abs=1e-10)
+
+
+def test_chain_on_the_compute_grid_accepts_as_on_the_observation_grid(monkeypatch):
+    grid = TorusGrid(10, max_degree=4)  # M = 52; the quartic action is exact on M = 42
+    assert grid.compute_grid(4).M == 42
+    P = PolynomialSpec.quartic(0.25, a2=0.3)
+    c = counterterm_C(grid)
+    seen = set()
+    monkeypatch.setattr(sampler_module, "wick_action",
+                        lambda u, P, c: seen.add(u.grid.M) or wick_action(u, P, c))
+    res = run_chain(make_chain(grid, P, c, 12), 500, 100, 50, 0.3, P, c)
+    assert seen == {42}
+    monkeypatch.setattr(TorusGrid, "compute_grid", lambda self, degree: self)
+    ref = run_chain(make_chain(grid, P, c, 12), 500, 100, 50, 0.3, P, c)
+    assert 0.05 < res.acceptance_rate < 0.95
+    assert np.array_equal(res.accept_history, ref.accept_history)
+    assert all(s.grid is grid and np.array_equal(s.coeffs, r.coeffs)
+               for s, r in zip(res.samples, ref.samples))
 
 
 def test_observables_reference_values():

@@ -22,6 +22,7 @@ from wickflow import (
     to_spectral,
     wick_nonlinearity,
 )
+from wickflow import solver as solver_module
 from wickflow.grid import apply_semigroup
 from wickflow.ou import build_tower, hermitian_normals, ou_step, step_constants
 from wickflow.sampler import observables
@@ -380,6 +381,50 @@ def test_blow_up_detected():
     cfg = SolverConfig(delta=0.5, T=1.0)
     with pytest.raises(BlowUpError):
         solve(huge, None, 13, cfg, P)
+
+
+def test_solve_steps_on_the_compute_grid_and_reports_on_the_callers(monkeypatch):
+    grid = TorusGrid(4, max_degree=8)  # M = 38; the quartic step is exact on M = 18
+    small = TorusGrid(4, max_degree=3)
+    assert grid.compute_grid(4) == small and small.M < grid.M
+    P = PolynomialSpec.quartic(0.25, a2=0.4, a1=0.1)
+    cfg = SolverConfig(delta=1e-3, T=0.02, record_every=5)
+    z0 = sample_stationary(grid, substream(17, 0, 0))
+    seen = []
+    real_term = solver_module.nonlinear_term
+    monkeypatch.setattr(solver_module, "nonlinear_term",
+                        lambda Y, tower, P: seen.append(Y.grid.M) or real_term(Y, tower, P))
+    traj = solve(None, z0, substream(17, 0, 1), cfg, P)
+    assert seen == [small.M] * cfg.n_steps
+    monkeypatch.undo()
+    assert traj.grid is grid
+    assert all(f.grid is grid for f in traj.Y + traj.X + traj.zbar)
+    for Y, sup in zip(traj.Y, traj.observable("sup_Y")):
+        assert sup == np.max(np.abs(grid.coeffs_to_values(Y.coeffs)))
+    on_small = solve(None, SpectralField(small, z0.coeffs), substream(17, 0, 1), cfg, P)
+    monkeypatch.setattr(TorusGrid, "compute_grid", lambda self, degree: self)
+    on_grid = solve(None, z0, substream(17, 0, 1), cfg, P)  # every step on M = 38
+    for other in (on_small, on_grid):
+        for got, expected in zip(traj.X + traj.Y, other.X + other.Y):
+            scale = np.max(np.abs(expected.coeffs))
+            assert np.max(np.abs(got.coeffs - expected.coeffs)) <= 1e-12 * scale
+
+
+def test_solve_on_a_grid_too_small_for_the_step_still_raises():
+    grid = TorusGrid(8, max_degree=2)  # M = 34; the sextic step needs M >= 49
+    P = PolynomialSpec(3, (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.1))
+    assert grid.compute_grid(P.degree) is grid
+    with pytest.raises(ConfigurationError):
+        solve(None, None, 3, SolverConfig(delta=1e-3, T=0.002), P, grid=grid)
+
+
+def test_blow_up_state_lives_on_the_callers_grid():
+    grid = TorusGrid(2, max_degree=8)
+    assert grid.compute_grid(4).M < grid.M
+    huge = to_spectral(RealField.constant(grid, 1e5))
+    with pytest.raises(BlowUpError) as err:
+        solve(huge, None, 13, SolverConfig(delta=0.5, T=1.0), PolynomialSpec.quartic(0.25))
+    assert err.value.last_state.grid is grid
 
 
 def test_solver_config_validation():

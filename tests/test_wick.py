@@ -24,7 +24,7 @@ from wickflow import (
     wick_nonlinearity,
     wick_power,
 )
-from wickflow.wick import hermite_variance
+from wickflow.wick import hermite_tower_values, hermite_variance, wick_nonlinearity_values
 
 
 def hermite_closed_sum(n, x):
@@ -317,3 +317,18 @@ def test_polynomial_spec_validation():
     P = PolynomialSpec.quartic(0.25, a2=0.1)
     assert P.degree == 4 and P.a[4] == 0.25
     assert P.scaled(0.5).a[4] == 0.125
+
+
+@pytest.mark.parametrize("P", [
+    PolynomialSpec.quartic(0.25, a2=0.4, a1=0.1),
+    PolynomialSpec(3, (0.0, 0.05, 0.3, -0.1, 0.2, 0.0, 0.1)),
+], ids=["quartic-a2-a1", "sextic"])
+@pytest.mark.parametrize("c", [0.0, 0.37])
+def test_wick_nonlinearity_values_equal_the_stacked_tower_sum_bitwise(P, c):
+    x = 2.0 * np.random.default_rng(9).standard_normal((34, 34))
+    tower = hermite_tower_values(x, c, P.degree)
+    expected = np.zeros_like(x)
+    for n in range(1, P.degree + 1):
+        if P.a[n] != 0.0:
+            expected += n * P.a[n] * tower[n - 1]
+    assert np.array_equal(wick_nonlinearity_values(x, P, c), expected)
