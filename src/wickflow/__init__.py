@@ -10,7 +10,6 @@ from .grid import (
     TorusGrid,
     apply_semigroup,
     dealiased_product,
-    mollify,
     to_real,
     to_spectral,
 )
@@ -20,14 +19,12 @@ from .ou import (
     OUState,
     build_tower,
     convert_tower,
-    counter_table,
     ct_tower,
     ou_step,
     sample_stationary,
     substream,
 )
 from .wick import (
-    CounterTerm,
     PolynomialSpec,
     WickTower,
     binomial_identity_check,

@@ -15,8 +15,7 @@ Norm conventions on the grid: L^p uses the normalized measure dx/(2pi)^2
 (so constants have norm |c| for every p), and the low block j = -1 carries
 weight 1 instead of 2^{-alpha}.  Both choices give equivalent norms and
 keep the convention-free facts (scaling, monotonicity in alpha) exactly
-true.  Weighted norms use w(x) = (1 + |x|^2)^{-sigma/2} on the fundamental
-domain centered at the origin.
+true.
 """
 
 import math
@@ -53,21 +52,15 @@ def _profile(r: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BesovSpec:
-    """Norm parameters: regularity alpha, integrability (p, q), weight sigma.
-
-    sigma = 0 selects the unweighted norm; weighted use requires sigma > 2.
-    """
+    """Norm parameters: regularity alpha and integrability (p, q)."""
 
     alpha: float
     p: float = np.inf
     q: float = np.inf
-    sigma: float = 0.0
 
     def __post_init__(self):
         if not (self.p >= 1 and self.q >= 1):
             raise ConfigurationError("p, q must lie in [1, inf]")
-        if self.sigma != 0.0 and not self.sigma > 2.0:
-            raise ConfigurationError("weighted norms require sigma > 2")
 
 
 class DyadicPartition:
@@ -92,10 +85,6 @@ class DyadicPartition:
             profiles.append(_profile(r / 2 ** (j + 1)) - _profile(r / 2**j))
         self.profiles = np.stack(profiles)  # index 0 is block -1
 
-    @property
-    def J(self) -> int:
-        return self.j_usable
-
     def multiplier(self, j: int) -> np.ndarray:
         if not -1 <= j <= self.j_max:
             raise DomainError(f"block index {j} outside -1..{self.j_max}")
@@ -116,36 +105,24 @@ def block(u: SpectralField, j: int, partition: DyadicPartition) -> SpectralField
     return SpectralField(u.grid, u.coeffs * partition.multiplier(j))
 
 
-def _weight(grid: TorusGrid, sigma: float) -> np.ndarray:
-    x1 = np.mod(grid.x1 + np.pi, 2.0 * np.pi) - np.pi
-    x2 = np.mod(grid.x2 + np.pi, 2.0 * np.pi) - np.pi
-    return (1.0 + x1**2 + x2**2) ** (-sigma / 2.0)
-
-
-def _lp_norm(values: np.ndarray, p: float, w: np.ndarray | None) -> float:
+def _lp_norm(values: np.ndarray, p: float) -> float:
     if np.isinf(p):
-        v = np.abs(values) if w is None else np.abs(values) * w
-        return float(np.max(v))
-    a = np.abs(values) ** p
-    if w is not None:
-        a = a * w
-    return float(np.mean(a) ** (1.0 / p))
+        return float(np.max(np.abs(values)))
+    return float(np.mean(np.abs(values) ** p) ** (1.0 / p))
 
 
-def block_norms(u: SpectralField, partition: DyadicPartition,
-                p: float = np.inf, sigma: float = 0.0) -> np.ndarray:
+def block_norms(u: SpectralField, partition: DyadicPartition, p: float = np.inf) -> np.ndarray:
     """L^p norms of all blocks, j = -1 .. j_max.
 
     A block with no nonzero coefficient has norm exactly 0.0 and is not
     transformed.
     """
     grid = u.grid
-    w = _weight(grid, sigma) if sigma else None
     out = np.zeros(partition.j_max + 2)
     for j in range(-1, partition.j_max + 1):
         coeffs = block(u, j, partition).coeffs
         if coeffs.any():
-            out[j + 1] = _lp_norm(grid.coeffs_to_values(coeffs), p, w)
+            out[j + 1] = _lp_norm(grid.coeffs_to_values(coeffs), p)
     return out
 
 
@@ -155,7 +132,7 @@ def besov_norm(u: SpectralField, spec: BesovSpec, partition: DyadicPartition | N
     q = inf takes the max over blocks; block -1 carries weight 1.
     """
     partition = partition or build_partition(u.grid)
-    norms = block_norms(u, partition, spec.p, spec.sigma)
+    norms = block_norms(u, partition, spec.p)
     weights = np.array([1.0] + [2.0 ** (j * spec.alpha) for j in range(partition.j_max + 1)])
     terms = weights * norms
     if np.isinf(spec.q):
@@ -196,20 +173,3 @@ def heat_norm_curve(u: SpectralField, spec: BesovSpec, t_grid,
     partition = partition or build_partition(u.grid)
     return np.array([besov_norm(apply_semigroup(u, t), spec, partition) for t in t_grid])
 
-
-def schauder_check(u: SpectralField, alpha: float, delta: float, t_grid,
-                   partition: DyadicPartition | None = None) -> float:
-    """Heat-flow smoothing factor: max_t t^{delta/2} ||e^{tA}u||_{alpha+delta} / ||u||_alpha.
-
-    Bounded uniformly in t by a constant of the partition; delta = 0
-    reduces to the semigroup contraction, bounded by 1.
-    """
-    if delta < 0:
-        raise DomainError(f"smoothing gain must be >= 0, got {delta}")
-    partition = partition or build_partition(u.grid)
-    base = besov_norm(u, BesovSpec(alpha), partition)
-    if base == 0.0:
-        raise DomainError("zero field")
-    curve = heat_norm_curve(u, BesovSpec(alpha + delta), t_grid, partition)
-    t = np.asarray(list(t_grid), dtype=np.float64)
-    return float(np.max(t ** (delta / 2.0) * curve / base))

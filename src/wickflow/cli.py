@@ -3,10 +3,12 @@
 Subcommands: simulate | gibbs | invariance | identities | regularity |
 equivalence | wick-convergence.  A JSON config file supplies the schema
 sections (grid, polynomial, solver, sampler, ensemble, output); the flags
---seed/--out/--k/--dt/--threads override the corresponding fields.  The
-environment variable WICKFLOW_OUT overrides the output directory.  Every
-run writes <out>/<command>_report.json embedding the resolved config and
-version string.
+--seed/--out/--k/--dt/--threads override the corresponding fields.  --k
+and --dt are config errors for the commands that fix their own K or step
+(`IGNORED_FLAGS`), so no flag is silently dropped.  The environment
+variable WICKFLOW_OUT overrides the output directory.  Every run writes
+<out>/<command>_report.json embedding the resolved config and version
+string.
 
 Exit codes: 0 success/PASS, 1 experiment reported FAIL, 2 usage or config
 error, 3 trajectory blow-up, 4 chain warm-up failure (`WarmupError`: the
@@ -41,6 +43,15 @@ COMMANDS = {
     "wick-convergence": run_wick_convergence,
 }
 
+# the flags each command would silently ignore: it fixes its own K or step
+IGNORED_FLAGS = {
+    "gibbs": ("dt",),
+    "identities": ("k", "dt"),
+    "regularity": ("k", "dt"),
+    "equivalence": ("k", "dt"),
+    "wick-convergence": ("k", "dt"),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -63,6 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args) -> ExperimentConfig:
+    for flag in IGNORED_FLAGS.get(args.command, ()):
+        if getattr(args, flag) is not None:
+            raise ConfigurationError(f"--{flag} has no effect on {args.command}")
     data = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:

@@ -12,7 +12,7 @@ class WarmupError(ConfigurationError):
 
 class DomainError(ValueError):
     """Argument outside the mathematical domain of an operation
-    (negative time, negative mollification scale, negative counterterm...)."""
+    (negative time, negative counterterm, Hermite order out of range...)."""
 
 
 class BlowUpError(RuntimeError):

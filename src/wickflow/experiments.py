@@ -21,8 +21,8 @@ from .besov import BesovSpec, besov_norm, build_partition, regularity_estimate
 from .errors import ConfigurationError, WarmupError
 from .grid import SpectralField, TorusGrid, apply_semigroup
 from .ou import (
-    CounterTable, OUNoisePath, OUState, build_tower, convert_tower, counter_table, ct_tower,
-    ou_step, sample_stationary, substream,
+    CounterTable, OUNoisePath, OUState, build_tower, convert_tower, ct_tower, ou_step,
+    sample_stationary, substream,
 )
 from .sampler import (
     MIN_ACCEPTANCE, ChainState, gibbs_samples, integrated_autocorrelation, observables, pcn_step,
@@ -193,7 +193,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     """Integrate `n_traj` trajectories of the shifted equation and dump observables."""
     grid = cfg.grid()
     P = cfg.polynomial()
-    counters = counter_table(grid)
+    counters = CounterTable(grid)
     out = out_dir or cfg.out_dir
     os.makedirs(out, exist_ok=True)
     sups = []
@@ -263,8 +263,8 @@ def run_identities(cfg: ExperimentConfig) -> dict:
 
     # covariance conversion, n <= 5, K = 8, OU samples at several times
     g = TorusGrid(8, max_degree=6)
-    counters = counter_table(g)
-    cC = counters.counterterm("C")
+    counters = CounterTable(g)
+    cC = counters.c_C
     worst = 0.0
     rng = substream(seed, 0, 1)
     for t in (0.01, 0.1, 1.0):
@@ -327,29 +327,20 @@ def _pmap(fn, payloads, threads):
         return list(ex.map(fn, payloads, chunksize=chunk))
 
 
-def _drift_worker(payload):
-    (K, degree, N, a, scale, delta, T, seed, i, eta_bytes) = payload
-    grid = TorusGrid(K, max_degree=degree)
-    P = PolynomialSpec(N, a)
-    counters = CounterTable(grid, scale=scale)
-    n = 2 * K + 1
-    eta = SpectralField(grid, np.frombuffer(eta_bytes, dtype=np.complex128).reshape(n, n).copy())
-    scfg = SolverConfig(delta=delta, T=T, record_every=10**9)
+def _drift_end(scfg, P, counters, seed, item):
+    """Observables at time T of trajectory i, started from the Gibbs sample eta."""
+    i, eta = item
     traj = stationary_solve(eta, substream(seed, i, 1), scfg, P,
                             counters=counters, record_fields=False)
-    return observables(traj.X[-1], P, counterterm_C(grid))
+    return observables(traj.X[-1], P, counterterm_C(counters.grid))
 
 
 def _drift_zscores(samples, start_obs, cfg, counters, delta, T, seed):
     """Paired drift z-score of every observable of `sampler.observables`;
     `start_obs[i]` holds the observables of `samples[i]`."""
-    grid = counters.grid
-    payloads = [
-        (grid.K, grid.max_degree, cfg.N, cfg.a, counters.scale, delta, T, seed, i,
-         eta.coeffs.tobytes())
-        for i, eta in enumerate(samples)
-    ]
-    end_obs = _pmap(_drift_worker, payloads, cfg.threads)
+    scfg = SolverConfig(delta=delta, T=T, record_every=10**9)
+    end = functools.partial(_drift_end, scfg, cfg.polynomial(), counters, seed)
+    end_obs = _pmap(end, list(enumerate(samples)), cfg.threads)
     stats = {}
     for name in start_obs[0]:
         start = np.asarray([o0[name] for o0 in start_obs])
@@ -382,7 +373,7 @@ def run_invariance(cfg: ExperimentConfig, negative_control: bool = True) -> dict
     grid = cfg.grid()
     P = cfg.polynomial()
     c_obs = counterterm_C(grid)
-    counters = counter_table(grid)
+    counters = CounterTable(grid)
     rng = substream(cfg.master_seed, 0, 0)
     samples, chain = gibbs_samples(grid, P, c_obs, cfg.n_traj, cfg.rho,
                                    cfg.burn_in, cfg.thinning, rng)
@@ -447,7 +438,7 @@ def run_gaussian_exactness(K: int = 4, a2: float = 0.5, seed: int = 0,
             for k in modes:
                 chain_vals[k].append(abs(state.phi.get_mode(*k)) ** 2)
 
-    counters = counter_table(grid)
+    counters = CounterTable(grid)
     sde_vals = {k: [] for k in modes}
     scfg = SolverConfig(delta=delta, T=T, record_every=10**9)
     for i in range(n_traj):
@@ -499,7 +490,7 @@ def run_regularity(cfg: ExperimentConfig, n_runs: int = 100) -> dict:
     grid = TorusGrid(16, max_degree=max(cfg.dealiasing_degree, 4))
     part = build_partition(grid)
     P = cfg.polynomial()
-    counters = counter_table(grid)
+    counters = CounterTable(grid)
     T, delta = 0.1, 1e-3
     scfg = SolverConfig(delta=delta, T=T, record_every=10**9)
     a_z, a_z2, a_y = [], [], []
@@ -509,7 +500,7 @@ def run_regularity(cfg: ExperimentConfig, n_runs: int = 100) -> dict:
                      counters=counters, grid=grid, record_fields=True)
         Z = traj.zbar[-1]
         Y = traj.Y[-1]
-        z2 = wick_power(Z, 2, counters.counterterm("C_t", T))
+        z2 = wick_power(Z, 2, counters.c_Ct(T))
         az, rz = regularity_estimate(Z, part)
         az2, _ = regularity_estimate(z2, part)
         ay, ry = regularity_estimate(Y, part)
@@ -552,7 +543,7 @@ def run_equivalence(cfg: ExperimentConfig) -> dict:
     """
     grid = TorusGrid(8, max_degree=max(cfg.dealiasing_degree, 4))
     P = cfg.polynomial()
-    counters = counter_table(grid)
+    counters = CounterTable(grid)
     T = 0.2
     deltas = (4e-3, 2e-3, 1e-3)
     fine = deltas[-1] / 8.0
@@ -617,7 +608,7 @@ def run_wick_convergence(cfg: ExperimentConfig, n_pairs: int = 200) -> dict:
     part = build_partition(big)
     spec = BesovSpec(-0.2)
     masks = {K: (np.abs(big.kx) <= K) & (np.abs(big.ky) <= K) for K in (*Ks, 32)}
-    cterm = {K: counterterm_C(TorusGrid(K, max_degree=2)).c for K in (*Ks, 32)}
+    cterm = {K: counterterm_C(TorusGrid(K, max_degree=2)) for K in (*Ks, 32)}
     window = masks[min(Ks)]
 
     monotone = 0

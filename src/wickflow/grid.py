@@ -6,7 +6,7 @@ Fields live on the square torus [0, 2*pi)^2 and are represented two ways:
   (polynomial) operations;
 * ``SpectralField`` -- complex coefficients against the orthonormal basis
   e_k(x) = (2*pi)^{-1} exp(i k.x) on the truncated lattice |k|_inf <= K,
-  used for everything linear (semigroup, mollifiers, noise).
+  used for everything linear (semigroup, noise).
 
 The real grid is deliberately finer than the spectral cutoff so that
 pointwise products of band-limited fields up to a configured polynomial
@@ -247,18 +247,6 @@ def apply_semigroup(u: SpectralField, t: float) -> SpectralField:
     if t < 0:
         raise DomainError(f"semigroup time must be >= 0, got {t}")
     return SpectralField(u.grid, u.coeffs * np.exp(-u.grid.lam * t))
-
-
-def mollify(u: SpectralField, eps: float) -> SpectralField:
-    """Spectral mollification by a Gaussian approximate identity.
-
-    The mollifier has unit mass, so its symbol is 1 at k = 0; the chosen
-    Gaussian profile multiplies mode k by exp(-eps^2 |k|^2 / 2).
-    """
-    if eps < 0:
-        raise DomainError(f"mollification scale must be >= 0, got {eps}")
-    sym = np.exp(-0.5 * eps**2 * u.grid.ksq)
-    return SpectralField(u.grid, u.coeffs * sym)
 
 
 def dealiased_product(fields, degree: int | None = None) -> SpectralField:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .grid import SpectralField, TorusGrid, apply_semigroup
-from .wick import CounterTerm, WickTower, binomial_fold, counterterm_C, hermite_tower_values
+from .wick import WickTower, binomial_fold, counterterm_C, hermite_tower_values
 
 
 def substream(master_seed: int, trajectory: int, role: int) -> np.random.Generator:
@@ -111,50 +111,28 @@ def ou_step(state: OUState, delta: float) -> OUState:
 
 
 class CounterTable:
-    """Counterterms of the truncated dynamics: c_C, c_t(t), c_{C_t}(t).
+    """Counterterms of the truncated dynamics: c_C, c_t(t), c_{C_t}(t), as floats.
 
     All three are exact mode sums times `scale` (2 for the negative control
-    of the invariance suite); `times` just records the schedule a caller
-    asked about (`table` evaluates it).  At scale 1, c_C = counterterm_C,
-    c_t is nonpositive, nondecreasing, c_t(0) = -c_C and c_t -> 0 at large times.
+    of the invariance suite).  At scale 1, c_C = counterterm_C, c_t is
+    nonpositive, nondecreasing, c_t(0) = -c_C and c_t -> 0 at large times.
     """
 
-    def __init__(self, grid: TorusGrid, times=(), scale: float = 1.0):
+    def __init__(self, grid: TorusGrid, scale: float = 1.0):
         self.grid = grid
-        self.times = tuple(float(t) for t in times)
-        for t in self.times:
-            if t < 0:
-                raise DomainError(f"counterterm times must be >= 0, got {t}")
         self.scale = float(scale)
-        self._weights = 1.0 / (2.0 * grid.lam)
+        self._mode_variance = 1.0 / (2.0 * grid.lam)
         self._norm = 1.0 / (2.0 * np.pi) ** 2
-        self.c_C = self.scale * counterterm_C(grid).c
+        self.c_C = self.scale * counterterm_C(grid)
 
     def c_t(self, t: float) -> float:
         if t < 0:
             raise DomainError(f"time must be >= 0, got {t}")
-        c = -float(np.sum(np.exp(-2.0 * self.grid.lam * t) * self._weights)) * self._norm
+        c = -float(np.sum(np.exp(-2.0 * self.grid.lam * t) * self._mode_variance)) * self._norm
         return self.scale * c
 
     def c_Ct(self, t: float) -> float:
         return self.c_C + self.c_t(t)
-
-    @property
-    def table(self):
-        return [(t, self.c_t(t), self.c_Ct(t)) for t in self.times]
-
-    def counterterm(self, kind: str = "C", t: float | None = None) -> CounterTerm:
-        if kind == "C":
-            return CounterTerm(c=self.c_C, kind="C", K=self.grid.K)
-        if kind == "C_t":
-            if t is None:
-                raise ConfigurationError("kind C_t needs a time")
-            return CounterTerm(c=self.c_Ct(t), kind="C_t", K=self.grid.K, t=t)
-        raise ConfigurationError(f"unknown counterterm kind {kind!r}")
-
-
-def counter_table(grid: TorusGrid, times=()) -> CounterTable:
-    return CounterTable(grid, times)
 
 
 def ct_tower(z: SpectralField, t: float, counters: CounterTable, n_orders: int) -> WickTower:

@@ -53,24 +53,18 @@ class ChainState:
         return cls(phi=phi, action=_action(phi, P, c), rng=rng)
 
 
-def pcn_step(state: ChainState, rho: float, P, c,
-             action_offset: float = 0.0) -> tuple[ChainState, bool]:
-    """One pCN proposal/accept step; returns (new state, accepted?).
-
-    `action_offset` adds a constant to V; acceptance decisions are exactly
-    invariant under it (only differences of V enter), which tests assert.
-    """
+def pcn_step(state: ChainState, rho: float, P, c) -> tuple[ChainState, bool]:
+    """One pCN proposal/accept step; returns (new state, accepted?)."""
     if not 0.0 < rho <= 1.0:
         raise DomainError(f"step parameter must lie in (0, 1], got {rho}")
     grid = state.phi.grid
     xi = sample_stationary(grid, state.rng)
     prop = SpectralField(grid, math.sqrt(1.0 - rho * rho) * state.phi.coeffs + rho * xi.coeffs)
-    v_new = _action(prop, P, c) + action_offset
-    v_old = state.action + action_offset
+    v_new = _action(prop, P, c)
     log_u = math.log(state.rng.uniform())
-    accept = log_u < (v_old - v_new)
+    accept = log_u < (state.action - v_new)
     if accept:
-        return ChainState(prop, v_new - action_offset, state.rng,
+        return ChainState(prop, v_new, state.rng,
                           state.accepted + 1, state.proposed + 1), True
     return ChainState(state.phi, state.action, state.rng,
                       state.accepted, state.proposed + 1), False
@@ -112,7 +106,7 @@ def integrated_autocorrelation(series: np.ndarray, window_factor: float = 5.0) -
 
 
 def run_chain(init: ChainState, n_steps: int, burn_in: int, thinning: int,
-              rho: float, P, c, action_offset: float = 0.0) -> ChainResult:
+              rho: float, P, c) -> ChainResult:
     """Drive the chain, discard burn-in, thin, and report diagnostics.
 
     Warns when acceptance drops below `MIN_ACCEPTANCE` (step parameter
@@ -130,7 +124,7 @@ def run_chain(init: ChainState, n_steps: int, burn_in: int, thinning: int,
     accepts = np.zeros(n_steps, dtype=bool)
     h2 = None
     for i in range(n_steps):
-        state, acc = pcn_step(state, rho, P, c, action_offset)
+        state, acc = pcn_step(state, rho, P, c)
         accepts[i] = acc
         if acc:
             h2 = None

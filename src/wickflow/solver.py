@@ -44,12 +44,10 @@ import numpy as np
 from .errors import BlowUpError, ConfigurationError, NonContractionError
 from .grid import SpectralField, TorusGrid, apply_semigroup
 from .ou import (
-    CounterTable, OUNoisePath, OUState, counter_table, ou_step, sample_stationary,
-    step_constants, substream,
+    CounterTable, OUNoisePath, OUState, ou_step, sample_stationary, step_constants, substream,
 )
 from .wick import (
-    PolynomialSpec, WickTower, _c_value, field_tower, hermite_tower_values,
-    wick_nonlinearity_values,
+    PolynomialSpec, WickTower, _c_value, _hermite_orders, field_tower, wick_nonlinearity_values,
 )
 
 
@@ -58,15 +56,12 @@ class SolverConfig:
     delta: float
     T: float
     record_every: int = 1
-    scheme: str = "exponential-euler"
     drift_scale: float = 1.0
     blowup_threshold: float = 1e8
 
     def __post_init__(self):
         if not (0 < self.delta <= self.T):
             raise ConfigurationError(f"need 0 < delta <= T, got delta={self.delta}, T={self.T}")
-        if self.scheme != "exponential-euler":
-            raise ConfigurationError(f"unknown scheme {self.scheme!r}")
         if self.record_every < 1:
             raise ConfigurationError("record_every must be >= 1")
 
@@ -115,7 +110,7 @@ def field_observables(X: SpectralField, c) -> dict:
     |X_k|^2 for every k of MODE_OBSERVABLES that the grid retains.
     """
     grid = X.grid
-    h = hermite_tower_values(grid.coeffs_to_values(X.coeffs), _c_value(c), 5)
+    h = list(_hermite_orders(grid.coeffs_to_values(X.coeffs), _c_value(c), 4))
     out = {
         "wick2": float(np.sum(h[2])) * grid.cell_area,
         "wick4": float(np.sum(h[4])) * grid.cell_area,
@@ -258,7 +253,7 @@ def solve(y0, z0, noise, cfg: SolverConfig, P: PolynomialSpec,
         y0 = SpectralField.zero(grid)
     if z0 is not None and z0.grid != grid:
         raise ConfigurationError("y0 and z0 live on different grids")
-    counters = counters or counter_table(grid)
+    counters = counters or CounterTable(grid)
     return _run(grid, cfg, P, counters, y0, z0, noise, record_fields)
 
 
@@ -275,7 +270,7 @@ def solve_alternative_splitting(z0, noise, cfg: SolverConfig, P: PolynomialSpec,
     equation as `solve`, which the equivalence experiments verify.
     """
     grid = z0.grid
-    counters = counters or counter_table(grid)
+    counters = counters or CounterTable(grid)
     if stationary_init is None:
         if isinstance(noise, (int, np.integer)):
             stationary_init = sample_stationary(grid, substream(int(noise), 0, 0))
@@ -301,7 +296,7 @@ def stationary_solve(eta, noise, cfg: SolverConfig, P: PolynomialSpec,
     measure under unit cylindrical noise.
     """
     grid = eta.grid
-    counters = counters or counter_table(grid)
+    counters = counters or CounterTable(grid)
     cfg = replace(cfg, drift_scale=0.5 * cfg.drift_scale)
     return _run(grid, cfg, P, counters, eta, None, noise, record_fields)
 

@@ -7,12 +7,15 @@ n-th power by the variance-scaled (probabilists') Hermite polynomial,
 
 where He_n(x; c) satisfies He_0 = 1, He_1 = x and the recurrence
 
-    He_{n+1}(x; c) = x He_n(x; c) - n c He_{n-1}(x; c).
+    He_{m+1}(x; c) = x He_m(x; c) - m c He_{m-1}(x; c).
 
-The recurrence form is numerically stable and degenerates gracefully to
-plain powers at c = 0 (the unrenormalized limit).  All pointwise
-evaluation happens on the dealiased fine grid; public operations return
-fields projected back to the retained window.
+The recurrence is written once, in `_hermite_orders`, which yields the
+orders one after another from two buffers; every evaluator here (a single
+order, a stacked tower, the nonlinearity, the action) reads from it.  It
+is numerically stable and degenerates gracefully to plain powers at c = 0
+(the unrenormalized limit).  A counterterm is a plain float c >= 0.  All
+pointwise evaluation happens on the dealiased fine grid; public operations
+return fields projected back to the retained window.
 """
 
 import math
@@ -64,72 +67,60 @@ class PolynomialSpec:
     def degree(self) -> int:
         return 2 * self.N
 
-    def scaled(self, factor: float) -> "PolynomialSpec":
-        return PolynomialSpec(self.N, tuple(factor * x for x in self.a))
-
-
-@dataclass(frozen=True)
-class CounterTerm:
-    """Pointwise variance constant used for Wick ordering.
-
-    `kind` records provenance: "C" for the stationary covariance of the
-    truncated free field, "C_t" for the law of the stochastic convolution
-    at time `t` started from zero.
-    """
-
-    c: float
-    kind: str = "C"
-    K: int | None = None
-    t: float | None = None
-
-    def __post_init__(self):
-        if self.c < 0:
-            raise DomainError(f"counterterm must be >= 0, got {self.c}")
-        if self.kind not in ("C", "C_t"):
-            raise DomainError(f"unknown counterterm kind {self.kind!r}")
-
 
 def _c_value(c) -> float:
-    value = c.c if isinstance(c, CounterTerm) else float(c)
+    value = float(c)
     if value < 0:
         raise DomainError(f"counterterm must be >= 0, got {value}")
     return value
 
 
+def _hermite_orders(x: np.ndarray, c: float, n: int):
+    """Yield He_0(x; c) .. He_n(x; c), the recurrence in two buffers.
+
+    He_1 is x itself: a caller that returns an order must copy that one.
+    """
+    prev = np.ones_like(x)
+    yield prev
+    if n == 0:
+        return
+    cur = x
+    yield cur
+    for m in range(1, n):
+        prev, cur = cur, x * cur - m * c * prev
+        yield cur
+
+
+def _check_order(n: int) -> None:
+    if n < 0:
+        raise DomainError(f"Hermite order must be >= 0, got {n}")
+    if n > HERMITE_MAX_ORDER:
+        raise DomainError(f"Hermite order {n} exceeds supported maximum {HERMITE_MAX_ORDER}")
+
+
 def hermite(n: int, x: float) -> float:
-    """Probabilists' Hermite polynomial P_n(x) via the three-term recurrence."""
+    """Probabilists' Hermite polynomial P_n(x) = He_n(x; 1)."""
     return float(hermite_variance(n, x, 1.0))
 
 
 def hermite_variance(n: int, x, c: float):
     """He_n(x; c) = c^{n/2} P_n(c^{-1/2} x); works on scalars and arrays."""
-    if n < 0:
-        raise DomainError(f"Hermite order must be >= 0, got {n}")
-    if n > HERMITE_MAX_ORDER:
-        raise DomainError(f"Hermite order {n} exceeds supported maximum {HERMITE_MAX_ORDER}")
+    _check_order(n)
     x = np.asarray(x, dtype=np.float64)
-    prev = np.ones_like(x)
-    if n == 0:
-        return prev
-    cur = x.copy()
-    for m in range(1, n):
-        prev, cur = cur, x * cur - m * c * prev
-    return cur
+    for he in _hermite_orders(x, c, n):
+        pass
+    return he.copy() if he is x else he
 
 
 def hermite_tower_values(x: np.ndarray, c: float, n_orders: int) -> np.ndarray:
-    """All orders He_0(x; c) .. He_{n_orders-1}(x; c) in one recurrence pass."""
+    """All orders He_0(x; c) .. He_{n_orders-1}(x; c), stacked."""
     if n_orders < 1:
         raise DomainError("need at least one tower order")
-    if n_orders - 1 > HERMITE_MAX_ORDER:
-        raise DomainError(f"tower order {n_orders - 1} exceeds maximum {HERMITE_MAX_ORDER}")
+    _check_order(n_orders - 1)
     x = np.asarray(x, dtype=np.float64)
     out = np.empty((n_orders,) + x.shape, dtype=np.float64)
-    out[0] = 1.0
-    if n_orders > 1:
-        out[1] = x
-    for m in range(1, n_orders - 1):
-        out[m + 1] = x * out[m] - m * c * out[m - 1]
+    for m, he in enumerate(_hermite_orders(x, c, n_orders - 1)):
+        out[m] = he
     return out
 
 
@@ -153,14 +144,13 @@ def binomial_identity_check(n: int, s: float, t: float) -> float:
     return abs(lhs - rhs) / scale
 
 
-def counterterm_C(grid: TorusGrid) -> CounterTerm:
+def counterterm_C(grid: TorusGrid) -> float:
     """Exact pointwise variance of the truncated free field N(0, (1/2)(-Lap+1)^{-1}).
 
     Each retained mode contributes 1/(2 lambda_k); the basis normalization
     turns the mode sum into a pointwise variance with the (2 pi)^{-2} factor.
     """
-    c = float(np.sum(1.0 / (2.0 * grid.lam))) / (2.0 * np.pi) ** 2
-    return CounterTerm(c=c, kind="C", K=grid.K)
+    return float(np.sum(1.0 / (2.0 * grid.lam))) / (2.0 * np.pi) ** 2
 
 
 @dataclass
@@ -243,22 +233,12 @@ def wick_nonlinearity(u, P: PolynomialSpec | None, c):
 
 
 def wick_nonlinearity_values(values: np.ndarray, P: PolynomialSpec, c: float) -> np.ndarray:
-    """Pointwise :p(u):_c = sum_n n a_n He_{n-1}(u; c) at the samples of u.
-
-    He_{n-1} comes from the recurrence of `hermite_tower_values` in two
-    buffers, with the same operations, so the sum is bitwise the one over
-    the stacked tower.
-    """
+    """Pointwise :p(u):_c = sum_n n a_n He_{n-1}(u; c) at the samples of u."""
     x = np.asarray(values, dtype=np.float64)
     out = np.zeros_like(x)
-    if P.a[1] != 0.0:
-        out += P.a[1]  # 1 a_1 He_0, He_0 = 1
-    prev, cur = np.ones_like(x), x
-    for n in range(2, P.degree + 1):  # cur = He_{n-1}
+    for n, he in enumerate(_hermite_orders(x, c, P.degree - 1), start=1):
         if P.a[n] != 0.0:
-            out += n * P.a[n] * cur
-        if n < P.degree:
-            prev, cur = cur, x * cur - (n - 1) * c * prev
+            out += n * P.a[n] * he
     return out
 
 
@@ -277,11 +257,10 @@ def wick_action(u, P: PolynomialSpec | None, c) -> float:
         raise ConfigurationError(
             f"grid M={grid.M} too small for exact degree-{P.degree} quadrature at K={grid.K}"
         )
-    tower = hermite_tower_values(values, cval, P.degree + 1)
     total = 0.0
-    for n in range(P.degree + 1):
-        if P.a[n] != 0.0:
-            total += P.a[n] * float(np.sum(tower[n]))
+    for a_n, he in zip(P.a, _hermite_orders(values, cval, P.degree)):
+        if a_n != 0.0:
+            total += a_n * float(np.sum(he))
     return total * grid.cell_area
 
 

@@ -19,8 +19,8 @@ from wickflow import (
     SpectralField,
     TorusGrid,
     binomial_identity_check,
+    CounterTable,
     convert_tower,
-    counter_table,
     counterterm_C,
     ct_tower,
     field_tower,
@@ -62,8 +62,8 @@ def test_criterion_01_hermite_binomial_identity():
 
 def test_criterion_02_covariance_conversion():
     grid = TorusGrid(8, max_degree=6)
-    table = counter_table(grid)
-    cC = table.counterterm("C")
+    table = CounterTable(grid)
+    cC = table.c_C
     worst = 0.0
     rng = substream(2026, 0, 1)
     for t in (0.01, 0.1, 1.0):
@@ -101,7 +101,7 @@ def test_criterion_04_free_field_calibration():
     detail = []
     for K in (4, 8):
         grid = TorusGrid(K)
-        c = counterterm_C(grid).c
+        c = counterterm_C(grid)
         rng = np.random.default_rng([2026, 4, K])
         n = 10_000
         stats = np.empty(n)

@@ -17,12 +17,10 @@ from wickflow.besov import (
     besov_norm,
     block,
     _lp_norm,
-    _weight,
     block_norms,
     build_partition,
     heat_norm_curve,
     regularity_estimate,
-    schauder_check,
 )
 from wickflow.ou import hermitian_normals
 
@@ -59,8 +57,8 @@ def test_partition_disjointness_two_apart(p16):
 
 
 def test_usable_block_count():
-    assert build_partition(TorusGrid(16)).J == 3  # floor(log2 16) - 1
-    assert build_partition(TorusGrid(8)).J == 2
+    assert build_partition(TorusGrid(16)).j_usable == 3  # floor(log2 16) - 1
+    assert build_partition(TorusGrid(8)).j_usable == 2
     with pytest.raises(ConfigurationError):
         build_partition(TorusGrid(1))
 
@@ -141,26 +139,11 @@ def test_besov_norm_monotone_in_alpha(g16, p16):
             assert all(b >= a * (1 - 1e-12) for a, b in zip(norms, norms[1:]))
 
 
-def test_weighted_unweighted_factor_bounds(g16, p16):
-    from wickflow.besov import _weight
-
-    sigma = 3.0
-    w = _weight(g16, sigma)
-    lo, hi = float(np.min(w)), float(np.max(w))
-    rng = np.random.default_rng(4)
-    for p in (np.inf, 2.0):
-        u = sample_stationary(g16, rng)
-        plain = besov_norm(u, BesovSpec(-0.2, p, np.inf), p16)
-        weighted = besov_norm(u, BesovSpec(-0.2, p, np.inf, sigma), p16)
-        assert lo * plain * (1 - 1e-12) <= weighted <= hi * plain * (1 + 1e-12)
-
-
 def test_besov_spec_validation():
     with pytest.raises(ConfigurationError):
         BesovSpec(0.0, p=0.5)
     with pytest.raises(ConfigurationError):
-        BesovSpec(0.0, sigma=1.0)  # weighted use requires sigma > 2
-    BesovSpec(0.0, sigma=2.5)
+        BesovSpec(0.0, q=0.5)
 
 
 def test_regularity_smooth_field(g16, p16):
@@ -197,12 +180,19 @@ def test_regularity_needs_three_annuli():
         regularity_estimate(sample_stationary(grid, np.random.default_rng(7)))
 
 
+def smoothing_ratio(u, alpha, delta, t_grid, partition):
+    """max_t t^{delta/2} ||e^{tA}u||_{alpha+delta} / ||u||_alpha, as criterion 10 forms it."""
+    t = np.asarray(t_grid, dtype=np.float64)
+    curve = heat_norm_curve(u, BesovSpec(alpha + delta), t, partition)
+    return float(np.max(t ** (delta / 2.0) * curve / besov_norm(u, BesovSpec(alpha), partition)))
+
+
 def test_schauder_contraction_at_zero_gain(g16, p16):
     rng = np.random.default_rng(8)
     t_grid = np.geomspace(1e-3, 1.0, 8)
     for _ in range(3):
         u = sample_stationary(g16, rng)
-        ratio = schauder_check(u, -0.1, 0.0, t_grid, p16)
+        ratio = smoothing_ratio(u, -0.1, 0.0, t_grid, p16)
         assert ratio <= 1.0 + 1e-10
 
 
@@ -212,7 +202,7 @@ def test_schauder_single_mode_closed_form(g16, p16):
     u.set_mode(-4, 0, 1.0)
     alpha, delta = -0.1, 0.6
     t_grid = [0.01, 0.1, 0.5]
-    got = schauder_check(u, alpha, delta, t_grid, p16)
+    got = smoothing_ratio(u, alpha, delta, t_grid, p16)
     # single mode: every block norm scales by e^{-lambda t}; ratio is
     # max_t t^{delta/2} e^{-lambda t} * N_{alpha+delta} / N_alpha
     lam = 1.0 + 16.0
@@ -228,17 +218,12 @@ def test_schauder_single_mode_closed_form(g16, p16):
     assert got == pytest.approx(expected, rel=1e-10)
 
 
-def test_schauder_zero_field_rejected(g16, p16):
-    with pytest.raises(DomainError):
-        schauder_check(SpectralField.zero(g16), 0.0, 0.5, [0.1], p16)
-
-
 def test_schauder_bounded_on_free_fields(g16, p16):
     rng = np.random.default_rng(9)
     t_grid = np.geomspace(0.002, 0.05, 6)
     for _ in range(3):
         u = sample_stationary(g16, rng)
-        assert schauder_check(u, -0.2, 0.5, t_grid, p16) < 10.0
+        assert smoothing_ratio(u, -0.2, 0.5, t_grid, p16) < 10.0
 
 
 def test_heat_norm_curve_monotone(g16, p16):
@@ -256,12 +241,11 @@ def test_block_norms_skip_zero_blocks_bit_for_bit():
     u = sample_stationary(grid, np.random.default_rng(21))
     mask = (np.abs(grid.kx) <= 4) & (np.abs(grid.ky) <= 4)
     v = SpectralField(grid, np.where(mask, u.coeffs, 0.0))
-    for p, sigma in ((np.inf, 0.0), (2.0, 0.0), (3.0, 2.5)):
-        w = _weight(grid, sigma) if sigma else None
+    for p in (np.inf, 2.0):
         unskipped = np.array([
-            _lp_norm(grid.coeffs_to_values(block(v, j, partition).coeffs), p, w)
+            _lp_norm(grid.coeffs_to_values(block(v, j, partition).coeffs), p)
             for j in range(-1, partition.j_max + 1)
         ])
-        norms = block_norms(v, partition, p, sigma)
+        norms = block_norms(v, partition, p)
         assert np.array_equal(norms, unskipped)
         assert np.count_nonzero(norms == 0.0) == 3

@@ -188,3 +188,27 @@ def test_version_string_runs_git_once_per_process(monkeypatch):
         experiments.version_string.cache_clear()
     assert len(calls) == 1
     assert reports[0]["version"] == reports[1]["version"] == f"wickflow {__version__} (abc123)"
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("gibbs", "--dt"),
+    *((command, flag) for command in ("identities", "regularity", "equivalence", "wick-convergence")
+      for flag in ("--k", "--dt")),
+])
+def test_flag_a_command_ignores_exit_2(tmp_path, capsys, command, flag):
+    # these commands fix their own K or step; the flag once ran and was dropped silently
+    out = tmp_path / "out"
+    value = "4" if flag == "--k" else "0.01"
+    assert main([command, flag, value, "--out", str(out), "--threads", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and flag in err
+    assert not out.exists()
+
+
+def test_invariance_results_at_two_threads_equal_one_thread():
+    cfg = ExperimentConfig(K=4, n_traj=8, T=0.01, delta=1e-3, rho=0.3,
+                           n_steps=400, burn_in=200, thinning=10, master_seed=5, threads=1)
+    cfg.validate()
+    serial = experiments.run_invariance(cfg)["results"]
+    cfg.threads = 2
+    assert experiments.run_invariance(cfg)["results"] == serial

@@ -9,7 +9,6 @@ from wickflow import (
     TorusGrid,
     apply_semigroup,
     dealiased_product,
-    mollify,
     sample_stationary,
     to_real,
     to_spectral,
@@ -183,34 +182,6 @@ def test_real_field_shape_checked():
     grid = TorusGrid(2)
     with pytest.raises(ConfigurationError):
         RealField(grid, np.zeros((3, 3)))
-
-
-def test_mollify_constant_invariant():
-    # unit-mass mollifier: symbol is 1 at k = 0
-    grid = TorusGrid(3)
-    u = to_spectral(RealField.constant(grid, 1.7))
-    for eps in (0.0, 0.3, 2.0):
-        v = mollify(u, eps)
-        assert v.get_mode(0, 0) == pytest.approx(u.get_mode(0, 0), rel=1e-15)
-
-
-def test_mollify_gaussian_symbol():
-    grid = TorusGrid(3)
-    u = SpectralField.zero(grid)
-    u.set_mode(2, 1, 1.0 + 0.5j)
-    u.set_mode(-2, -1, 1.0 - 0.5j)
-    eps = 0.7
-    v = mollify(u, eps)
-    factor = np.exp(-0.5 * eps**2 * 5.0)  # |k|^2 = 5
-    assert v.get_mode(2, 1) == pytest.approx(u.get_mode(2, 1) * factor, rel=1e-14)
-
-
-def test_mollify_zero_is_identity_and_negative_rejected():
-    grid = TorusGrid(2)
-    u = random_field(grid, 12)
-    assert np.max(np.abs(mollify(u, 0.0).coeffs - u.coeffs)) == 0.0
-    with pytest.raises(DomainError):
-        mollify(u, -1e-3)
 
 
 def test_dealiasing_grid_size_rule():

@@ -11,7 +11,6 @@ from wickflow import (
     TorusGrid,
     build_tower,
     convert_tower,
-    counter_table,
     counterterm_C,
     ct_tower,
     ou_step,
@@ -124,7 +123,7 @@ def test_ou_step_rejects_nonpositive_delta():
 def test_stationary_sample_pointwise_variance():
     # spatial mean of phi(x)^2 has expectation counterterm_C
     grid = TorusGrid(4)
-    c = counterterm_C(grid).c
+    c = counterterm_C(grid)
     rng = np.random.default_rng(5)
     n = 3000
     stats = np.empty(n)
@@ -152,15 +151,17 @@ def test_stationary_sample_mean_zero_and_ou_invariance():
 
 
 def test_counter_table_single_mode_closed_form():
-    table = counter_table(TorusGrid(0), times=(0.0, 0.5, 1.0))
+    table = CounterTable(TorusGrid(0))
     for t in (0.1, 0.5, 2.0):
         assert table.c_t(t) == pytest.approx(-np.exp(-2 * t) / (8 * np.pi**2), rel=1e-13)
     assert table.c_t(0.0) == pytest.approx(-table.c_C, rel=1e-14)
+    with pytest.raises(DomainError):
+        table.c_t(-0.5)
 
 
 def test_counter_table_structure():
     for K in (0, 2, 5):
-        table = counter_table(TorusGrid(K))
+        table = CounterTable(TorusGrid(K))
         assert table.c_Ct(0.0) == pytest.approx(0.0, abs=1e-15)
         assert table.c_t(50.0) == pytest.approx(0.0, abs=1e-15)
         ts = np.linspace(0.0, 3.0, 7)
@@ -169,13 +170,12 @@ def test_counter_table_structure():
         assert all(v <= 0 for v in cts)
         for t in ts:
             assert table.c_Ct(t) == pytest.approx(table.c_C + table.c_t(t), rel=1e-14)
-    assert len(counter_table(TorusGrid(1), times=(0.0, 1.0)).table) == 2
 
 
 def test_counter_table_c_C_is_counterterm_C_bitwise():
     for K in range(41):
         grid = TorusGrid(K)
-        assert counter_table(grid).c_C == counterterm_C(grid).c, K
+        assert CounterTable(grid).c_C == counterterm_C(grid), K
 
 
 def test_counter_table_scale_doubles_every_counterterm_exactly():
@@ -191,7 +191,7 @@ def test_counter_table_scale_doubles_every_counterterm_exactly():
 def test_convert_tower_low_order_identities():
     # :Z^2:_C = :Z^2:_{C_t} + c_t and :Z^3:_C = :Z^3:_{C_t} + 3 c_t Z, per sample
     grid = TorusGrid(4, max_degree=4)
-    table = counter_table(grid)
+    table = CounterTable(grid)
     rng = substream(11, 0, 1)
     st = ou_step(OUState.initial(grid, rng), 0.2)
     ct = table.c_t(0.2)
@@ -207,7 +207,7 @@ def test_convert_tower_low_order_identities():
 
 def test_convert_tower_zero_ct_is_identity():
     grid = TorusGrid(3, max_degree=4)
-    table = counter_table(grid)
+    table = CounterTable(grid)
     rng = substream(12, 0, 1)
     t = 60.0  # c_t(60) ~ e^{-120}: conversion degenerates to the identity
     st = ou_step(OUState.initial(grid, rng), t)
@@ -218,7 +218,7 @@ def test_convert_tower_zero_ct_is_identity():
 
 def test_convert_tower_requires_ct_kind():
     grid = TorusGrid(2, max_degree=4)
-    table = counter_table(grid)
+    table = CounterTable(grid)
     z = sample_stationary(grid, substream(13, 0, 1))
     tower_ct = ct_tower(z, 0.1, table, 3)
     tower_c = convert_tower(tower_ct, table)
@@ -228,7 +228,7 @@ def test_convert_tower_requires_ct_kind():
 
 def test_ct_tower_matches_wick_power():
     grid = TorusGrid(4, max_degree=4)
-    table = counter_table(grid)
+    table = CounterTable(grid)
     st = ou_step(OUState.initial(grid, substream(14, 0, 1)), 0.15)
     tower = ct_tower(st.z, 0.15, table, 4)
     for n in range(4):
@@ -239,7 +239,7 @@ def test_ct_tower_matches_wick_power():
 
 def test_build_tower_zero_initial_datum():
     grid = TorusGrid(3, max_degree=4)
-    table = counter_table(grid)
+    table = CounterTable(grid)
     st = ou_step(OUState.initial(grid, substream(15, 0, 1)), 0.3)
     with_zero = build_tower(st.z, SpectralField.zero(grid), 0.3, table, 4)
     without = build_tower(st.z, None, 0.3, table, 4)
@@ -249,7 +249,7 @@ def test_build_tower_zero_initial_datum():
 def test_build_tower_constants_deterministic():
     # Z = zeta, V = v constants: order 2 equals (zeta+v)^2 - c_C exactly
     grid = TorusGrid(1, max_degree=4)
-    table = counter_table(grid)
+    table = CounterTable(grid)
     zeta, v = 0.8, -0.35
     t = 0.25
     z = to_spectral(RealField.constant(grid, zeta))
@@ -264,7 +264,7 @@ def test_build_tower_constants_deterministic():
 
 def test_build_tower_order_one():
     grid = TorusGrid(3, max_degree=4)
-    table = counter_table(grid)
+    table = CounterTable(grid)
     rng = substream(16, 0, 1)
     st = ou_step(OUState.initial(grid, rng), 0.4)
     z0 = sample_stationary(grid, rng)
@@ -276,7 +276,7 @@ def test_build_tower_order_one():
 def test_chaos_mean_zero():
     # E[:Z^n(t):_{C_t}(x)] = 0 for n = 2, 3 within 3 SE
     grid = TorusGrid(2, max_degree=4)
-    table = counter_table(grid)
+    table = CounterTable(grid)
     rng = np.random.default_rng(17)
     n_samples = 2000
     t = 0.35
@@ -310,7 +310,7 @@ def test_time_regularity_modulus_shrinks():
     # with the time gap (trend averaged over a few paths)
     grid = TorusGrid(8, max_degree=4)
     part = build_partition(grid)
-    table = counter_table(grid)
+    table = CounterTable(grid)
     spec = BesovSpec(-0.1)
     gaps = (0.08, 0.04, 0.02)
     moduli = np.zeros(len(gaps))

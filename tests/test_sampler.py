@@ -45,7 +45,7 @@ def test_free_case_always_accepts_and_targets_mu():
     # spatial variance statistic has expectation counterterm_C under mu;
     # account for chain autocorrelation in the standard error
     tau = integrated_autocorrelation(stats)
-    z = (stats.mean() - c.c) / (stats.std(ddof=1) / np.sqrt(n / tau))
+    z = (stats.mean() - c) / (stats.std(ddof=1) / np.sqrt(n / tau))
     assert abs(z) < 3.0
 
 
@@ -94,11 +94,13 @@ def test_detailed_balance_single_mode():
 
 
 def test_acceptance_invariant_under_action_offset():
+    # the constant coefficient a_0 adds a_0 |T^2| = 1e6 to V; only differences of V enter
     grid = TorusGrid(2, max_degree=4)
     P = PolynomialSpec.quartic(0.25)
+    shifted = PolynomialSpec(2, (1e6 / (2 * np.pi) ** 2,) + P.a[1:])
     c = counterterm_C(grid)
     r1 = run_chain(make_chain(grid, P, c, 3), 400, 0, 1, 0.4, P, c)
-    r2 = run_chain(make_chain(grid, P, c, 3), 400, 0, 1, 0.4, P, c, action_offset=1e6)
+    r2 = run_chain(make_chain(grid, shifted, c, 3), 400, 0, 1, 0.4, shifted, c)
     assert np.array_equal(r1.accept_history, r2.accept_history)
 
 
@@ -147,7 +149,7 @@ def test_run_chain_wick2_by_parseval_matches_grid_sum_and_leaves_chain_unchanged
         accepts.append(acc)
         if i >= burn_in:
             xv = grid.coeffs_to_values(state.phi.coeffs)
-            wick2.append(float(np.sum(xv * xv)) * grid.cell_area - grid.L**2 * c.c)
+            wick2.append(float(np.sum(xv * xv)) * grid.cell_area - grid.L**2 * c)
             if (i - burn_in) % thinning == 0:
                 samples.append(state.phi.coeffs)
     assert 0 < sum(accepts) < n_steps  # both branches ran
@@ -199,9 +201,9 @@ def test_observables_reference_values():
     c = counterterm_C(grid)
     phi0 = 0.9
     obs = observables(to_spectral(RealField.constant(grid, phi0)), P, c)
-    assert obs["wick2"] == pytest.approx((2 * np.pi) ** 2 * (phi0**2 - c.c), rel=1e-12)
+    assert obs["wick2"] == pytest.approx((2 * np.pi) ** 2 * (phi0**2 - c), rel=1e-12)
     zero = observables(SpectralField.zero(grid), P, c)
-    assert zero["wick4"] == pytest.approx((2 * np.pi) ** 2 * 3 * c.c**2, rel=1e-12)
+    assert zero["wick4"] == pytest.approx((2 * np.pi) ** 2 * 3 * c**2, rel=1e-12)
     assert zero["mode2_0_0"] == 0.0
 
 
@@ -213,7 +215,7 @@ def test_free_sample_mean_wick2_zero():
     vals = np.empty(n)
     for i in range(n):
         phi = sample_stationary(grid, rng)
-        vals[i] = np.sum(np.abs(phi.coeffs) ** 2) - (2 * np.pi) ** 2 * c.c
+        vals[i] = np.sum(np.abs(phi.coeffs) ** 2) - (2 * np.pi) ** 2 * c
     z = vals.mean() / (vals.std(ddof=1) / np.sqrt(n))
     assert abs(z) < 3.0
 

@@ -6,7 +6,6 @@ import pytest
 
 from wickflow import (
     ConfigurationError,
-    CounterTerm,
     DomainError,
     PolynomialSpec,
     RealField,
@@ -24,6 +23,7 @@ from wickflow import (
     wick_nonlinearity,
     wick_power,
 )
+from wickflow.solver import field_observables
 from wickflow.wick import hermite_tower_values, hermite_variance, wick_nonlinearity_values
 
 
@@ -99,7 +99,7 @@ def test_binomial_identity_exact_in_rational_arithmetic():
 
 
 def test_counterterm_single_mode():
-    assert counterterm_C(TorusGrid(0)).c == pytest.approx(1.0 / (8 * np.pi**2), rel=1e-14)
+    assert counterterm_C(TorusGrid(0)) == pytest.approx(1.0 / (8 * np.pi**2), rel=1e-14)
 
 
 def test_counterterm_nine_mode_oracle():
@@ -109,19 +109,19 @@ def test_counterterm_nine_mode_oracle():
         for k2 in (-1, 0, 1):
             oracle += 1.0 / (2.0 * (1 + k1**2 + k2**2))
     oracle /= (2 * np.pi) ** 2
-    assert counterterm_C(TorusGrid(1)).c == pytest.approx(oracle, rel=1e-14)
+    assert counterterm_C(TorusGrid(1)) == pytest.approx(oracle, rel=1e-14)
     assert oracle == pytest.approx((2 * np.pi) ** -2 * (13.0 / 6.0), rel=1e-12)
 
 
 def test_counterterm_monotone_in_K():
-    values = [counterterm_C(TorusGrid(K)).c for K in range(6)]
+    values = [counterterm_C(TorusGrid(K)) for K in range(6)]
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
 def test_wick_power_constants():
     grid = TorusGrid(2)
     u = to_spectral(RealField.constant(grid, 2.0))
-    c = CounterTerm(1.0)
+    c = 1.0
     w2 = to_real(wick_power(u, 2, c)).values
     w3 = to_real(wick_power(u, 3, c)).values
     assert np.max(np.abs(w2 - 3.0)) < 1e-12   # phi^2 - c at phi = 2
@@ -151,7 +151,7 @@ def test_negative_counterterm_rejected():
     with pytest.raises(DomainError):
         wick_power(u, 2, -0.1)
     with pytest.raises(DomainError):
-        CounterTerm(-1.0)
+        wick_nonlinearity(u, PolynomialSpec.quartic(0.25), -1.0)
 
 
 def test_wick_power_zero_counterterm_classical():
@@ -192,7 +192,7 @@ def test_wick_nonlinearity_classical_limit():
 def test_wick_action_constant_field():
     grid = TorusGrid(2, max_degree=4)
     P = PolynomialSpec.quartic(0.25)
-    c = counterterm_C(grid).c
+    c = counterterm_C(grid)
     phi0 = 1.3
     u = to_spectral(RealField.constant(grid, phi0))
     expected = (2 * np.pi) ** 2 * 0.25 * (phi0**4 - 6 * c * phi0**2 + 3 * c**2)
@@ -289,7 +289,7 @@ def test_tower_invariants():
 def test_wick_square_moments_monte_carlo():
     # Wick moment identities: E[:phi^2:(x)] = 0, E[(:phi^2:(x))^2] = 2 c^2
     grid = TorusGrid(3, max_degree=2)
-    c = counterterm_C(grid).c
+    c = counterterm_C(grid)
     rng = np.random.default_rng(16)
     n = 3000
     means, sq = np.empty(n), np.empty(n)
@@ -316,7 +316,6 @@ def test_polynomial_spec_validation():
             PolynomialSpec(2, (0, 0, bad, 0, 0.25))
     P = PolynomialSpec.quartic(0.25, a2=0.1)
     assert P.degree == 4 and P.a[4] == 0.25
-    assert P.scaled(0.5).a[4] == 0.125
 
 
 @pytest.mark.parametrize("P", [
@@ -332,3 +331,55 @@ def test_wick_nonlinearity_values_equal_the_stacked_tower_sum_bitwise(P, c):
         if P.a[n] != 0.0:
             expected += n * P.a[n] * tower[n - 1]
     assert np.array_equal(wick_nonlinearity_values(x, P, c), expected)
+
+
+def written_out_orders(x, c, n):
+    """He_0 .. He_n by the recurrence, written out as each evaluator once wrote it."""
+    he = [np.ones_like(x), x.copy()]
+    for m in range(1, n):
+        he.append(x * he[m] - m * c * he[m - 1])
+    return he[:n + 1]
+
+
+# (K, max_degree) giving M = 18 and M = 130, fine enough for an exact degree-8 action
+EVALUATOR_GRIDS = {18: (2, 7), 130: (16, 7)}
+
+
+@pytest.mark.parametrize("M", sorted(EVALUATOR_GRIDS))
+@pytest.mark.parametrize("c", [0.0, 0.3])
+@pytest.mark.parametrize("n", range(9))
+def test_hermite_evaluators_equal_the_written_out_recurrence_bitwise(n, c, M):
+    grid = TorusGrid(*EVALUATOR_GRIDS[M])
+    assert grid.M == M
+    x = 1.5 * np.random.default_rng([n, M]).standard_normal((M, M))
+    he = written_out_orders(x, c, n)
+    single = hermite_variance(n, x, c)
+    assert np.array_equal(single, he[n]) and not np.shares_memory(single, x)
+    assert np.array_equal(hermite_tower_values(x, c, n + 1), np.stack(he))
+    # a polynomial of even degree 2N >= n with a zero coefficient, as the evaluators skip those
+    N = max(1, (n + 1) // 2)
+    a = np.random.default_rng([n, 1]).uniform(-1.0, 1.0, 2 * N + 1)
+    a[1], a[-1] = 0.0, 0.5
+    P = PolynomialSpec(N, a)
+    he = written_out_orders(x, c, P.degree)
+    expected = np.zeros_like(x)
+    for k in range(1, P.degree + 1):
+        if P.a[k] != 0.0:
+            expected += k * P.a[k] * he[k - 1]
+    assert np.array_equal(wick_nonlinearity_values(x, P, c), expected)
+    total = 0.0
+    for k in range(P.degree + 1):
+        if P.a[k] != 0.0:
+            total += P.a[k] * float(np.sum(he[k]))
+    assert wick_action(RealField(grid, x), P, c) == total * grid.cell_area
+
+
+@pytest.mark.parametrize("M", sorted(EVALUATOR_GRIDS))
+@pytest.mark.parametrize("c", [0.0, 0.3])
+def test_field_observables_equal_the_written_out_recurrence_bitwise(c, M):
+    grid = TorusGrid(*EVALUATOR_GRIDS[M])
+    X = sample_stationary(grid, np.random.default_rng([M, 2]))
+    he = written_out_orders(grid.coeffs_to_values(X.coeffs), c, 4)
+    obs = field_observables(X, c)
+    assert obs["wick2"] == float(np.sum(he[2])) * grid.cell_area
+    assert obs["wick4"] == float(np.sum(he[4])) * grid.cell_area
