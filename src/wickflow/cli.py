@@ -4,8 +4,9 @@ Subcommands: simulate | gibbs | invariance | identities | regularity |
 equivalence | wick-convergence.  A JSON config file supplies the schema
 sections (grid, polynomial, solver, sampler, ensemble, output); the flags
 --seed/--out/--k/--dt/--threads override the corresponding fields.  --k
-and --dt are config errors for the commands that fix their own K or step
-(`IGNORED_FLAGS`), so no flag is silently dropped.  The environment
+and --dt, and the config keys grid.K and solver.delta they override, are
+config errors for the commands that fix their own K or step
+(`IGNORED_FLAGS`), so no flag or key is silently dropped.  The environment
 variable WICKFLOW_OUT overrides the output directory.  Every run writes
 <out>/<command>_report.json embedding the resolved config and version
 string.
@@ -43,13 +44,14 @@ COMMANDS = {
     "wick-convergence": run_wick_convergence,
 }
 
-# the flags each command would silently ignore: it fixes its own K or step
+# the flags, with the config keys they override, that each command would
+# silently ignore: it fixes its own K or step
 IGNORED_FLAGS = {
-    "gibbs": ("dt",),
-    "identities": ("k", "dt"),
-    "regularity": ("k", "dt"),
-    "equivalence": ("k", "dt"),
-    "wick-convergence": ("k", "dt"),
+    "gibbs": {"dt": "solver.delta"},
+    "identities": {"k": "grid.K", "dt": "solver.delta"},
+    "regularity": {"k": "grid.K", "dt": "solver.delta"},
+    "equivalence": {"k": "grid.K", "dt": "solver.delta"},
+    "wick-convergence": {"k": "grid.K", "dt": "solver.delta"},
 }
 
 
@@ -74,14 +76,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args) -> ExperimentConfig:
-    for flag in IGNORED_FLAGS.get(args.command, ()):
+    ignored = IGNORED_FLAGS.get(args.command, {})
+    for flag in ignored:
         if getattr(args, flag) is not None:
             raise ConfigurationError(f"--{flag} has no effect on {args.command}")
     data = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             data = json.load(fh)
-    cfg = ExperimentConfig.from_dict(data)
+    cfg = ExperimentConfig.from_dict(data)  # data is now an object of objects
+    for key in ignored.values():
+        section, name = key.split(".")
+        if name in data.get(section, {}):
+            raise ConfigurationError(f"config key {key} has no effect on {args.command}")
     if args.seed is not None:
         cfg.master_seed = args.seed
     if args.k is not None:

@@ -318,20 +318,21 @@ def run_identities(cfg: ExperimentConfig) -> dict:
 # ----------------------------------------------------------------------
 
 def _pmap(fn, payloads, threads):
-    if threads <= 1 or len(payloads) <= 1:
+    # the pool starts all its workers at once: no more than payloads or cores
+    workers = min(threads, len(payloads), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(p) for p in payloads]
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import ProcessPoolExecutor  # imported here: it loads multiprocessing
 
-    chunk = max(1, len(payloads) // (4 * threads))
-    with ProcessPoolExecutor(max_workers=threads) as ex:
+    chunk = max(1, len(payloads) // (4 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(fn, payloads, chunksize=chunk))
 
 
 def _drift_end(scfg, P, counters, seed, item):
     """Observables at time T of trajectory i, started from the Gibbs sample eta."""
     i, eta = item
-    traj = stationary_solve(eta, substream(seed, i, 1), scfg, P,
-                            counters=counters, record_fields=False)
+    traj = stationary_solve(eta, substream(seed, i, 1), scfg, P, counters=counters)
     return observables(traj.X[-1], P, counterterm_C(counters.grid))
 
 
@@ -443,7 +444,7 @@ def run_gaussian_exactness(K: int = 4, a2: float = 0.5, seed: int = 0,
     scfg = SolverConfig(delta=delta, T=T, record_every=10**9)
     for i in range(n_traj):
         traj = stationary_solve(SpectralField.zero(grid), substream(seed, i, 1),
-                                scfg, P, counters=counters, record_fields=False)
+                                scfg, P, counters=counters)
         for k in modes:
             sde_vals[k].append(abs(traj.X[-1].get_mode(*k)) ** 2)
 
@@ -497,7 +498,7 @@ def run_regularity(cfg: ExperimentConfig, n_runs: int = 100) -> dict:
     rows = []
     for i in range(n_runs):
         traj = solve(None, None, substream(cfg.master_seed, i, 1), scfg, P,
-                     counters=counters, grid=grid, record_fields=True)
+                     counters=counters, grid=grid)
         Z = traj.zbar[-1]
         Y = traj.Y[-1]
         z2 = wick_power(Z, 2, counters.c_Ct(T))
@@ -554,7 +555,7 @@ def run_equivalence(cfg: ExperimentConfig) -> dict:
 
     ref = solve_alternative_splitting(
         z0, path, SolverConfig(delta=fine, T=T, record_every=10**9), P,
-        counters=counters, stationary_init=z1_init, record_fields=True)
+        counters=counters, stationary_init=z1_init)
 
     gaps, coupled = [], []
     relation_defect = 0.0

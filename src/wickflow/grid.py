@@ -26,6 +26,13 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 
 
+def sample_count(K: int, max_degree: int) -> int:
+    """M of `TorusGrid(K, max_degree)`: the least even M >= (max_degree+1)*K + 1
+    and >= 2(2K+1); even sizes keep FFTs fast."""
+    M = max((max_degree + 1) * K + 1, 2 * (2 * K + 1))
+    return M + (M % 2)
+
+
 class TorusGrid:
     """Truncated Fourier lattice plus its dealiased real sampling grid.
 
@@ -58,8 +65,7 @@ class TorusGrid:
         self.K = int(K)
         self.max_degree = int(max_degree)
         n = 2 * self.K + 1
-        M = max((self.max_degree + 1) * self.K + 1, 2 * n)
-        self.M = M + (M % 2)  # even sizes keep FFTs fast
+        self.M = sample_count(self.K, self.max_degree)
         self.L = 2.0 * np.pi
 
         # wavenumbers in FFT (wrap-around) order: [0..K, -K..-1]

@@ -11,7 +11,8 @@ tower of zbar:
 On the lattice :zbar^j: = He_j(zbar; c_C) pointwise, so the Hermite
 binomial identity makes the inner sum exactly :(Y + zbar)^{k-1}:_C and a
 step evaluates :p(Y + zbar):_C by one Hermite recurrence at the samples
-of X; the paper's tower route (`ou.build_tower`) stays a verified identity.
+of Y plus those of zbar, with no tower of zbar; the paper's tower route
+(`ou.build_tower`) stays a verified identity outside the solver.
 
 Time stepping is first-order exponential Euler with the exact phi-1
 weight, per mode
@@ -23,10 +24,10 @@ which is unconditionally stable and treats the linear part exactly.  Z
 advances by its exact transition law, so the only scheme error is the
 frozen-nonlinearity error in Y.
 
-Y, Z, zbar and the towers live on the compute grid of the caller's grid
-(`TorusGrid.compute_grid`), the smallest one on which the step is exact;
-records move the coefficients back onto the caller's grid, so every
-recorded field and observable is the caller's.
+Y, Z, zbar and the samples of zbar live on the compute grid of the
+caller's grid (`TorusGrid.compute_grid`), the smallest one on which the
+step is exact; records move the coefficients back onto the caller's grid,
+so every recorded field and observable is the caller's.
 
 Drift scaling: with the free measure fixed to mode variance 1/(2 lambda_k)
 and unit cylindrical noise, the dynamics that preserves the Gibbs density
@@ -43,12 +44,10 @@ import numpy as np
 
 from .errors import BlowUpError, ConfigurationError, NonContractionError
 from .grid import SpectralField, TorusGrid, apply_semigroup
-from .ou import (
-    CounterTable, OUNoisePath, OUState, ou_step, sample_stationary, step_constants, substream,
-)
-from .wick import (
-    PolynomialSpec, WickTower, _c_value, _hermite_orders, field_tower, wick_nonlinearity_values,
-)
+from .ou import CounterTable, OUNoisePath, OUState, ou_step, step_constants, substream
+from .wick import PolynomialSpec, _c_value, _hermite_orders, wick_nonlinearity_values
+
+BLOWUP_THRESHOLD = 1e8  # a step whose coefficients exceed this in modulus blows up
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,6 @@ class SolverConfig:
     T: float
     record_every: int = 1
     drift_scale: float = 1.0
-    blowup_threshold: float = 1e8
 
     def __post_init__(self):
         if not (0 < self.delta <= self.T):
@@ -121,38 +119,32 @@ def field_observables(X: SpectralField, c) -> dict:
     return out
 
 
-def nonlinear_term(Y: SpectralField, tower: WickTower, P: PolynomialSpec | None) -> SpectralField:
+def nonlinear_term(Y: SpectralField, zbar_values: np.ndarray, P: PolynomialSpec | None,
+                   c: float) -> SpectralField:
     """The shifted-equation nonlinearity
 
-        F = sum_{k=1}^{2N} k a_k sum_{l=0}^{k-1} C(k-1, l) Y^l :zbar^{k-1-l}:,
+        F = sum_{k=1}^{2N} k a_k sum_{l=0}^{k-1} C(k-1, l) Y^l :zbar^{k-1-l}:_c,
 
-    evaluated as :p(Y + zbar): with the tower's counterterm, pointwise on
-    the dealiased grid and projected to the window.  P = None: F = 0.
+    evaluated as :p(Y + zbar):_c at the samples of Y plus `zbar_values`, the
+    samples of zbar on Y's grid, pointwise on that dealiased grid and
+    projected to the window.  P = None: F = 0.
     """
     grid = Y.grid
     if P is None:
         return SpectralField.zero(grid)
-    if tower.grid != grid:
-        raise ConfigurationError("tower and Y live on different grids")
-    if tower.n_orders < P.degree:
-        raise ConfigurationError(
-            f"tower holds orders 0..{tower.n_orders - 1}, nonlinearity needs 0..{P.degree - 1}"
-        )
     grid.assert_product_degree(max(P.degree - 1, 1))
-    x = grid.coeffs_to_values(Y.coeffs) + tower.order_values(1)
-    F = wick_nonlinearity_values(x, P, tower.counterterm)
+    x = grid.coeffs_to_values(Y.coeffs) + zbar_values
+    F = wick_nonlinearity_values(x, P, c)
     return SpectralField(grid, grid.values_to_coeffs(F))
 
 
-def step(Y: SpectralField, tower: WickTower, cfg: SolverConfig, P: PolynomialSpec) -> SpectralField:
+def step(Y: SpectralField, zbar_values: np.ndarray, c: float, cfg: SolverConfig,
+         P: PolynomialSpec | None) -> SpectralField:
     """One exponential-Euler step of the shifted equation."""
     grid = Y.grid
-    F = nonlinear_term(Y, tower, P)
+    F = nonlinear_term(Y, zbar_values, P, c)
     decay, _, weight = step_constants(grid, cfg.delta, cfg.drift_scale)
-    coeffs = decay * Y.coeffs - weight * F.coeffs
-    if not np.all(np.isfinite(coeffs)) or np.max(np.abs(coeffs)) > cfg.blowup_threshold:
-        raise BlowUpError(t=np.nan, last_state=Y)
-    return SpectralField(grid, coeffs)
+    return SpectralField(grid, decay * Y.coeffs - weight * F.coeffs)
 
 
 def _as_noise(grid: TorusGrid, noise, cfg: SolverConfig):
@@ -200,12 +192,14 @@ class _Recorder:
         )
 
 
-def _run(grid, cfg, P, counters, Y0, z_init_datum, noise, record_fields=True):
-    """The loop of every solve: advance (Z, Y) on the compute grid, rebuild
-    towers, record X = Y + zbar on `grid`."""
+def _run(grid, cfg, P, counters, Y0, z_init_datum, noise):
+    """The loop of every solve: step Y against the samples of
+    zbar = Z + e^{tA} z on the compute grid, advance Z, and record
+    X = Y + zbar on `grid`.  A step whose Y is not finite or exceeds
+    `BLOWUP_THRESHOLD` raises `BlowUpError` with its start time and Y there."""
     rng, path = _as_noise(grid, noise, cfg)
-    n_orders = max(P.degree, 2) if P is not None else 2
-    cgrid = grid.compute_grid(n_orders)
+    cgrid = grid.compute_grid(P.degree if P is not None else 2)
+    c = counters.c_C
     rec = _Recorder(grid, counters)
     Z = SpectralField.zero(cgrid)
     Y = SpectralField(cgrid, Y0.coeffs.copy())
@@ -214,35 +208,27 @@ def _run(grid, cfg, P, counters, Y0, z_init_datum, noise, record_fields=True):
     def zbar_at(t):
         return Z + apply_semigroup(v, t) if v is not None else Z
 
-    def tower_at(t):  # :zbar^n:_C = He_n(zbar; c_C), the tower by definition
-        return replace(field_tower(zbar_at(t), counters.c_C, n_orders), t=t)
-
-    tower = tower_at(0.0)
-    rec.record(0.0, Y, zbar_at(0.0))
+    zbar = zbar_at(0.0)
+    zbar_values = cgrid.coeffs_to_values(zbar.coeffs)
+    rec.record(0.0, Y, zbar)
     n_steps = cfg.n_steps
     for n in range(n_steps):
         t = n * cfg.delta
-        if tower.t != t:
-            tower = tower_at(t)
-        try:
-            Y = step(Y, tower, cfg, P)
-        except BlowUpError as err:
-            raise BlowUpError(t=t, last_state=SpectralField(grid, Y.coeffs)) from err
+        new = step(Y, zbar_values, c, cfg, P)
+        if not np.all(np.isfinite(new.coeffs)) or np.max(np.abs(new.coeffs)) > BLOWUP_THRESHOLD:
+            raise BlowUpError(t=t, last_state=SpectralField(grid, Y.coeffs))
+        Y = new
         Z = path.step(Z, n) if path is not None else ou_step(OUState(t, Z, rng), cfg.delta).z
         t_next = (n + 1) * cfg.delta
+        zbar = zbar_at(t_next)
+        zbar_values = cgrid.coeffs_to_values(zbar.coeffs)
         if (n + 1) % cfg.record_every == 0 or n + 1 == n_steps:
-            # the next step's tower, built at each record (after the last step
-            # too), so a run builds n_steps + 1 towers whatever record_every is
-            tower = tower_at(t_next)
-            rec.record(t_next, Y, zbar_at(t_next))
-    traj = rec.done(cfg, P)
-    if not record_fields:
-        traj.Y, traj.X, traj.zbar = traj.Y[-1:], traj.X[-1:], traj.zbar[-1:]
-    return traj
+            rec.record(t_next, Y, zbar)
+    return rec.done(cfg, P)
 
 
 def solve(y0, z0, noise, cfg: SolverConfig, P: PolynomialSpec,
-          counters: CounterTable | None = None, record_fields: bool = True,
+          counters: CounterTable | None = None,
           grid: TorusGrid | None = None) -> Trajectory:
     """Integrate the shifted equation with zbar = Z + e^{tA} z0, X = Y + zbar."""
     if grid is None:
@@ -254,39 +240,30 @@ def solve(y0, z0, noise, cfg: SolverConfig, P: PolynomialSpec,
     if z0 is not None and z0.grid != grid:
         raise ConfigurationError("y0 and z0 live on different grids")
     counters = counters or CounterTable(grid)
-    return _run(grid, cfg, P, counters, y0, z0, noise, record_fields)
+    return _run(grid, cfg, P, counters, y0, z0, noise)
 
 
 def solve_alternative_splitting(z0, noise, cfg: SolverConfig, P: PolynomialSpec,
-                                counters: CounterTable | None = None,
-                                stationary_init=None,
-                                record_fields: bool = True) -> Trajectory:
+                                counters: CounterTable | None = None, *,
+                                stationary_init: SpectralField) -> Trajectory:
     """The stationary-reference splitting of the same dynamics.
 
     Here the rough part is the stationary process Z1(t) = e^{tA} Z1(0) + Z(t)
-    with Z1(0) drawn from the free field, and the remainder solves the
-    shifted equation driven by the tower of Z1, started from
-    Y1(0) = z - Z1(0).  The reconstruction X = Y1 + Z1 solves the same mild
-    equation as `solve`, which the equivalence experiments verify.
+    with Z1(0) = `stationary_init` (a free-field sample), and the remainder
+    solves the shifted equation driven by the Wick powers of Z1, started
+    from Y1(0) = z - Z1(0).  The reconstruction X = Y1 + Z1 solves the same
+    mild equation as `solve`, which the equivalence experiments verify.
     """
+    if not isinstance(stationary_init, SpectralField):
+        raise ConfigurationError("stationary_init must be a SpectralField")
     grid = z0.grid
     counters = counters or CounterTable(grid)
-    if stationary_init is None:
-        if isinstance(noise, (int, np.integer)):
-            stationary_init = sample_stationary(grid, substream(int(noise), 0, 0))
-        else:
-            raise ConfigurationError(
-                "pass stationary_init explicitly when noise is not a seed"
-            )
-    elif isinstance(stationary_init, np.random.Generator):
-        stationary_init = sample_stationary(grid, stationary_init)
     y1_0 = z0 - stationary_init
-    return _run(grid, cfg, P, counters, y1_0, stationary_init, noise, record_fields)
+    return _run(grid, cfg, P, counters, y1_0, stationary_init, noise)
 
 
 def stationary_solve(eta, noise, cfg: SolverConfig, P: PolynomialSpec,
-                     counters: CounterTable | None = None,
-                     record_fields: bool = True) -> Trajectory:
+                     counters: CounterTable | None = None) -> Trajectory:
     """Measure-preserving dynamics started from eta (typically a Gibbs sample).
 
     The rough part is the zero-initial convolution Z with C-ordered Wick
@@ -298,13 +275,14 @@ def stationary_solve(eta, noise, cfg: SolverConfig, P: PolynomialSpec,
     grid = eta.grid
     counters = counters or CounterTable(grid)
     cfg = replace(cfg, drift_scale=0.5 * cfg.drift_scale)
-    return _run(grid, cfg, P, counters, eta, None, noise, record_fields)
+    return _run(grid, cfg, P, counters, eta, None, noise)
 
 
-def picard_solve(y0, towers: list, delta: float, P: PolynomialSpec,
+def picard_solve(y0, zbar_values: list, c: float, delta: float, P: PolynomialSpec,
                  cfg: SolverConfig | None = None,
                  tol: float = 1e-8, max_iter: int = 200):
-    """Fixed-point iteration of the discrete mild map on a frozen tower path.
+    """Fixed-point iteration of the discrete mild map on a frozen zbar path,
+    given by its samples `zbar_values[m]` at t = m delta and counterterm c.
 
     The map uses left-endpoint phi-1 quadrature, so its fixed point is
     exactly the exponential-Euler trajectory; cross-checking the two is a
@@ -312,9 +290,9 @@ def picard_solve(y0, towers: list, delta: float, P: PolynomialSpec,
     raises if the residual grows (horizon too large to contract).
     """
     grid = y0.grid
-    n = len(towers) - 1
+    n = len(zbar_values) - 1
     if n < 1:
-        raise ConfigurationError("picard_solve needs towers at least at t=0 and t=delta")
+        raise ConfigurationError("picard_solve needs zbar samples at least at t=0 and t=delta")
     scale = cfg.drift_scale if cfg is not None else 1.0
     decay, _, weight = step_constants(grid, delta, scale)
     path = [y0.copy() for _ in range(n + 1)]
@@ -323,7 +301,7 @@ def picard_solve(y0, towers: list, delta: float, P: PolynomialSpec,
     for _ in range(max_iter):
         new = [y0.copy()]
         for m in range(n):
-            F = nonlinear_term(path[m], towers[m], P)
+            F = nonlinear_term(path[m], zbar_values[m], P, c)
             new.append(SpectralField(grid, decay * new[m].coeffs - weight * F.coeffs))
         res = max(float(np.max(np.abs(a.coeffs - b.coeffs))) for a, b in zip(new, path))
         residuals.append(res)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -192,17 +193,49 @@ def test_version_string_runs_git_once_per_process(monkeypatch):
 
 @pytest.mark.parametrize("command, flag", [
     ("gibbs", "--dt"),
+    ("gibbs", "solver.delta"),
     *((command, flag) for command in ("identities", "regularity", "equivalence", "wick-convergence")
-      for flag in ("--k", "--dt")),
+      for flag in ("--k", "--dt", "grid.K", "solver.delta")),
 ])
 def test_flag_a_command_ignores_exit_2(tmp_path, capsys, command, flag):
-    # these commands fix their own K or step; the flag once ran and was dropped silently
+    # these commands fix their own K or step; the flag, or the config key it
+    # overrides, once ran and was dropped silently (the report still named it)
     out = tmp_path / "out"
-    value = "4" if flag == "--k" else "0.01"
-    assert main([command, flag, value, "--out", str(out), "--threads", "1"]) == 2
+    if flag.startswith("--"):
+        args = [flag, "4" if flag == "--k" else "0.01"]
+    else:
+        section, key = flag.split(".")
+        data = {section: {key: 4 if key == "K" else 0.01}}
+        args = ["--config", write_config(tmp_path / "c.json", data)]
+    assert main([command, *args, "--out", str(out), "--threads", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and flag in err
     assert not out.exists()
+
+
+def test_invariance_pool_never_outnumbers_trajectories_or_cores(monkeypatch):
+    # the pool starts all its workers up front: --threads 5000 once forked 5000
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads, chunksize=1):
+            return map(fn, payloads)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    for cores, expected in ((64, [3]), (2, [2]), (None, [])):
+        sizes.clear()
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
+        assert experiments._pmap(abs, [-1, -2, -3], 10_000) == [1, 2, 3]
+        assert sizes == expected
 
 
 def test_invariance_results_at_two_threads_equal_one_thread():

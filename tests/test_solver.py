@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from wickflow import (
     wick_nonlinearity,
 )
 from wickflow import solver as solver_module
+from wickflow import wick as wick_module
 from wickflow.grid import apply_semigroup
 from wickflow.ou import build_tower, hermitian_normals, ou_step, step_constants
 from wickflow.sampler import observables
@@ -53,7 +55,7 @@ def test_nonlinear_term_quartic_structure():
     c = CounterTable(grid).c_C
     tower = field_tower(zbar, c, 4)
     P = PolynomialSpec.quartic(0.25)
-    F = nonlinear_term(Y, tower, P)
+    F = nonlinear_term(Y, grid.coeffs_to_values(zbar.coeffs), P, c)
     yv = grid.coeffs_to_values(Y.coeffs)
     oracle = (tower.order_values(3) + 3 * yv * tower.order_values(2)
               + 3 * yv**2 * tower.order_values(1) + yv**3)
@@ -66,16 +68,14 @@ def test_nonlinear_term_constants():
     grid = TorusGrid(2, max_degree=4)
     c = 0.3
     one = to_spectral(RealField.constant(grid, 1.0))
-    tower = field_tower(one, c, 4)
-    F = nonlinear_term(one, tower, PolynomialSpec.quartic(0.25))
+    F = nonlinear_term(one, grid.coeffs_to_values(one.coeffs), PolynomialSpec.quartic(0.25), c)
     assert F.get_mode(0, 0).real == pytest.approx(2 * np.pi * (8 - 6 * c), rel=1e-12)
 
 
 def test_nonlinear_term_linear_case():
     grid = TorusGrid(3, max_degree=4)
     Y = sample_stationary(grid, substream(1, 0, 1))
-    tower = field_tower(SpectralField.zero(grid), 0.0, 2)
-    F = nonlinear_term(Y, tower, PolynomialSpec.quadratic(0.8))
+    F = nonlinear_term(Y, np.zeros((grid.M, grid.M)), PolynomialSpec.quadratic(0.8), 0.0)
     assert np.max(np.abs(F.coeffs - 2 * 0.8 * Y.coeffs)) < 1e-12
 
 
@@ -86,7 +86,7 @@ def test_nonlinear_term_collapses_to_wick_polynomial():
     zbar, Y = sample_stationary(grid, rng), sample_stationary(grid, rng)
     c = CounterTable(grid).c_C
     P = PolynomialSpec.quartic(0.25, a2=0.3)
-    F = nonlinear_term(Y, field_tower(zbar, c, 4), P)
+    F = nonlinear_term(Y, grid.coeffs_to_values(zbar.coeffs), P, c)
     direct = wick_nonlinearity(Y + zbar, P, c)
     assert np.max(np.abs(F.coeffs - direct.coeffs)) < 1e-11 * (1 + np.max(np.abs(direct.coeffs)))
 
@@ -103,7 +103,7 @@ def test_nonlinear_term_is_the_recombination_of_every_tower_order(K, N, c, extra
     a[2 * N] = abs(a[2 * N]) + 0.1
     P = PolynomialSpec(N, a)
     tower = field_tower(zbar, c, 2 * N + extra)
-    F = nonlinear_term(Y, tower, P)
+    F = nonlinear_term(Y, grid.coeffs_to_values(zbar.coeffs), P, c)
     oracle = SpectralField.zero(grid)
     for k in range(1, 2 * N + 1):
         oracle = oracle + recombine(Y, tower, k - 1) * (k * P.a[k])
@@ -145,19 +145,11 @@ def test_solve_matches_the_tower_route_step_by_step(P):
         assert np.max(np.abs(got.coeffs - expected.coeffs)) <= 1e-12 * scale
 
 
-def test_nonlinear_term_missing_orders():
-    grid = TorusGrid(2, max_degree=4)
-    Y = sample_stationary(grid, substream(3, 0, 1))
-    tower = field_tower(SpectralField.zero(grid), 0.0, 2)
-    with pytest.raises(ConfigurationError):
-        nonlinear_term(Y, tower, PolynomialSpec.quartic(0.25))
-
-
 def test_step_pure_semigroup_when_free():
     grid = TorusGrid(2)
     Y = sample_stationary(grid, substream(4, 0, 1))
     cfg = SolverConfig(delta=0.05, T=1.0)
-    out = step(Y, field_tower(SpectralField.zero(grid), 0.0, 2), cfg, None)
+    out = step(Y, np.zeros((grid.M, grid.M)), 0.0, cfg, None)
     expected = Y.coeffs * np.exp(-grid.lam * 0.05)
     assert np.max(np.abs(out.coeffs - expected)) < 1e-14
 
@@ -172,10 +164,10 @@ def test_step_constants_are_cached_and_bitwise_equal_to_inline_formulas():
     P = PolynomialSpec.quartic(0.25, a2=0.1)
     Y = sample_stationary(grid, substream(1, 0, 0))
     z = sample_stationary(grid, substream(1, 0, 1))
-    tower = field_tower(z, 0.0, P.degree)
+    zv = grid.coeffs_to_values(z.coeffs)
     cfg = SolverConfig(delta=delta, T=1.0, drift_scale=0.3)
-    expected = decay * Y.coeffs - delta * 0.3 * phi1 * nonlinear_term(Y, tower, P).coeffs
-    assert np.array_equal(step(Y, tower, cfg, P).coeffs, expected)
+    expected = decay * Y.coeffs - delta * 0.3 * phi1 * nonlinear_term(Y, zv, P, 0.0).coeffs
+    assert np.array_equal(step(Y, zv, 0.0, cfg, P).coeffs, expected)
     moved = ou_step(OUState(0.0, z, substream(2, 0, 1)), delta).z.coeffs
     xi = hermitian_normals(grid, substream(2, 0, 1))
     assert np.array_equal(moved, decay * z.coeffs + sigma * xi)
@@ -194,7 +186,7 @@ def test_step_linear_closed_form_and_order():
     # a2 only, zbar = 0, single mode: Y(t) = y e^{-(lambda + 2 a2) t}
     grid = TorusGrid(2)
     P = PolynomialSpec.quadratic(0.5)
-    tower = field_tower(SpectralField.zero(grid), 0.0, P.degree)
+    zeros = np.zeros((grid.M, grid.M))
     y0 = SpectralField.zero(grid)
     y0.set_mode(0, 0, 1.0)  # lambda_0 = 1, rate 1 + 2*0.5 = 2
     errors = []
@@ -202,7 +194,7 @@ def test_step_linear_closed_form_and_order():
         cfg = SolverConfig(delta=delta, T=1.0)
         Y = y0.copy()
         for _ in range(cfg.n_steps):
-            Y = step(Y, tower, cfg, P)
+            Y = step(Y, zeros, 0.0, cfg, P)
         errors.append(abs(Y.get_mode(0, 0).real - np.exp(-2.0)))
     assert abs(Y.get_mode(0, 0).real - 0.1353352832366127) < 1e-3
     for e1, e2 in zip(errors, errors[1:]):
@@ -314,24 +306,24 @@ def test_picard_linear_convergence():
     P = PolynomialSpec.quadratic(0.5)
     delta, T = 0.005, 0.1
     n = round(T / delta)
-    towers = [field_tower(SpectralField.zero(grid), 0.0, P.degree) for _ in range(n + 1)]
+    zbar_values = [np.zeros((grid.M, grid.M))] * (n + 1)
     y0 = sample_stationary(grid, substream(9, 0, 0))
-    path, residuals = picard_solve(y0, towers, delta, P)
+    path, residuals = picard_solve(y0, zbar_values, 0.0, delta, P)
     assert len(residuals) <= 30
     assert residuals[-1] < 1e-8
     # fixed point coincides with the step integrator
     cfg = SolverConfig(delta=delta, T=T)
     Y = y0.copy()
     for _ in range(n):
-        Y = step(Y, towers[0], cfg, P)
+        Y = step(Y, zbar_values[0], 0.0, cfg, P)
     assert np.max(np.abs(path[-1].coeffs - Y.coeffs)) < 1e-10
 
 
 def test_picard_zero_data():
     grid = TorusGrid(2)
     P = PolynomialSpec.quartic(0.25)
-    towers = [field_tower(SpectralField.zero(grid), 0.0, P.degree) for _ in range(5)]
-    path, residuals = picard_solve(SpectralField.zero(grid), towers, 0.01, P)
+    zbar_values = [np.zeros((grid.M, grid.M))] * 5
+    path, residuals = picard_solve(SpectralField.zero(grid), zbar_values, 0.0, 0.01, P)
     assert len(residuals) == 1
     assert all(float(np.max(np.abs(u.coeffs))) == 0.0 for u in path)
 
@@ -342,9 +334,9 @@ def test_picard_non_contraction_raises():
     rng = substream(10, 0, 1)
     big = 40.0 * sample_stationary(grid, rng)
     n = 40
-    towers = [field_tower(big, 0.1, P.degree) for _ in range(n + 1)]
+    zbar_values = [grid.coeffs_to_values(big.coeffs)] * (n + 1)
     with pytest.raises(NonContractionError):
-        picard_solve(40.0 * sample_stationary(grid, rng), towers, 0.05, P, max_iter=60)
+        picard_solve(40.0 * sample_stationary(grid, rng), zbar_values, 0.1, 0.05, P, max_iter=60)
 
 
 def test_stationary_solve_deterministic_coupling():
@@ -366,8 +358,7 @@ def test_stationary_solve_gaussian_conjugacy_small():
     n = 300
     vals = np.empty(n)
     for i in range(n):
-        traj = stationary_solve(SpectralField.zero(grid), substream(12, i, 1), cfg, P,
-                                record_fields=False)
+        traj = stationary_solve(SpectralField.zero(grid), substream(12, i, 1), cfg, P)
         vals[i] = abs(traj.X[-1].get_mode(0, 0)) ** 2
     target = 1.0 / (2 * (1 + a2))
     z = (vals.mean() - target) / (vals.std(ddof=1) / np.sqrt(n))
@@ -383,6 +374,57 @@ def test_blow_up_detected():
         solve(huge, None, 13, cfg, P)
 
 
+def test_blow_up_reports_the_time_and_state_of_the_failing_step(monkeypatch):
+    grid = TorusGrid(3, max_degree=4)
+    P = PolynomialSpec.quartic(0.25)
+    cfg = SolverConfig(delta=1e-3, T=0.01)
+    z0 = sample_stationary(grid, substream(14, 0, 0))
+    before = solve(None, z0, substream(14, 0, 1), replace(cfg, T=0.003), P)
+    real_step = solver_module.step
+    calls = []
+
+    def fails_at_the_fourth(Y, zv, c, cfg, P):
+        calls.append(None)
+        out = real_step(Y, zv, c, cfg, P)
+        return SpectralField(out.grid, out.coeffs * np.nan) if len(calls) == 4 else out
+
+    monkeypatch.setattr(solver_module, "step", fails_at_the_fourth)
+    with pytest.raises(BlowUpError) as err:
+        solve(None, z0, substream(14, 0, 1), cfg, P)
+    assert err.value.t == pytest.approx(3e-3)
+    assert err.value.last_state.grid is grid
+    assert np.array_equal(err.value.last_state.coeffs, before.Y[-1].coeffs)
+
+
+def test_no_solve_builds_a_wick_tower(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the solver built a Wick tower")
+
+    monkeypatch.setattr(wick_module, "hermite_tower_values", forbidden)
+    monkeypatch.setattr(wick_module, "field_tower", forbidden)
+    grid = TorusGrid(3, max_degree=4)
+    P = PolynomialSpec.quartic(0.25, a2=0.2)
+    cfg = SolverConfig(delta=1e-3, T=0.005, record_every=2)
+    z0 = sample_stationary(grid, substream(15, 0, 0))
+    z1 = sample_stationary(grid, substream(15, 0, 2))
+    runs = [
+        solve(None, z0, 15, cfg, P),
+        stationary_solve(z0, 15, cfg, P),
+        solve_alternative_splitting(z0, 15, cfg, P, stationary_init=z1),
+    ]
+    for traj in runs:
+        assert len(traj.X) == 4 and np.all(np.isfinite(traj.X[-1].coeffs))
+
+
+def test_alternative_splitting_takes_only_a_field_as_stationary_init():
+    grid = TorusGrid(2, max_degree=4)
+    z0 = sample_stationary(grid, substream(16, 0, 0))
+    cfg = SolverConfig(delta=1e-3, T=0.002)
+    with pytest.raises(ConfigurationError):
+        solve_alternative_splitting(z0, 16, cfg, PolynomialSpec.quartic(0.25),
+                                    stationary_init=substream(16, 0, 2))
+
+
 def test_solve_steps_on_the_compute_grid_and_reports_on_the_callers(monkeypatch):
     grid = TorusGrid(4, max_degree=8)  # M = 38; the quartic step is exact on M = 18
     small = TorusGrid(4, max_degree=3)
@@ -393,7 +435,7 @@ def test_solve_steps_on_the_compute_grid_and_reports_on_the_callers(monkeypatch)
     seen = []
     real_term = solver_module.nonlinear_term
     monkeypatch.setattr(solver_module, "nonlinear_term",
-                        lambda Y, tower, P: seen.append(Y.grid.M) or real_term(Y, tower, P))
+                        lambda Y, zv, P, c: seen.append(Y.grid.M) or real_term(Y, zv, P, c))
     traj = solve(None, z0, substream(17, 0, 1), cfg, P)
     assert seen == [small.M] * cfg.n_steps
     monkeypatch.undo()
