@@ -14,9 +14,7 @@ from .grid import (
     to_spectral,
 )
 from .ou import (
-    CounterTable,
     OUNoisePath,
-    OUState,
     build_tower,
     convert_tower,
     ct_tower,
@@ -29,6 +27,7 @@ from .wick import (
     WickTower,
     binomial_identity_check,
     counterterm_C,
+    counterterm_t,
     field_tower,
     hermite,
     recombine,

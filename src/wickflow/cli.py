@@ -3,10 +3,11 @@
 Subcommands: simulate | gibbs | invariance | identities | regularity |
 equivalence | wick-convergence.  A JSON config file supplies the schema
 sections (grid, polynomial, solver, sampler, ensemble, output); the flags
---seed/--out/--k/--dt/--threads override the corresponding fields.  --k
-and --dt, and the config keys grid.K and solver.delta they override, are
-config errors for the commands that fix their own K or step
-(`IGNORED_FLAGS`), so no flag or key is silently dropped.  The environment
+--seed/--out/--k/--dt/--threads override the corresponding fields.  Each
+command accepts only the config keys it reads (`READS`, plus the
+`COMMON_KEYS` every command takes), and --k or --dt only where it reads
+grid.K or solver.delta; any other key or flag is a config error, so none
+is silently dropped.  The environment
 variable WICKFLOW_OUT overrides the output directory.  Every run writes
 <out>/<command>_report.json embedding the resolved config and version
 string.
@@ -44,15 +45,23 @@ COMMANDS = {
     "wick-convergence": run_wick_convergence,
 }
 
-# the flags, with the config keys they override, that each command would
-# silently ignore: it fixes its own K or step
-IGNORED_FLAGS = {
-    "gibbs": {"dt": "solver.delta"},
-    "identities": {"k": "grid.K", "dt": "solver.delta"},
-    "regularity": {"k": "grid.K", "dt": "solver.delta"},
-    "equivalence": {"k": "grid.K", "dt": "solver.delta"},
-    "wick-convergence": {"k": "grid.K", "dt": "solver.delta"},
+# the config keys each command reads, besides the keys every command takes;
+# the other commands fix their own grid, model, step or sample counts
+COMMON_KEYS = {"ensemble.master_seed", "output.dir", "threads"}
+_MODEL = {"grid.dealiasing_degree", "polynomial.N", "polynomial.a"}
+READS = {
+    "simulate": {"grid.K", *_MODEL, "solver.delta", "solver.T", "solver.record_every",
+                 "ensemble.n_traj", "output.formats"},
+    "gibbs": {"grid.K", *_MODEL, "sampler.rho", "sampler.n_steps", "sampler.burn_in",
+              "sampler.thinning", "output.formats"},
+    "invariance": {"grid.K", *_MODEL, "solver.delta", "solver.T", "sampler.rho",
+                   "sampler.burn_in", "sampler.thinning", "ensemble.n_traj"},
+    "identities": set(),
+    "regularity": _MODEL,
+    "equivalence": _MODEL,
+    "wick-convergence": set(),
 }
+FLAG_KEYS = {"k": "grid.K", "dt": "solver.delta"}  # the flags that override a config key
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,19 +85,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args) -> ExperimentConfig:
-    ignored = IGNORED_FLAGS.get(args.command, {})
-    for flag in ignored:
-        if getattr(args, flag) is not None:
+    reads = COMMON_KEYS | READS[args.command]
+    for flag, key in FLAG_KEYS.items():
+        if getattr(args, flag) is not None and key not in reads:
             raise ConfigurationError(f"--{flag} has no effect on {args.command}")
     data = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             data = json.load(fh)
-    cfg = ExperimentConfig.from_dict(data)  # data is now an object of objects
-    for key in ignored.values():
-        section, name = key.split(".")
-        if name in data.get(section, {}):
-            raise ConfigurationError(f"config key {key} has no effect on {args.command}")
+    cfg = ExperimentConfig.from_dict(data)  # data is now an object of objects and threads
+    given = {f"{section}.{key}" for section, body in data.items() if section != "threads"
+             for key in body}
+    unread = sorted(given - reads)
+    if unread:
+        raise ConfigurationError(f"config key {', '.join(unread)} has no effect on {args.command}")
     if args.seed is not None:
         cfg.master_seed = args.seed
     if args.k is not None:

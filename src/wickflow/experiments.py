@@ -21,19 +21,19 @@ from .besov import BesovSpec, besov_norm, build_partition, regularity_estimate
 from .errors import ConfigurationError, WarmupError
 from .grid import SpectralField, TorusGrid, apply_semigroup
 from .ou import (
-    CounterTable, OUNoisePath, OUState, build_tower, convert_tower, ct_tower, ou_step,
-    sample_stationary, substream,
+    OUNoisePath, build_tower, convert_tower, ct_tower, ou_step, sample_stationary, substream,
 )
 from .sampler import (
     MIN_ACCEPTANCE, ChainState, gibbs_samples, integrated_autocorrelation, observables, pcn_step,
     run_chain,
 )
 from .snapshots import write_snapshots
-from .solver import SolverConfig, Trajectory, solve, solve_alternative_splitting, stationary_solve
+from .solver import SolverConfig, Trajectory, solve, stationary_solve
 from .wick import (
     PolynomialSpec,
     binomial_identity_check,
     counterterm_C,
+    counterterm_t,
     field_tower,
     hermite,
     hermite_variance,
@@ -114,21 +114,22 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, types[f.type]):
                 raise ConfigurationError(f"{f.name} must be {f.type.__name__}, got {value!r}")
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigurationError(f"{f.name} must be finite, got {value}")
+            if f.type is float:
+                setattr(self, f.name, _finite_float(f.name, value))
         if any(isinstance(x, bool) or not isinstance(x, numbers.Real) for x in self.a):
             raise ConfigurationError(f"coefficients a must be numbers, got {self.a!r}")
         if not all(isinstance(x, str) for x in self.formats):
             raise ConfigurationError(f"formats must be strings, got {self.formats!r}")
-        self.a = tuple(float(x) for x in self.a)
+        self.a = tuple(_finite_float("a", x) for x in self.a)
         self.formats = tuple(self.formats)
-        PolynomialSpec(self.N, self.a)  # enforces finite coefficients, a_{2N} > 0 and their count
+        PolynomialSpec(self.N, self.a)  # enforces a_{2N} > 0 and the coefficient count
         if self.K < 0:
             raise ConfigurationError("K must be >= 0")
-        if not (0 < self.delta <= self.T):
-            raise ConfigurationError("need 0 < delta <= T")
-        if self.n_steps <= self.burn_in:
-            raise ConfigurationError("sampler n_steps must exceed burn_in")
+        if self.master_seed < 0:
+            raise ConfigurationError("master_seed must be >= 0")
+        self.solver_config().n_steps  # 0 < delta <= T, record_every >= 1, whole finite steps
+        if self.burn_in < 0 or self.thinning < 1:
+            raise ConfigurationError("need burn_in >= 0 and thinning >= 1")
         if not (0 < self.rho <= 1):
             raise ConfigurationError("rho must lie in (0, 1]")
         if self.n_traj < 1:
@@ -150,6 +151,16 @@ class ExperimentConfig:
 
     def resolved(self) -> dict:
         return asdict(self)
+
+
+def _finite_float(name: str, value) -> float:
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{name} must be finite, got {value}")
+    return value
 
 
 def _report(name: str, cfg: ExperimentConfig, results: dict, passed) -> dict:
@@ -193,14 +204,13 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     """Integrate `n_traj` trajectories of the shifted equation and dump observables."""
     grid = cfg.grid()
     P = cfg.polynomial()
-    counters = CounterTable(grid)
     out = out_dir or cfg.out_dir
     os.makedirs(out, exist_ok=True)
     sups = []
     defect = 0.0
     for i in range(cfg.n_traj):
         rng = substream(cfg.master_seed, i, 1)
-        traj = solve(None, None, rng, cfg.solver_config(), P, counters=counters, grid=grid)
+        traj = solve(None, None, rng, cfg.solver_config(), P, grid=grid)
         sups.append(float(traj.observable("sup_Y")[-1]))
         defect = max(defect, float(traj.reconstruction_defect))
         if "csv" in cfg.formats:
@@ -263,17 +273,17 @@ def run_identities(cfg: ExperimentConfig) -> dict:
 
     # covariance conversion, n <= 5, K = 8, OU samples at several times
     g = TorusGrid(8, max_degree=6)
-    counters = CounterTable(g)
-    cC = counters.c_C
+    cC = counterterm_C(g)
+    zero = SpectralField.zero(g)
     worst = 0.0
     rng = substream(seed, 0, 1)
     for t in (0.01, 0.1, 1.0):
         for _ in range(20):
-            st = ou_step(OUState.initial(g, rng), t)
-            tower = convert_tower(ct_tower(st.z, t, counters, 6), counters)
+            z = ou_step(zero, t, rng)
+            tower = convert_tower(ct_tower(z, t, 6))
             for n in range(6):
                 lhs = tower.order(n).coeffs
-                rhs = wick_power(st.z, n, cC).coeffs
+                rhs = wick_power(z, n, cC).coeffs
                 worst = max(worst, float(np.max(np.abs(lhs - rhs)) / (1 + np.max(np.abs(lhs)))))
     out["covariance_conversion"] = worst
 
@@ -293,21 +303,25 @@ def run_identities(cfg: ExperimentConfig) -> dict:
     worst = 0.0
     rng = substream(seed, 0, 2)
     for t in (0.05, 0.5):
-        st = ou_step(OUState.initial(g, rng), t)
+        z = ou_step(zero, t, rng)
         z0 = sample_stationary(g, rng)
-        tower = build_tower(st.z, z0, t, counters, 6)
-        zbar = st.z + apply_semigroup(z0, t)
+        tower = build_tower(z, z0, t, 6)
+        zbar = z + apply_semigroup(z0, t)
         for n in range(6):
             lhs = tower.order(n).coeffs
             rhs = wick_power(zbar, n, cC).coeffs
             worst = max(worst, float(np.max(np.abs(lhs - rhs)) / (1 + np.max(np.abs(rhs)))))
     out["initial_datum_tower"] = worst
 
-    # reconstruction X = Y + zbar along a short quartic run
-    P = PolynomialSpec.quartic(0.25)
-    traj = solve(None, sample_stationary(g, substream(seed, 1, 0)), substream(seed, 1, 1),
-                 SolverConfig(delta=1e-3, T=0.02, record_every=5), P, counters=counters)
-    out["reconstruction"] = float(traj.reconstruction_defect)
+    # reconstruction along a short quartic run: X(T) - Y(T) against
+    # zbar(T) = Z(T) + e^{TA} z0, with Z(T) composed from the run's own noise path
+    scfg = SolverConfig(delta=1e-3, T=0.02, record_every=5)
+    n = scfg.n_steps
+    path = OUNoisePath(g, scfg.delta, n, substream(seed, 1, 1))
+    z0 = sample_stationary(g, substream(seed, 1, 0))
+    traj = solve(None, z0, path, scfg, PolynomialSpec.quartic(0.25))
+    zbar = path.coarsen(n).innovations[0] + apply_semigroup(z0, scfg.T).coeffs
+    out["reconstruction"] = float(np.max(np.abs(traj.X[-1].coeffs - traj.Y[-1].coeffs - zbar)))
 
     passed = all(v < 1e-10 for v in out.values())
     return _report("identities", cfg, {"max_residuals": out}, passed)
@@ -329,18 +343,20 @@ def _pmap(fn, payloads, threads):
         return list(ex.map(fn, payloads, chunksize=chunk))
 
 
-def _drift_end(scfg, P, counters, seed, item):
-    """Observables at time T of trajectory i, started from the Gibbs sample eta."""
+def _drift_end(scfg, P, c, c_obs, seed, item):
+    """Observables (counterterm c_obs) at time T of trajectory i, started from
+    the Gibbs sample eta and run with counterterm c."""
     i, eta = item
-    traj = stationary_solve(eta, substream(seed, i, 1), scfg, P, counters=counters)
-    return observables(traj.X[-1], P, counterterm_C(counters.grid))
+    traj = stationary_solve(eta, substream(seed, i, 1), scfg, P, c=c)
+    return observables(traj.X[-1], P, c_obs)
 
 
-def _drift_zscores(samples, start_obs, cfg, counters, delta, T, seed):
+def _drift_zscores(samples, start_obs, cfg, c, c_obs, delta, T, seed):
     """Paired drift z-score of every observable of `sampler.observables`;
-    `start_obs[i]` holds the observables of `samples[i]`."""
+    `start_obs[i]` holds the observables of `samples[i]`, and the dynamics
+    runs with counterterm c."""
     scfg = SolverConfig(delta=delta, T=T, record_every=10**9)
-    end = functools.partial(_drift_end, scfg, cfg.polynomial(), counters, seed)
+    end = functools.partial(_drift_end, scfg, cfg.polynomial(), c, c_obs, seed)
     end_obs = _pmap(end, list(enumerate(samples)), cfg.threads)
     stats = {}
     for name in start_obs[0]:
@@ -374,16 +390,15 @@ def run_invariance(cfg: ExperimentConfig, negative_control: bool = True) -> dict
     grid = cfg.grid()
     P = cfg.polynomial()
     c_obs = counterterm_C(grid)
-    counters = CounterTable(grid)
     rng = substream(cfg.master_seed, 0, 0)
     samples, chain = gibbs_samples(grid, P, c_obs, cfg.n_traj, cfg.rho,
                                    cfg.burn_in, cfg.thinning, rng)
     _check_warmup(chain.acceptance_rate)
     start = [observables(eta, P, c_obs) for eta in samples]
 
-    stats_d = _drift_zscores(samples, start, cfg, counters, cfg.delta, cfg.T,
+    stats_d = _drift_zscores(samples, start, cfg, c_obs, c_obs, cfg.delta, cfg.T,
                              seed=cfg.master_seed + 1)
-    stats_h = _drift_zscores(samples, start, cfg, counters, cfg.delta / 2, cfg.T,
+    stats_h = _drift_zscores(samples, start, cfg, c_obs, c_obs, cfg.delta / 2, cfg.T,
                              seed=cfg.master_seed + 2)
     zmax_d = max(abs(s["z"]) for s in stats_d.values())
     zmax_h = max(abs(s["z"]) for s in stats_h.values())
@@ -399,8 +414,7 @@ def run_invariance(cfg: ExperimentConfig, negative_control: bool = True) -> dict
     }
 
     if negative_control:
-        broken = CounterTable(grid, scale=2.0)
-        stats_b = _drift_zscores(samples, start, cfg, broken, cfg.delta, cfg.T,
+        stats_b = _drift_zscores(samples, start, cfg, 2.0 * c_obs, c_obs, cfg.delta, cfg.T,
                                  seed=cfg.master_seed + 3)
         zmax_b = max(abs(s["z"]) for s in stats_b.values())
         results["negative_control"] = stats_b
@@ -439,12 +453,10 @@ def run_gaussian_exactness(K: int = 4, a2: float = 0.5, seed: int = 0,
             for k in modes:
                 chain_vals[k].append(abs(state.phi.get_mode(*k)) ** 2)
 
-    counters = CounterTable(grid)
     sde_vals = {k: [] for k in modes}
     scfg = SolverConfig(delta=delta, T=T, record_every=10**9)
     for i in range(n_traj):
-        traj = stationary_solve(SpectralField.zero(grid), substream(seed, i, 1),
-                                scfg, P, counters=counters)
+        traj = stationary_solve(SpectralField.zero(grid), substream(seed, i, 1), scfg, P)
         for k in modes:
             sde_vals[k].append(abs(traj.X[-1].get_mode(*k)) ** 2)
 
@@ -491,17 +503,16 @@ def run_regularity(cfg: ExperimentConfig, n_runs: int = 100) -> dict:
     grid = TorusGrid(16, max_degree=max(cfg.dealiasing_degree, 4))
     part = build_partition(grid)
     P = cfg.polynomial()
-    counters = CounterTable(grid)
     T, delta = 0.1, 1e-3
+    c_CT = counterterm_C(grid) + counterterm_t(grid, T)  # the variance of Z(T)
     scfg = SolverConfig(delta=delta, T=T, record_every=10**9)
     a_z, a_z2, a_y = [], [], []
     rows = []
     for i in range(n_runs):
-        traj = solve(None, None, substream(cfg.master_seed, i, 1), scfg, P,
-                     counters=counters, grid=grid)
+        traj = solve(None, None, substream(cfg.master_seed, i, 1), scfg, P, grid=grid)
         Z = traj.zbar[-1]
         Y = traj.Y[-1]
-        z2 = wick_power(Z, 2, counters.c_Ct(T))
+        z2 = wick_power(Z, 2, c_CT)
         az, rz = regularity_estimate(Z, part)
         az2, _ = regularity_estimate(z2, part)
         ay, ry = regularity_estimate(Y, part)
@@ -544,7 +555,6 @@ def run_equivalence(cfg: ExperimentConfig) -> dict:
     """
     grid = TorusGrid(8, max_degree=max(cfg.dealiasing_degree, 4))
     P = cfg.polynomial()
-    counters = CounterTable(grid)
     T = 0.2
     deltas = (4e-3, 2e-3, 1e-3)
     fine = deltas[-1] / 8.0
@@ -553,18 +563,16 @@ def run_equivalence(cfg: ExperimentConfig) -> dict:
     z0 = sample_stationary(grid, substream(cfg.master_seed, 0, 0))
     z1_init = sample_stationary(grid, substream(cfg.master_seed, 0, 2))
 
-    ref = solve_alternative_splitting(
-        z0, path, SolverConfig(delta=fine, T=T, record_every=10**9), P,
-        counters=counters, stationary_init=z1_init)
+    # the stationary-reference splitting: Y(0) = z0 - z1, rough part started at z1
+    ref = solve(z0 - z1_init, z1_init, path, SolverConfig(delta=fine, T=T, record_every=10**9), P)
 
     gaps, coupled = [], []
     relation_defect = 0.0
     for delta in deltas:
         cpath = path.coarsen(round(delta / fine))
         scfg = SolverConfig(delta=delta, T=T, record_every=10**9)
-        ta = solve(None, z0, cpath, scfg, P, counters=counters)
-        tb = solve_alternative_splitting(z0, cpath, scfg, P, counters=counters,
-                                         stationary_init=z1_init)
+        ta = solve(None, z0, cpath, scfg, P)
+        tb = solve(z0 - z1_init, z1_init, cpath, scfg, P)
         gaps.append(float(np.sqrt(np.sum(np.abs(ta.X[-1].coeffs - ref.X[-1].coeffs) ** 2))))
         coupled.append(float(np.max(np.abs(ta.X[-1].coeffs - tb.X[-1].coeffs))))
         # the defining relation between the two remainders, checked directly

@@ -9,12 +9,13 @@ update over a step of size delta uses the exact transition law
     z_k <- e^{-lambda_k delta} z_k + xi_k sqrt((1 - e^{-2 lambda_k delta}) / (2 lambda_k)),
 
 so Z carries no time-discretization error and all counterterm identities
-hold deterministically per sample.
+hold deterministically per sample.  `ou_step(z, delta, rng)` takes that
+step and returns the new field; the solver keeps the time.
 
-Counterterms are exact lattice mode sums:
+The towers below read the exact lattice mode sums of `wick` as floats:
 
-    c_C      = (2 pi)^{-2} sum_k 1/(2 lambda_k)            (stationary law)
-    c_t(t)   = -(2 pi)^{-2} sum_k e^{-2 lambda_k t}/(2 lambda_k)
+    c_C      = (2 pi)^{-2} sum_k 1/(2 lambda_k)            (counterterm_C(grid))
+    c_t(t)   = -(2 pi)^{-2} sum_k e^{-2 lambda_k t}/(2 lambda_k)   (counterterm_t(grid, t))
     c_{C_t}  = c_C + c_t(t)                                 (law of Z(t) from 0)
 
 Seed convention: trajectory i of an ensemble uses streams derived from
@@ -24,14 +25,13 @@ noise, so runs that differ only in initialization share the Wiener path.
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
 from .grid import SpectralField, TorusGrid, apply_semigroup
-from .wick import WickTower, binomial_fold, counterterm_C, hermite_tower_values
+from .wick import WickTower, binomial_fold, counterterm_C, counterterm_t, hermite_tower_values
 
 
 def substream(master_seed: int, trajectory: int, role: int) -> np.random.Generator:
@@ -86,65 +86,26 @@ def step_constants(grid: TorusGrid, delta: float, drift_scale: float = 1.0) -> S
     return StepConstants(decay, sigma, weight)
 
 
-@dataclass
-class OUState:
-    """State of the stochastic convolution: time, field, and its noise stream."""
-
-    t: float
-    z: SpectralField
-    rng: np.random.Generator
-
-    @classmethod
-    def initial(cls, grid: TorusGrid, rng: np.random.Generator) -> "OUState":
-        return cls(t=0.0, z=SpectralField.zero(grid), rng=rng)
-
-
-def ou_step(state: OUState, delta: float) -> OUState:
-    """Advance the stochastic convolution by its exact transition law."""
+def ou_step(z: SpectralField, delta: float, rng: np.random.Generator) -> SpectralField:
+    """Advance the stochastic convolution z by one step of its exact transition law."""
     if delta <= 0:
         raise DomainError(f"step size must be > 0, got {delta}")
-    grid = state.z.grid
+    grid = z.grid
     decay, sigma, _ = step_constants(grid, delta)
-    xi = hermitian_normals(grid, state.rng)
-    coeffs = decay * state.z.coeffs + sigma * xi
-    return OUState(t=state.t + delta, z=SpectralField(grid, coeffs), rng=state.rng)
+    return SpectralField(grid, decay * z.coeffs + sigma * hermitian_normals(grid, rng))
 
 
-class CounterTable:
-    """Counterterms of the truncated dynamics: c_C, c_t(t), c_{C_t}(t), as floats.
-
-    All three are exact mode sums times `scale` (2 for the negative control
-    of the invariance suite).  At scale 1, c_C = counterterm_C, c_t is
-    nonpositive, nondecreasing, c_t(0) = -c_C and c_t -> 0 at large times.
-    """
-
-    def __init__(self, grid: TorusGrid, scale: float = 1.0):
-        self.grid = grid
-        self.scale = float(scale)
-        self._mode_variance = 1.0 / (2.0 * grid.lam)
-        self._norm = 1.0 / (2.0 * np.pi) ** 2
-        self.c_C = self.scale * counterterm_C(grid)
-
-    def c_t(self, t: float) -> float:
-        if t < 0:
-            raise DomainError(f"time must be >= 0, got {t}")
-        c = -float(np.sum(np.exp(-2.0 * self.grid.lam * t) * self._mode_variance)) * self._norm
-        return self.scale * c
-
-    def c_Ct(self, t: float) -> float:
-        return self.c_C + self.c_t(t)
-
-
-def ct_tower(z: SpectralField, t: float, counters: CounterTable, n_orders: int) -> WickTower:
+def ct_tower(z: SpectralField, t: float, n_orders: int) -> WickTower:
     """Tower of Z(t) Wick-ordered with respect to its own law C_t."""
     grid = z.grid
     grid.assert_product_degree(max(n_orders - 1, 1))
     values = grid.coeffs_to_values(z.coeffs)
-    raw = hermite_tower_values(values, counters.c_Ct(t), n_orders)
-    return WickTower(grid=grid, t=t, kind="C_t", counterterm=counters.c_Ct(t), raw=raw)
+    c_Ct = counterterm_C(grid) + counterterm_t(grid, t)
+    raw = hermite_tower_values(values, c_Ct, n_orders)
+    return WickTower(grid=grid, t=t, kind="C_t", counterterm=c_Ct, raw=raw)
 
 
-def convert_tower(tower: WickTower, counters: CounterTable) -> WickTower:
+def convert_tower(tower: WickTower) -> WickTower:
     """Reorder a C_t tower with respect to the stationary covariance C:
 
         :Z^n:_C = sum_l c_t^l n!/((n-2l)! l! 2^l) :Z^{n-2l}:_{C_t}.
@@ -153,7 +114,7 @@ def convert_tower(tower: WickTower, counters: CounterTable) -> WickTower:
     """
     if tower.kind != "C_t":
         raise ConfigurationError(f"convert_tower expects a C_t tower, got kind {tower.kind!r}")
-    ct = counters.c_t(tower.t)
+    ct = counterterm_t(tower.grid, tower.t)
     raw = np.empty_like(tower.raw)
     for n in range(tower.n_orders):
         acc = np.zeros_like(tower.raw[0])
@@ -164,17 +125,12 @@ def convert_tower(tower: WickTower, counters: CounterTable) -> WickTower:
             acc += coeff * tower.raw[n - 2 * l]
         raw[n] = acc
     return WickTower(
-        grid=tower.grid, t=tower.t, kind="C", counterterm=counters.c_C, raw=raw
+        grid=tower.grid, t=tower.t, kind="C", counterterm=counterterm_C(tower.grid), raw=raw
     )
 
 
-def build_tower(
-    z: SpectralField,
-    z0: SpectralField | None,
-    t: float,
-    counters: CounterTable,
-    n_orders: int,
-) -> WickTower:
+def build_tower(z: SpectralField, z0: SpectralField | None, t: float,
+                n_orders: int) -> WickTower:
     """Tower of zbar(t) = Z(t) + e^{tA} z0, Wick-ordered w.r.t. C.
 
     Route: order Z against its own law C_t, convert to C, then fold in the
@@ -183,14 +139,14 @@ def build_tower(
         :zbar^n: = sum_k C(n, k) V^{n-k} :Z^k:_C,   V = e^{tA} z0.
     """
     grid = z.grid
-    base = convert_tower(ct_tower(z, t, counters, n_orders), counters)
+    base = convert_tower(ct_tower(z, t, n_orders))
     if z0 is None:
         return base
     if z0.grid != grid:
         raise ConfigurationError("initial datum lives on a different grid")
     v = grid.coeffs_to_values(apply_semigroup(z0, t).coeffs)
     raw = np.stack([binomial_fold(v, base.raw, n) for n in range(n_orders)])
-    return WickTower(grid=grid, t=t, kind="C", counterterm=counters.c_C, raw=raw)
+    return WickTower(grid=grid, t=t, kind="C", counterterm=base.counterterm, raw=raw)
 
 
 class OUNoisePath:

@@ -24,6 +24,12 @@ which is unconditionally stable and treats the linear part exactly.  Z
 advances by its exact transition law, so the only scheme error is the
 frozen-nonlinearity error in Y.
 
+The same `solve` runs both splittings of X.  With Y(0) = 0 and
+zbar(0) = z it is the splitting of Da Prato and Debussche, whose rough part
+starts at the datum; with Y(0) = z - z1 and zbar(0) = z1 for a stationary
+sample z1 (`solve(z - z1, z1, ...)`) it is the stationary-reference
+splitting.  Both reconstruct the same X, which `run_equivalence` checks.
+
 Y, Z, zbar and the samples of zbar live on the compute grid of the
 caller's grid (`TorusGrid.compute_grid`), the smallest one on which the
 step is exact; records move the coefficients back onto the caller's grid,
@@ -38,14 +44,17 @@ with the literal coefficients (drift_scale = 1), which is what the
 deterministic scheme tests exercise.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import BlowUpError, ConfigurationError, NonContractionError
 from .grid import SpectralField, TorusGrid, apply_semigroup
-from .ou import CounterTable, OUNoisePath, OUState, ou_step, step_constants, substream
-from .wick import PolynomialSpec, _c_value, _hermite_orders, wick_nonlinearity_values
+from .ou import OUNoisePath, ou_step, step_constants, substream
+from .wick import (
+    PolynomialSpec, _c_value, _hermite_orders, counterterm_C, wick_nonlinearity_values,
+)
 
 BLOWUP_THRESHOLD = 1e8  # a step whose coefficients exceed this in modulus blows up
 
@@ -65,7 +74,10 @@ class SolverConfig:
 
     @property
     def n_steps(self) -> int:
-        n = round(self.T / self.delta)
+        ratio = self.T / self.delta
+        if not math.isfinite(ratio):
+            raise ConfigurationError(f"T/delta = {self.T}/{self.delta} is not a finite step count")
+        n = round(ratio)
         if abs(n * self.delta - self.T) > 1e-9 * self.T:
             raise ConfigurationError(
                 f"T={self.T} is not an integer multiple of delta={self.delta}"
@@ -77,8 +89,10 @@ class SolverConfig:
 class Trajectory:
     """Recorded snapshots and observables of one run.
 
-    The reconstruction X = Y + zbar holds by construction; `reconstruction_defect`
-    re-verifies it from independently recombined snapshots.
+    Each recorded X is formed as Y + zbar, so `reconstruction_defect`, the
+    largest |X - Y - zbar| over the records, measures only the rounding of
+    that sum; the `identities` suite checks X - Y against a zbar rebuilt
+    from the noise path instead.
     """
 
     grid: TorusGrid
@@ -159,9 +173,9 @@ def _as_noise(grid: TorusGrid, noise, cfg: SolverConfig):
 
 
 class _Recorder:
-    def __init__(self, grid: TorusGrid, counters: CounterTable):
+    def __init__(self, grid: TorusGrid, c: float):
         self.grid = grid
-        self.c = counters.c_C
+        self.c = c
         self.times = []
         self.Y = []
         self.X = []
@@ -192,15 +206,16 @@ class _Recorder:
         )
 
 
-def _run(grid, cfg, P, counters, Y0, z_init_datum, noise):
+def _run(grid, cfg, P, Y0, z_init_datum, noise, c=None):
     """The loop of every solve: step Y against the samples of
     zbar = Z + e^{tA} z on the compute grid, advance Z, and record
-    X = Y + zbar on `grid`.  A step whose Y is not finite or exceeds
-    `BLOWUP_THRESHOLD` raises `BlowUpError` with its start time and Y there."""
+    X = Y + zbar on `grid`, all with counterterm c (default c_C of `grid`).
+    A step whose Y is not finite or exceeds `BLOWUP_THRESHOLD` raises
+    `BlowUpError` with its start time and Y there."""
     rng, path = _as_noise(grid, noise, cfg)
     cgrid = grid.compute_grid(P.degree if P is not None else 2)
-    c = counters.c_C
-    rec = _Recorder(grid, counters)
+    c = _c_value(counterterm_C(grid) if c is None else c)
+    rec = _Recorder(grid, c)
     Z = SpectralField.zero(cgrid)
     Y = SpectralField(cgrid, Y0.coeffs.copy())
     v = SpectralField(cgrid, z_init_datum.coeffs) if z_init_datum is not None else None
@@ -218,7 +233,7 @@ def _run(grid, cfg, P, counters, Y0, z_init_datum, noise):
         if not np.all(np.isfinite(new.coeffs)) or np.max(np.abs(new.coeffs)) > BLOWUP_THRESHOLD:
             raise BlowUpError(t=t, last_state=SpectralField(grid, Y.coeffs))
         Y = new
-        Z = path.step(Z, n) if path is not None else ou_step(OUState(t, Z, rng), cfg.delta).z
+        Z = path.step(Z, n) if path is not None else ou_step(Z, cfg.delta, rng)
         t_next = (n + 1) * cfg.delta
         zbar = zbar_at(t_next)
         zbar_values = cgrid.coeffs_to_values(zbar.coeffs)
@@ -228,9 +243,10 @@ def _run(grid, cfg, P, counters, Y0, z_init_datum, noise):
 
 
 def solve(y0, z0, noise, cfg: SolverConfig, P: PolynomialSpec,
-          counters: CounterTable | None = None,
-          grid: TorusGrid | None = None) -> Trajectory:
-    """Integrate the shifted equation with zbar = Z + e^{tA} z0, X = Y + zbar."""
+          c: float | None = None, grid: TorusGrid | None = None) -> Trajectory:
+    """Integrate the shifted equation with Y(0) = y0 (default 0) and
+    zbar = Z + e^{tA} z0, X = Y + zbar, Wick-ordered with counterterm c
+    (default `counterterm_C(grid)`)."""
     if grid is None:
         grid = y0.grid if y0 is not None else (z0.grid if z0 is not None else None)
     if grid is None:
@@ -239,31 +255,11 @@ def solve(y0, z0, noise, cfg: SolverConfig, P: PolynomialSpec,
         y0 = SpectralField.zero(grid)
     if z0 is not None and z0.grid != grid:
         raise ConfigurationError("y0 and z0 live on different grids")
-    counters = counters or CounterTable(grid)
-    return _run(grid, cfg, P, counters, y0, z0, noise)
-
-
-def solve_alternative_splitting(z0, noise, cfg: SolverConfig, P: PolynomialSpec,
-                                counters: CounterTable | None = None, *,
-                                stationary_init: SpectralField) -> Trajectory:
-    """The stationary-reference splitting of the same dynamics.
-
-    Here the rough part is the stationary process Z1(t) = e^{tA} Z1(0) + Z(t)
-    with Z1(0) = `stationary_init` (a free-field sample), and the remainder
-    solves the shifted equation driven by the Wick powers of Z1, started
-    from Y1(0) = z - Z1(0).  The reconstruction X = Y1 + Z1 solves the same
-    mild equation as `solve`, which the equivalence experiments verify.
-    """
-    if not isinstance(stationary_init, SpectralField):
-        raise ConfigurationError("stationary_init must be a SpectralField")
-    grid = z0.grid
-    counters = counters or CounterTable(grid)
-    y1_0 = z0 - stationary_init
-    return _run(grid, cfg, P, counters, y1_0, stationary_init, noise)
+    return _run(grid, cfg, P, y0, z0, noise, c)
 
 
 def stationary_solve(eta, noise, cfg: SolverConfig, P: PolynomialSpec,
-                     counters: CounterTable | None = None) -> Trajectory:
+                     c: float | None = None) -> Trajectory:
     """Measure-preserving dynamics started from eta (typically a Gibbs sample).
 
     The rough part is the zero-initial convolution Z with C-ordered Wick
@@ -272,10 +268,8 @@ def stationary_solve(eta, noise, cfg: SolverConfig, P: PolynomialSpec,
     exp(-integral :q:) relative to the mode-variance-1/(2 lambda) free
     measure under unit cylindrical noise.
     """
-    grid = eta.grid
-    counters = counters or CounterTable(grid)
     cfg = replace(cfg, drift_scale=0.5 * cfg.drift_scale)
-    return _run(grid, cfg, P, counters, eta, None, noise)
+    return _run(eta.grid, cfg, P, eta, None, noise, c)
 
 
 def picard_solve(y0, zbar_values: list, c: float, delta: float, P: PolynomialSpec,

@@ -153,6 +153,18 @@ def counterterm_C(grid: TorusGrid) -> float:
     return float(np.sum(1.0 / (2.0 * grid.lam))) / (2.0 * np.pi) ** 2
 
 
+def counterterm_t(grid: TorusGrid, t: float) -> float:
+    """c_t(t) = -(2 pi)^{-2} sum_k e^{-2 lambda_k t}/(2 lambda_k), the shift from the
+    stationary variance c_C to the variance c_C + c_t(t) of Z(t) started at 0.
+
+    Nonpositive and nondecreasing in t, with c_t(0) = -c_C and c_t -> 0.
+    """
+    if t < 0:
+        raise DomainError(f"time must be >= 0, got {t}")
+    return -float(np.sum(np.exp(-2.0 * grid.lam * t) * (1.0 / (2.0 * grid.lam)))) * (
+        1.0 / (2.0 * np.pi) ** 2)
+
+
 @dataclass
 class WickTower:
     """The family {:zbar^j:}_{j=0..n_orders-1} at one time point.

@@ -1,13 +1,16 @@
 import concurrent.futures
+import copy
 import json
 import os
 import subprocess
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wickflow import __version__, cli, experiments
+from wickflow import __version__, cli, experiments, solver
 from wickflow.cli import main
-from wickflow.errors import ConfigurationError, WarmupError
+from wickflow.errors import ConfigurationError, DomainError, WarmupError
 from wickflow.experiments import ExperimentConfig
 
 
@@ -92,13 +95,24 @@ def test_unknown_section_exit_2(tmp_path):
     {"polynomial": {"a": 0.25}},
     {"output": {"formats": "csv"}},
     {"output": {"dir": 5}},
+    {"solver": {"T": 1e300, "delta": 1e-300}},  # once an OverflowError traceback
+    {"solver": {"T": 1.0, "delta": 0.3}},       # once made the out dir, then exited 2
+    {"solver": {"record_every": 0}},
+    {"sampler": {"burn_in": -5}},               # once ran and exited 0
+    {"sampler": {"thinning": 0}},
+    {"ensemble": {"master_seed": -1}},          # once a ValueError traceback
+    {"solver": {"T": 10**400}},                 # once an OverflowError traceback
+    {"polynomial": {"a": [0, 0, 0, 0, 10**400]}},
 ], ids=["unknown-key", "infinite-T", "nan-K", "negative-threads", "section-not-object",
         "fractional-K", "string-K", "fractional-n_traj", "bool-K", "float-threads",
         "float-burn_in", "string-seed", "string-T", "bool-rho", "string-coefficient",
-        "scalar-a", "string-formats", "integer-dir"])
+        "scalar-a", "string-formats", "integer-dir", "overflowing-step-count",
+        "T-not-a-multiple-of-delta", "zero-record_every", "negative-burn_in", "zero-thinning",
+        "negative-seed", "huge-integer-T", "huge-integer-coefficient"])
 def test_invalid_config_exit_2(tmp_path, data):
     cfg = write_config(tmp_path / "c.json", data)
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    command = "gibbs" if "sampler" in data else "simulate"  # the command that reads the keys
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--threads", "1"]) == 2
     assert not (tmp_path / "out").exists()
 
 
@@ -109,8 +123,7 @@ def test_threads_flag_below_one_exit_2(tmp_path):
 def test_invariance_with_one_trajectory_exit_2(tmp_path):
     # one paired drift has no standard error; this once reported FAIL (exit 1)
     cfg = write_config(tmp_path / "c.json", {
-        "grid": {"K": 2}, "ensemble": {"n_traj": 1},
-        "sampler": {"n_steps": 200, "burn_in": 100, "thinning": 10},
+        "grid": {"K": 2}, "ensemble": {"n_traj": 1}, "sampler": {"burn_in": 100, "thinning": 10},
     })
     out = tmp_path / "out"
     assert main(["invariance", "--config", cfg, "--out", str(out), "--threads", "1"]) == 2
@@ -191,26 +204,128 @@ def test_version_string_runs_git_once_per_process(monkeypatch):
     assert reports[0]["version"] == reports[1]["version"] == f"wickflow {__version__} (abc123)"
 
 
+# a valid value of each config key
+KEY_VALUES = {
+    "grid.K": 4, "grid.dealiasing_degree": 4, "polynomial.N": 2, "polynomial.a": [0, 0, 0, 0, 0.5],
+    "solver.delta": 0.01, "solver.T": 0.5, "solver.record_every": 3,
+    "sampler.rho": 0.9, "sampler.n_steps": 500, "sampler.burn_in": 10, "sampler.thinning": 2,
+    "ensemble.n_traj": 3, "ensemble.master_seed": 5, "output.dir": "elsewhere",
+    "output.formats": ["csv"],
+}
+
+
+def config_of(keys):
+    data = {}
+    for name in keys:
+        section, key = name.split(".")
+        data.setdefault(section, {})[key] = KEY_VALUES[name]
+    return data
+
+
 @pytest.mark.parametrize("command, flag", [
     ("gibbs", "--dt"),
     ("gibbs", "solver.delta"),
     *((command, flag) for command in ("identities", "regularity", "equivalence", "wick-convergence")
       for flag in ("--k", "--dt", "grid.K", "solver.delta")),
+    ("identities", "solver.T"),
+    ("identities", "solver.record_every"),
+    ("identities", "sampler.rho"),
+    ("identities", "polynomial.a"),
+    ("identities", "output.formats"),
+    ("simulate", "sampler.rho"),
+    ("simulate", "sampler.burn_in"),
+    ("gibbs", "solver.T"),
+    ("gibbs", "ensemble.n_traj"),
+    ("invariance", "sampler.n_steps"),
+    ("invariance", "solver.record_every"),
+    ("invariance", "output.formats"),
+    ("regularity", "ensemble.n_traj"),
+    ("equivalence", "solver.T"),
+    ("wick-convergence", "polynomial.a"),
+    ("wick-convergence", "grid.dealiasing_degree"),
 ])
 def test_flag_a_command_ignores_exit_2(tmp_path, capsys, command, flag):
-    # these commands fix their own K or step; the flag, or the config key it
-    # overrides, once ran and was dropped silently (the report still named it)
+    # the command never reads the key: the flag, or the config key, once ran
+    # and was dropped silently (the report still named it)
     out = tmp_path / "out"
     if flag.startswith("--"):
         args = [flag, "4" if flag == "--k" else "0.01"]
     else:
-        section, key = flag.split(".")
-        data = {section: {key: 4 if key == "K" else 0.01}}
-        args = ["--config", write_config(tmp_path / "c.json", data)]
+        args = ["--config", write_config(tmp_path / "c.json", config_of([flag]))]
     assert main([command, *args, "--out", str(out), "--threads", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error") and flag in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_every_command_accepts_the_keys_it_reads(tmp_path, command):
+    keys = (cli.READS[command] | cli.COMMON_KEYS) - {"threads"}
+    data = dict(config_of(sorted(keys)), threads=2)
+    argv = [command, "--config", write_config(tmp_path / "c.json", data), "--seed", "9",
+            "--out", str(tmp_path / "out")]
+    argv += ["--k", "5"] if "grid.K" in keys else []
+    argv += ["--dt", "0.05"] if "solver.delta" in keys else []
+    cfg = cli.resolve_config(cli.build_parser().parse_args(argv))  # runs nothing
+    assert cfg.master_seed == 9 and cfg.threads == 2 and cfg.out_dir == str(tmp_path / "out")
+    resolved = json.loads(json.dumps(cfg.resolved()))  # tuples as JSON lists
+    for name in keys - {"ensemble.master_seed", "output.dir", "grid.K", "solver.delta"}:
+        assert resolved[name.split(".")[1]] == KEY_VALUES[name], name
+
+
+# JSON values of every kind, with the bounds and overflows that configs have hit
+EDGES = st.sampled_from([0, -1, 1e-300, 1e300, 1.7976931348623157e308, 10**400, -10**400,
+                         float("nan"), float("inf")])
+JSON_VALUES = st.one_of(
+    st.integers(-3, 40), st.integers(), st.floats(), EDGES, st.booleans(), st.none(),
+    st.text(max_size=3),
+    st.lists(st.one_of(st.integers(-2, 3), st.floats(-1, 2), EDGES), max_size=7),
+)
+# every key, the top-level threads, whole sections and names no section has
+CONFIG_KEYS = sorted(KEY_VALUES) + ["threads", "grid", "sampler", "x", "solver.x"]
+
+
+@st.composite
+def configs(draw):
+    data = {}
+    for name in draw(st.lists(st.sampled_from(CONFIG_KEYS), max_size=6)):
+        value = draw(st.one_of(st.just(KEY_VALUES.get(name, 2)), st.integers(-3, 40),
+                               st.floats(-1.0, 2.0), JSON_VALUES))
+        section, _, key = name.partition(".")
+        if not key:
+            data[section] = value
+        elif isinstance(data.setdefault(section, {}), dict):
+            data[section][key] = value
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=configs(), command=st.sampled_from(sorted(cli.COMMANDS)),
+       flags=st.fixed_dictionaries({}, optional={
+           "--seed": st.integers(-2, 10**20), "--k": st.integers(-2, 10**20),
+           "--threads": st.integers(-2, 10**20), "--dt": st.floats()}))
+def test_config_resolution_returns_a_valid_config_or_a_config_error(
+        tmp_path_factory, data, command, flags):
+    # runs no experiment: only ExperimentConfig.from_dict and cli.resolve_config
+    path = write_config(tmp_path_factory.getbasetemp() / "fuzz.json", data)
+    argv = [command, "--config", path] + [f"{flag}={value}" for flag, value in flags.items()]
+    for resolve in (lambda: ExperimentConfig.from_dict(copy.deepcopy(data)),
+                    lambda: cli.resolve_config(cli.build_parser().parse_args(argv))):
+        try:
+            cfg = resolve()
+        except (ConfigurationError, DomainError):
+            continue
+        cfg.validate()
+        assert cfg.solver_config().n_steps >= 1 and cfg.polynomial().degree == 2 * cfg.N
+
+
+def test_identities_reconstruction_residual_sees_a_wrong_zbar(monkeypatch):
+    # the residual once compared X - Y with the zbar that X was formed from and
+    # could not fail; with no heat flow of the datum it must
+    monkeypatch.setattr(solver, "apply_semigroup", lambda z, t: z)
+    report = experiments.run_identities(ExperimentConfig())
+    assert report["results"]["max_residuals"]["reconstruction"] > 1e-10
+    assert report["pass"] is False
 
 
 def test_invariance_pool_never_outnumbers_trajectories_or_cores(monkeypatch):

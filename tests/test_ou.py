@@ -3,15 +3,14 @@ import pytest
 
 from wickflow import (
     ConfigurationError,
-    CounterTable,
     DomainError,
     OUNoisePath,
-    OUState,
     SpectralField,
     TorusGrid,
     build_tower,
     convert_tower,
     counterterm_C,
+    counterterm_t,
     ct_tower,
     ou_step,
     sample_stationary,
@@ -71,8 +70,7 @@ def test_ou_mode_variance_ito_isometry():
     vals = np.empty(n, dtype=complex)
     rng = np.random.default_rng(1)
     for i in range(n):
-        st = ou_step(OUState.initial(grid, rng), t)
-        vals[i] = st.z.get_mode(1, 0)
+        vals[i] = ou_step(SpectralField.zero(grid), t, rng).get_mode(1, 0)
     lam = 2.0
     target = (1 - np.exp(-2 * lam * t)) / (2 * lam)
     est = np.mean(np.abs(vals) ** 2)
@@ -86,8 +84,7 @@ def test_ou_stationary_limit():
     rng = np.random.default_rng(2)
     vals = np.empty(n, dtype=complex)
     for i in range(n):
-        st = ou_step(OUState.initial(grid, rng), 6.0)  # essentially stationary
-        vals[i] = st.z.get_mode(1, 1)
+        vals[i] = ou_step(SpectralField.zero(grid), 6.0, rng).get_mode(1, 1)  # about stationary
     lam = 3.0
     est = np.mean(np.abs(vals) ** 2)
     se = np.std(np.abs(vals) ** 2, ddof=1) / np.sqrt(n)
@@ -103,9 +100,8 @@ def test_ou_step_composition_in_law():
     rng = np.random.default_rng(3)
     z0 = sample_stationary(grid, rng)
     for i in range(n):
-        one[i] = ou_step(OUState(0.0, z0, rng), delta).z.get_mode(1, 0)
-        half = ou_step(OUState(0.0, z0, rng), delta / 2)
-        two[i] = ou_step(half, delta / 2).z.get_mode(1, 0)
+        one[i] = ou_step(z0, delta, rng).get_mode(1, 0)
+        two[i] = ou_step(ou_step(z0, delta / 2, rng), delta / 2, rng).get_mode(1, 0)
     for series in (one, two):
         assert abs(np.mean(series) - np.exp(-2 * delta) * z0.get_mode(1, 0)) < 4 * np.std(series) / np.sqrt(n)
     v1, v2 = np.var(one), np.var(two)
@@ -114,10 +110,8 @@ def test_ou_step_composition_in_law():
 
 
 def test_ou_step_rejects_nonpositive_delta():
-    grid = TorusGrid(1)
-    st = OUState.initial(grid, np.random.default_rng(4))
     with pytest.raises(DomainError):
-        ou_step(st, 0.0)
+        ou_step(SpectralField.zero(TorusGrid(1)), 0.0, np.random.default_rng(4))
 
 
 def test_stationary_sample_pointwise_variance():
@@ -142,7 +136,7 @@ def test_stationary_sample_mean_zero_and_ou_invariance():
     for i in range(n):
         phi = sample_stationary(grid, rng)
         before[i] = phi.get_mode(1, 0)
-        after[i] = ou_step(OUState(0.0, phi, rng), 0.25).z.get_mode(1, 0)
+        after[i] = ou_step(phi, 0.25, rng).get_mode(1, 0)
     for series in (before, after):
         se = series.std(ddof=1) / np.sqrt(n)
         assert abs(series.mean()) < 3 * se
@@ -150,54 +144,42 @@ def test_stationary_sample_mean_zero_and_ou_invariance():
     assert abs(vb - va) < 4 * np.sqrt(2.0 / n) * max(vb, va)
 
 
-def test_counter_table_single_mode_closed_form():
-    table = CounterTable(TorusGrid(0))
+def test_counterterm_t_single_mode_closed_form():
+    grid = TorusGrid(0)
     for t in (0.1, 0.5, 2.0):
-        assert table.c_t(t) == pytest.approx(-np.exp(-2 * t) / (8 * np.pi**2), rel=1e-13)
-    assert table.c_t(0.0) == pytest.approx(-table.c_C, rel=1e-14)
+        assert counterterm_t(grid, t) == pytest.approx(-np.exp(-2 * t) / (8 * np.pi**2), rel=1e-13)
+    assert counterterm_t(grid, 0.0) == pytest.approx(-counterterm_C(grid), rel=1e-14)
     with pytest.raises(DomainError):
-        table.c_t(-0.5)
+        counterterm_t(grid, -0.5)
 
 
-def test_counter_table_structure():
+def test_counterterm_t_structure():
     for K in (0, 2, 5):
-        table = CounterTable(TorusGrid(K))
-        assert table.c_Ct(0.0) == pytest.approx(0.0, abs=1e-15)
-        assert table.c_t(50.0) == pytest.approx(0.0, abs=1e-15)
-        ts = np.linspace(0.0, 3.0, 7)
-        cts = [table.c_t(t) for t in ts]
+        grid = TorusGrid(K)
+        assert counterterm_C(grid) + counterterm_t(grid, 0.0) == pytest.approx(0.0, abs=1e-15)
+        assert counterterm_t(grid, 50.0) == pytest.approx(0.0, abs=1e-15)
+        cts = [counterterm_t(grid, t) for t in np.linspace(0.0, 3.0, 7)]
         assert all(b >= a for a, b in zip(cts, cts[1:]))  # nondecreasing
         assert all(v <= 0 for v in cts)
-        for t in ts:
-            assert table.c_Ct(t) == pytest.approx(table.c_C + table.c_t(t), rel=1e-14)
 
 
-def test_counter_table_c_C_is_counterterm_C_bitwise():
+def test_counterterm_t_is_its_mode_sum_bitwise():
     for K in range(41):
         grid = TorusGrid(K)
-        assert CounterTable(grid).c_C == counterterm_C(grid), K
-
-
-def test_counter_table_scale_doubles_every_counterterm_exactly():
-    for K in (0, 3, 10):
-        grid = TorusGrid(K)
-        plain, doubled = CounterTable(grid), CounterTable(grid, scale=2.0)
-        assert doubled.c_C == 2.0 * plain.c_C
         for t in (0.0, 0.01, 0.3, 2.0):
-            assert doubled.c_t(t) == 2.0 * plain.c_t(t)
-            assert doubled.c_Ct(t) == 2.0 * plain.c_Ct(t)
+            expected = -float(np.sum(np.exp(-2.0 * grid.lam * t) * (1.0 / (2.0 * grid.lam)))) * (
+                1.0 / (2.0 * np.pi) ** 2)
+            assert counterterm_t(grid, t) == expected, (K, t)
 
 
 def test_convert_tower_low_order_identities():
     # :Z^2:_C = :Z^2:_{C_t} + c_t and :Z^3:_C = :Z^3:_{C_t} + 3 c_t Z, per sample
     grid = TorusGrid(4, max_degree=4)
-    table = CounterTable(grid)
-    rng = substream(11, 0, 1)
-    st = ou_step(OUState.initial(grid, rng), 0.2)
-    ct = table.c_t(0.2)
-    tower_ct = ct_tower(st.z, 0.2, table, 4)
-    tower_c = convert_tower(tower_ct, table)
-    zv = grid.coeffs_to_values(st.z.coeffs)
+    z = ou_step(SpectralField.zero(grid), 0.2, substream(11, 0, 1))
+    ct = counterterm_t(grid, 0.2)
+    tower_ct = ct_tower(z, 0.2, 4)
+    tower_c = convert_tower(tower_ct)
+    zv = grid.coeffs_to_values(z.coeffs)
     lhs2 = tower_c.order_values(2)
     assert np.max(np.abs(lhs2 - (tower_ct.order_values(2) + ct))) < 1e-12
     lhs3 = tower_c.order_values(3)
@@ -207,83 +189,73 @@ def test_convert_tower_low_order_identities():
 
 def test_convert_tower_zero_ct_is_identity():
     grid = TorusGrid(3, max_degree=4)
-    table = CounterTable(grid)
-    rng = substream(12, 0, 1)
     t = 60.0  # c_t(60) ~ e^{-120}: conversion degenerates to the identity
-    st = ou_step(OUState.initial(grid, rng), t)
-    tower_ct = ct_tower(st.z, t, table, 4)
-    tower_c = convert_tower(tower_ct, table)
+    tower_ct = ct_tower(ou_step(SpectralField.zero(grid), t, substream(12, 0, 1)), t, 4)
+    tower_c = convert_tower(tower_ct)
     assert np.max(np.abs(tower_c.raw - tower_ct.raw)) < 1e-12
 
 
 def test_convert_tower_requires_ct_kind():
     grid = TorusGrid(2, max_degree=4)
-    table = CounterTable(grid)
     z = sample_stationary(grid, substream(13, 0, 1))
-    tower_ct = ct_tower(z, 0.1, table, 3)
-    tower_c = convert_tower(tower_ct, table)
+    tower_c = convert_tower(ct_tower(z, 0.1, 3))
     with pytest.raises(ConfigurationError):
-        convert_tower(tower_c, table)
+        convert_tower(tower_c)
 
 
 def test_ct_tower_matches_wick_power():
     grid = TorusGrid(4, max_degree=4)
-    table = CounterTable(grid)
-    st = ou_step(OUState.initial(grid, substream(14, 0, 1)), 0.15)
-    tower = ct_tower(st.z, 0.15, table, 4)
+    z = ou_step(SpectralField.zero(grid), 0.15, substream(14, 0, 1))
+    tower = ct_tower(z, 0.15, 4)
     for n in range(4):
-        direct = wick_power(st.z, n, table.c_Ct(0.15))
+        direct = wick_power(z, n, counterterm_C(grid) + counterterm_t(grid, 0.15))
         assert np.max(np.abs(tower.order(n).coeffs - direct.coeffs)) < 1e-12 * (
             1 + np.max(np.abs(direct.coeffs)))
 
 
 def test_build_tower_zero_initial_datum():
     grid = TorusGrid(3, max_degree=4)
-    table = CounterTable(grid)
-    st = ou_step(OUState.initial(grid, substream(15, 0, 1)), 0.3)
-    with_zero = build_tower(st.z, SpectralField.zero(grid), 0.3, table, 4)
-    without = build_tower(st.z, None, 0.3, table, 4)
+    z = ou_step(SpectralField.zero(grid), 0.3, substream(15, 0, 1))
+    with_zero = build_tower(z, SpectralField.zero(grid), 0.3, 4)
+    without = build_tower(z, None, 0.3, 4)
     assert np.max(np.abs(with_zero.raw - without.raw)) < 1e-13
 
 
 def test_build_tower_constants_deterministic():
     # Z = zeta, V = v constants: order 2 equals (zeta+v)^2 - c_C exactly
     grid = TorusGrid(1, max_degree=4)
-    table = CounterTable(grid)
+    c = counterterm_C(grid)
     zeta, v = 0.8, -0.35
     t = 0.25
     z = to_spectral(RealField.constant(grid, zeta))
     z0 = to_spectral(RealField.constant(grid, v / np.exp(-t)))  # e^{tA} on k=0 is e^{-t}
-    tower = build_tower(z, z0, t, table, 3)
+    tower = build_tower(z, z0, t, 3)
     vals = tower.order_values(2)
-    expected = (zeta + v) ** 2 - table.c_C
+    expected = (zeta + v) ** 2 - c
     assert np.max(np.abs(vals - expected)) < 1e-12
-    direct = wick_power(to_spectral(RealField.constant(grid, zeta + v)), 2, table.c_C)
+    direct = wick_power(to_spectral(RealField.constant(grid, zeta + v)), 2, c)
     assert np.max(np.abs(tower.order(2).coeffs - direct.coeffs)) < 1e-12
 
 
 def test_build_tower_order_one():
     grid = TorusGrid(3, max_degree=4)
-    table = CounterTable(grid)
     rng = substream(16, 0, 1)
-    st = ou_step(OUState.initial(grid, rng), 0.4)
+    z = ou_step(SpectralField.zero(grid), 0.4, rng)
     z0 = sample_stationary(grid, rng)
-    tower = build_tower(st.z, z0, 0.4, table, 3)
-    zbar = st.z + apply_semigroup(z0, 0.4)
+    tower = build_tower(z, z0, 0.4, 3)
+    zbar = z + apply_semigroup(z0, 0.4)
     assert np.max(np.abs(tower.order(1).coeffs - zbar.coeffs)) < 1e-12
 
 
 def test_chaos_mean_zero():
     # E[:Z^n(t):_{C_t}(x)] = 0 for n = 2, 3 within 3 SE
     grid = TorusGrid(2, max_degree=4)
-    table = CounterTable(grid)
     rng = np.random.default_rng(17)
     n_samples = 2000
     t = 0.35
     stats = {2: np.empty(n_samples), 3: np.empty(n_samples)}
     for i in range(n_samples):
-        st = ou_step(OUState.initial(grid, rng), t)
-        tower = ct_tower(st.z, t, table, 4)
+        tower = ct_tower(ou_step(SpectralField.zero(grid), t, rng), t, 4)
         stats[2][i] = tower.order_values(2).mean()
         stats[3][i] = tower.order_values(3).mean()
     for n in (2, 3):
@@ -310,21 +282,20 @@ def test_time_regularity_modulus_shrinks():
     # with the time gap (trend averaged over a few paths)
     grid = TorusGrid(8, max_degree=4)
     part = build_partition(grid)
-    table = CounterTable(grid)
     spec = BesovSpec(-0.1)
     gaps = (0.08, 0.04, 0.02)
     moduli = np.zeros(len(gaps))
     n_paths = 5
     for p in range(n_paths):
         rng = substream(19, p, 1)
-        base = 0.5  # start from a well-developed state
-        st = ou_step(OUState.initial(grid, rng), base)
+        t = 0.5  # start from a well-developed state
+        z = ou_step(SpectralField.zero(grid), t, rng)
         fine = gaps[-1]
         snaps = []
         for _ in range(round(gaps[0] / fine) + 1):
-            tower = ct_tower(st.z, st.t, table, 3)
-            snaps.append((st.t, SpectralField(grid, grid.values_to_coeffs(tower.order_values(2)))))
-            st = ou_step(st, fine)
+            tower = ct_tower(z, t, 3)
+            snaps.append((t, SpectralField(grid, grid.values_to_coeffs(tower.order_values(2)))))
+            z, t = ou_step(z, fine, rng), t + fine
         for g, gap in enumerate(gaps):
             worst = 0.0
             for (t1, u1) in snaps:

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 from wickflow import (
     BlowUpError,
     ConfigurationError,
-    CounterTable,
     NonContractionError,
     OUNoisePath,
-    OUState,
     PolynomialSpec,
     RealField,
     SpectralField,
     TorusGrid,
+    counterterm_C,
     field_tower,
     sample_stationary,
     substream,
@@ -33,7 +32,6 @@ from wickflow.solver import (
     nonlinear_term,
     picard_solve,
     solve,
-    solve_alternative_splitting,
     stationary_solve,
     step,
 )
@@ -52,7 +50,7 @@ def test_nonlinear_term_quartic_structure():
     rng = substream(0, 0, 1)
     zbar = sample_stationary(grid, rng)
     Y = sample_stationary(grid, rng)
-    c = CounterTable(grid).c_C
+    c = counterterm_C(grid)
     tower = field_tower(zbar, c, 4)
     P = PolynomialSpec.quartic(0.25)
     F = nonlinear_term(Y, grid.coeffs_to_values(zbar.coeffs), P, c)
@@ -84,7 +82,7 @@ def test_nonlinear_term_collapses_to_wick_polynomial():
     grid = TorusGrid(5, max_degree=4)
     rng = substream(2, 0, 1)
     zbar, Y = sample_stationary(grid, rng), sample_stationary(grid, rng)
-    c = CounterTable(grid).c_C
+    c = counterterm_C(grid)
     P = PolynomialSpec.quartic(0.25, a2=0.3)
     F = nonlinear_term(Y, grid.coeffs_to_values(zbar.coeffs), P, c)
     direct = wick_nonlinearity(Y + zbar, P, c)
@@ -110,14 +108,14 @@ def test_nonlinear_term_is_the_recombination_of_every_tower_order(K, N, c, extra
     assert np.max(np.abs(F.coeffs - oracle.coeffs)) <= 1e-12 * (1 + np.max(np.abs(oracle.coeffs)))
 
 
-def tower_route_final_state(z0, path, cfg, P, counters):
+def tower_route_final_state(z0, path, cfg, P):
     """(Y(T), X(T)) by the paper's route: build_tower each step, then the binomial
     fold sum_k k a_k sum_l C(k-1, l) Y^l :zbar^{k-1-l}: of the shifted equation."""
     grid = z0.grid
     decay, _, weight = step_constants(grid, cfg.delta, cfg.drift_scale)
     Y, Z = SpectralField.zero(grid), SpectralField.zero(grid)
     for n in range(cfg.n_steps):
-        tower = build_tower(Z, z0, n * cfg.delta, counters, P.degree)
+        tower = build_tower(Z, z0, n * cfg.delta, P.degree)
         yv = grid.coeffs_to_values(Y.coeffs)
         F = np.zeros_like(yv)
         for k in range(1, P.degree + 1):
@@ -134,13 +132,11 @@ def tower_route_final_state(z0, path, cfg, P, counters):
 ], ids=["quartic-a2", "sextic"])
 def test_solve_matches_the_tower_route_step_by_step(P):
     grid = TorusGrid(4, max_degree=P.degree)
-    counters = CounterTable(grid)
     cfg = SolverConfig(delta=1e-3, T=0.04, record_every=7)
     path = OUNoisePath(grid, cfg.delta, cfg.n_steps, substream(21, 0, 1))
     z0 = sample_stationary(grid, substream(21, 0, 0))
-    traj = solve(None, z0, path, cfg, P, counters=counters)
-    for got, expected in zip((traj.Y[-1], traj.X[-1]),
-                             tower_route_final_state(z0, path, cfg, P, counters)):
+    traj = solve(None, z0, path, cfg, P)
+    for got, expected in zip((traj.Y[-1], traj.X[-1]), tower_route_final_state(z0, path, cfg, P)):
         scale = np.max(np.abs(expected.coeffs))
         assert np.max(np.abs(got.coeffs - expected.coeffs)) <= 1e-12 * scale
 
@@ -168,7 +164,7 @@ def test_step_constants_are_cached_and_bitwise_equal_to_inline_formulas():
     cfg = SolverConfig(delta=delta, T=1.0, drift_scale=0.3)
     expected = decay * Y.coeffs - delta * 0.3 * phi1 * nonlinear_term(Y, zv, P, 0.0).coeffs
     assert np.array_equal(step(Y, zv, 0.0, cfg, P).coeffs, expected)
-    moved = ou_step(OUState(0.0, z, substream(2, 0, 1)), delta).z.coeffs
+    moved = ou_step(z, delta, substream(2, 0, 1)).coeffs
     xi = hermitian_normals(grid, substream(2, 0, 1))
     assert np.array_equal(moved, decay * z.coeffs + sigma * xi)
     path = OUNoisePath(grid, delta, 2, rng=substream(3, 0, 1))
@@ -243,13 +239,12 @@ def test_reconstruction_identity():
 def test_recorded_observables_equal_sampler_observables_bitwise():
     grid = TorusGrid(4, max_degree=4)
     P = PolynomialSpec.quartic(0.25)
-    counters = CounterTable(grid)
     cfg = SolverConfig(delta=1e-3, T=0.02, record_every=5)
     z0 = sample_stationary(grid, substream(8, 0, 0))
-    traj = solve(None, z0, substream(8, 0, 1), cfg, P, counters=counters)
+    traj = solve(None, z0, substream(8, 0, 1), cfg, P)
     assert len(traj.X) == 5
     for i, X in enumerate(traj.X):
-        obs = observables(X, P, counters.c_C)
+        obs = observables(X, P, counterterm_C(grid))
         assert set(traj.observables) == set(obs) - {"besov"} | {"sup_Y"}
         for name in set(obs) - {"besov"}:
             assert traj.observables[name][i] == obs[name], name
@@ -280,7 +275,7 @@ def test_alternative_splitting_coupled_and_relation():
     z1 = sample_stationary(grid, substream(7, 0, 2))
     cfg = SolverConfig(delta=delta, T=T, record_every=10**9)
     ta = solve(None, z0, path, cfg, P)
-    tb = solve_alternative_splitting(z0, path, cfg, P, stationary_init=z1)
+    tb = solve(z0 - z1, z1, path, cfg, P)  # the stationary-reference splitting
     # same mild equation, same path: reconstructions agree to roundoff
     assert np.max(np.abs(ta.X[-1].coeffs - tb.X[-1].coeffs)) < 1e-11
     rel = ta.Y[-1] - (tb.Y[-1] + apply_semigroup(z1, T) - apply_semigroup(z0, T))
@@ -296,7 +291,7 @@ def test_alternative_splitting_degenerate_init():
     z0 = sample_stationary(grid, substream(8, 0, 0))
     cfg = SolverConfig(delta=delta, T=T, record_every=10)
     ta = solve(None, z0, path, cfg, P)
-    tb = solve_alternative_splitting(z0, path, cfg, P, stationary_init=z0.copy())
+    tb = solve(z0 - z0, z0.copy(), path, cfg, P)
     for a, b in zip(ta.Y, tb.Y):
         assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-12
 
@@ -410,19 +405,10 @@ def test_no_solve_builds_a_wick_tower(monkeypatch):
     runs = [
         solve(None, z0, 15, cfg, P),
         stationary_solve(z0, 15, cfg, P),
-        solve_alternative_splitting(z0, 15, cfg, P, stationary_init=z1),
+        solve(z0 - z1, z1, 15, cfg, P),
     ]
     for traj in runs:
         assert len(traj.X) == 4 and np.all(np.isfinite(traj.X[-1].coeffs))
-
-
-def test_alternative_splitting_takes_only_a_field_as_stationary_init():
-    grid = TorusGrid(2, max_degree=4)
-    z0 = sample_stationary(grid, substream(16, 0, 0))
-    cfg = SolverConfig(delta=1e-3, T=0.002)
-    with pytest.raises(ConfigurationError):
-        solve_alternative_splitting(z0, 16, cfg, PolynomialSpec.quartic(0.25),
-                                    stationary_init=substream(16, 0, 2))
 
 
 def test_solve_steps_on_the_compute_grid_and_reports_on_the_callers(monkeypatch):
