@@ -12,9 +12,13 @@ variable WICKFLOW_OUT overrides the output directory.  Every run writes
 <out>/<command>_report.json embedding the resolved config and version
 string.
 
-Exit codes: 0 success/PASS, 1 experiment reported FAIL, 2 usage or config
-error, 3 trajectory blow-up, 4 chain warm-up failure (`WarmupError`: the
-pCN acceptance of `gibbs` or `invariance` fell below 1%).
+The output directory is created before the command runs, and removed
+again if the command created it and failed before writing into it.
+
+Exit codes: 0 success/PASS, 1 experiment reported FAIL, 2 usage, config
+or output error (an output directory or file that cannot be written),
+3 trajectory blow-up, 4 chain warm-up failure (`WarmupError`: the pCN
+acceptance of `gibbs` or `invariance` fell below 1%).
 """
 
 import argparse
@@ -143,16 +147,9 @@ def _print_report(report: dict) -> None:
         print(f"  => {'PASS' if report['pass'] else 'FAIL'}")
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(command: str, cfg: ExperimentConfig) -> int:
     try:
-        cfg = resolve_config(args)
-    except (ConfigurationError, DomainError, OSError, json.JSONDecodeError) as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    try:
-        report = COMMANDS[args.command](cfg)
+        report = COMMANDS[command](cfg)
     except WarmupError as err:
         print(f"error: {err}", file=sys.stderr)
         return 4
@@ -162,12 +159,31 @@ def main(argv=None) -> int:
     except BlowUpError as err:
         print(f"blow-up: {err}", file=sys.stderr)
         return 3
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, f"{args.command.replace('-', '_')}_report.json")
+    path = os.path.join(cfg.out_dir, f"{command.replace('-', '_')}_report.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, default=str)
     _print_report(report)
     return 0 if (report["pass"] is None or report["pass"]) else 1
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        cfg = resolve_config(args)
+    except (ConfigurationError, DomainError, OSError, json.JSONDecodeError) as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return 2
+    fresh = not os.path.isdir(cfg.out_dir)
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)  # before the command, which may run for long
+        code = _run(args.command, cfg)
+    except OSError as err:
+        print(f"output error: {err}", file=sys.stderr)
+        code = 2
+    if code and fresh and os.path.isdir(cfg.out_dir) and not os.listdir(cfg.out_dir):
+        os.rmdir(cfg.out_dir)  # a failed command leaves no empty output directory behind
+    return code
 
 
 if __name__ == "__main__":

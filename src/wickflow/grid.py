@@ -125,16 +125,19 @@ class TorusGrid:
         """Window coefficients -> real samples on the fine M x M grid.
 
         Equals Re of the full inverse FFT of the zero-padded window, for any
-        complex input; only the columns ky = 0..K are transformed.
+        complex input; only the columns ky = 0..K are transformed.  Leading
+        axes are a batch: each (2K+1, 2K+1) slice is transformed on its own,
+        and its samples are bitwise those of the unbatched call.
         """
         K, L = self.K, self.L
-        half = np.zeros((self.M, K + 1), dtype=np.complex128)
-        half[self._rows, 0] = coeffs[:, 0] * (1.0 / L)
+        half = np.zeros(coeffs.shape[:-2] + (self.M, K + 1), dtype=np.complex128)
+        half[..., self._rows, 0] = coeffs[..., 0] * (1.0 / L)
         # the imaginary part of the ky = 0 output is dropped by irfft; the
         # columns ky > 0 carry k and -k together as the Hermitian part
-        half[self._rows, 1:] = (coeffs[:, 1:K + 1] + np.conj(coeffs[self._neg, :K:-1])) * (0.5 / L)
-        half = np.fft.ifft(half, axis=0, norm="forward")
-        return np.fft.irfft(half, n=self.M, axis=1, norm="forward")
+        half[..., self._rows, 1:] = (coeffs[..., 1:K + 1]
+                                     + np.conj(coeffs[..., self._neg, :K:-1])) * (0.5 / L)
+        half = np.fft.ifft(half, axis=-2, norm="forward")
+        return np.fft.irfft(half, n=self.M, axis=-1, norm="forward")
 
     def values_to_coeffs(self, values: np.ndarray) -> np.ndarray:
         """Real samples -> coefficients on the retained window.

@@ -46,18 +46,33 @@ def hermitian_normals(grid: TorusGrid, rng: np.random.Generator) -> np.ndarray:
     entry comes out real with unit variance.
     """
     n = 2 * grid.K + 1
-    draws = rng.standard_normal((2, n, n))  # the stream of two (n, n) draws, real then imag
-    raw = np.empty((n, n), dtype=np.complex128)
-    raw.real = draws[0]
-    raw.imag = draws[1]
+    return symmetrize_normals(grid, rng.standard_normal((2, n, n)))
+
+
+def symmetrize_normals(grid: TorusGrid, draws: np.ndarray) -> np.ndarray:
+    """`hermitian_normals` of given real draws of shape (..., 2, n, n).
+
+    draws[..., 0, :, :] are the real parts and draws[..., 1, :, :] the
+    imaginary parts, in the order the stream gives them; leading axes are a
+    batch, and each slice equals the unbatched result bitwise.
+    """
+    n = 2 * grid.K + 1
+    raw = np.empty(draws.shape[:-3] + (n, n), dtype=np.complex128)
+    raw.real = draws[..., 0, :, :]
+    raw.imag = draws[..., 1, :, :]
     raw *= math.sqrt(0.5)
-    return (raw + np.conj(raw.ravel()[grid._neg_flat].reshape(n, n))) * math.sqrt(0.5)
+    mirror = raw.reshape(raw.shape[:-2] + (n * n,)).take(grid._neg_flat, axis=-1)
+    return (raw + np.conj(mirror.reshape(raw.shape))) * math.sqrt(0.5)
+
+
+def stationary_std(grid: TorusGrid) -> np.ndarray:
+    """Per-mode std of the truncated free field, sqrt(1/(2 lambda_k))."""
+    return np.sqrt(1.0 / (2.0 * grid.lam))
 
 
 def sample_stationary(grid: TorusGrid, rng: np.random.Generator) -> SpectralField:
     """Exact sample of the truncated free field: mode k has std sqrt(1/(2 lambda_k))."""
-    sigma = np.sqrt(1.0 / (2.0 * grid.lam))
-    return SpectralField(grid, sigma * hermitian_normals(grid, rng))
+    return SpectralField(grid, stationary_std(grid) * hermitian_normals(grid, rng))
 
 
 class StepConstants(NamedTuple):

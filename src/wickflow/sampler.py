@@ -13,60 +13,117 @@ case (V = 0) the chain is exactly an AR(1) in every mode.
 
 V is evaluated on the compute grid of the chain's grid, where its
 quadrature is exact; samples and their observables stay on the chain's grid.
+
+Draws.  Each proposal takes from the chain's rng two (n, n) standard
+normals (the real and imaginary parts of xi, as `sample_stationary`
+draws them) and then one uniform, whether or not it is accepted.  The
+draws do not depend on the state, so the chain takes them `BLOCK`
+proposals ahead, in that order, and symmetrizes and transforms a block's
+xi in one batched call each; proposal coefficients, and so the samples,
+are bitwise those of drawing per proposal.  A step runs no transform:
+the state carries phi's samples on the compute grid, and by linearity a
+proposal's samples are sqrt(1 - rho^2) v(phi) + rho v(xi).  V(phi') thus
+differs from the action of a fresh transform of phi' at rounding level,
+as moving V to the compute grid did.  After a chain, its rng has
+advanced to the end of the last block drawn.
 """
 
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .besov import BesovSpec, besov_norm, build_partition
 from .errors import ConfigurationError, DomainError
-from .grid import SpectralField, TorusGrid
-from .ou import sample_stationary
+from .grid import RealField, SpectralField, TorusGrid
+from .ou import sample_stationary, stationary_std, symmetrize_normals
 from .solver import field_observables
 from .wick import _c_value, wick_action
 
 _partition_for = functools.cache(build_partition)
 MIN_ACCEPTANCE = 0.01  # below it a chain has not warmed up: the step parameter is too large
+BLOCK = 32  # proposals drawn, symmetrized and transformed together
 
 
-def _action(phi: SpectralField, P, c) -> float:
-    """V(phi), by quadrature on the compute grid of phi's grid (exact there)."""
-    if P is None:
-        return 0.0
-    return wick_action(SpectralField(phi.grid.compute_grid(P.degree), phi.coeffs), P, c)
+class _Proposals:
+    """The draws of a chain's coming proposals, taken `BLOCK` at a time.
+
+    `take()` gives the next proposal's xi (coefficients), its samples on
+    `cgrid` (None without a compute grid, i.e. in the free case) and its
+    uniform.
+    """
+
+    def __init__(self, grid: TorusGrid, cgrid: TorusGrid | None, rng: np.random.Generator):
+        n = 2 * grid.K + 1
+        self.grid, self.cgrid, self.rng = grid, cgrid, rng
+        self.std = stationary_std(grid)
+        self.draws = np.empty((BLOCK, 2, n, n))
+        self.next = BLOCK
+
+    def _refill(self):
+        self.xi = self.values = None  # the spent block goes before the next is made
+        self.u = []
+        for d in self.draws:  # per proposal: xi's normals, then its uniform
+            self.rng.standard_normal(out=d)
+            self.u.append(self.rng.uniform())
+        self.xi = self.std * symmetrize_normals(self.grid, self.draws)
+        self.values = None if self.cgrid is None else self.cgrid.coeffs_to_values(self.xi)
+        self.next = 0
+
+    def take(self):
+        if self.next == BLOCK:
+            self._refill()
+        j = self.next
+        self.next += 1
+        return self.xi[j], None if self.values is None else self.values[j], self.u[j]
 
 
 @dataclass
 class ChainState:
+    """phi, its action V(phi) and the chain's rng and counters.
+
+    `values` are phi's samples on the compute grid where V is evaluated
+    (None in the free case, P = None); they change only on accept.
+    `proposals` holds the draws taken ahead from `rng` (see the module
+    docstring); states of one chain share it, as they share `rng`.  Build
+    a chain's first state with `initial`.
+    """
+
     phi: SpectralField
     action: float
     rng: np.random.Generator
+    proposals: _Proposals = field(repr=False, compare=False)
+    values: RealField | None = None
     accepted: int = 0
     proposed: int = 0
 
     @classmethod
     def initial(cls, phi: SpectralField, P, c, rng) -> "ChainState":
-        return cls(phi=phi, action=_action(phi, P, c), rng=rng)
+        if P is None:
+            return cls(phi, 0.0, rng, _Proposals(phi.grid, None, rng))
+        cgrid = phi.grid.compute_grid(P.degree)
+        values = RealField(cgrid, cgrid.coeffs_to_values(phi.coeffs))
+        return cls(phi, wick_action(values, P, c), rng, _Proposals(phi.grid, cgrid, rng), values)
 
 
 def pcn_step(state: ChainState, rho: float, P, c) -> tuple[ChainState, bool]:
     """One pCN proposal/accept step; returns (new state, accepted?)."""
     if not 0.0 < rho <= 1.0:
         raise DomainError(f"step parameter must lie in (0, 1], got {rho}")
-    grid = state.phi.grid
-    xi = sample_stationary(grid, state.rng)
-    prop = SpectralField(grid, math.sqrt(1.0 - rho * rho) * state.phi.coeffs + rho * xi.coeffs)
-    v_new = _action(prop, P, c)
-    log_u = math.log(state.rng.uniform())
-    accept = log_u < (state.action - v_new)
+    xi, xi_values, u = state.proposals.take()
+    gamma = math.sqrt(1.0 - rho * rho)
+    prop = SpectralField(state.phi.grid, gamma * state.phi.coeffs + rho * xi)
+    values = None
+    if state.values is not None:
+        values = RealField(state.values.grid, gamma * state.values.values + rho * xi_values)
+    v_new = wick_action(values, P, c)
+    accept = math.log(u) < (state.action - v_new)
     if accept:
-        return ChainState(prop, v_new, state.rng,
+        return ChainState(prop, v_new, state.rng, state.proposals, values,
                           state.accepted + 1, state.proposed + 1), True
-    return ChainState(state.phi, state.action, state.rng,
+    return ChainState(state.phi, state.action, state.rng, state.proposals, state.values,
                       state.accepted, state.proposed + 1), False
 
 
@@ -109,8 +166,9 @@ def run_chain(init: ChainState, n_steps: int, burn_in: int, thinning: int,
               rho: float, P, c) -> ChainResult:
     """Drive the chain, discard burn-in, thin, and report diagnostics.
 
-    Warns when acceptance drops below `MIN_ACCEPTANCE` (step parameter
-    too large for the target).
+    The acceptance rate is that of this call's `n_steps` proposals, also
+    when `init` has stepped before.  Warns when it drops below
+    `MIN_ACCEPTANCE` (step parameter too large for the target).
     """
     if n_steps <= burn_in:
         raise ConfigurationError(f"n_steps={n_steps} must exceed burn_in={burn_in}")
@@ -136,7 +194,7 @@ def run_chain(init: ChainState, n_steps: int, burn_in: int, thinning: int,
             wick2.append(h2)
             if (i - burn_in) % thinning == 0:
                 samples.append(state.phi.copy())
-    rate = state.accepted / max(state.proposed, 1)
+    rate = int(accepts.sum()) / n_steps
     if rate < MIN_ACCEPTANCE:
         warnings.warn(f"pCN acceptance rate {rate:.2%} < {MIN_ACCEPTANCE:.0%}: "
                       "step parameter too large")

@@ -130,6 +130,31 @@ def test_invariance_with_one_trajectory_exit_2(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["gibbs", "identities"])
+def test_out_dir_that_cannot_be_created_exit_2_before_the_command_runs(
+        tmp_path, capsys, monkeypatch, command):
+    # a gibbs run once finished its chain and then died with a NotADirectoryError traceback
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setitem(cli.COMMANDS, command, lambda cfg: pytest.fail("the command ran"))
+    assert main([command, "--out", str(blocker / "out"), "--threads", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_a_failed_command_removes_only_an_empty_dir_it_made(tmp_path, monkeypatch):
+    def fail(cfg):
+        raise ConfigurationError("late")
+
+    monkeypatch.setitem(cli.COMMANDS, "gibbs", fail)
+    assert main(["gibbs", "--out", str(tmp_path / "out"), "--threads", "1"]) == 2
+    assert not (tmp_path / "out").exists()
+    (tmp_path / "kept").mkdir()
+    assert main(["gibbs", "--out", str(tmp_path / "kept"), "--threads", "1"]) == 2
+    assert (tmp_path / "kept").is_dir()
+
+
 @pytest.mark.parametrize("error, code", [
     (WarmupError("acceptance below 1%"), 4),
     (ConfigurationError("a message that mentions warm-up"), 2),

@@ -264,3 +264,15 @@ def test_compute_grid_keeps_a_grid_that_is_not_larger():
     assert too_small.compute_grid(6) is too_small
     with pytest.raises(ConfigurationError):
         too_small.compute_grid(6).assert_product_degree(5)
+
+
+@pytest.mark.parametrize("K", [0, 4, 10, 32])
+def test_batched_inverse_transform_equals_each_unbatched_call_bitwise(K):
+    grid = TorusGrid(K, max_degree=3)
+    n = 2 * K + 1
+    rng = np.random.default_rng([K, 1])
+    coeffs = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+    batched = grid.coeffs_to_values(coeffs)
+    assert batched.shape == (3, grid.M, grid.M)
+    for b in range(3):
+        assert np.array_equal(batched[b], grid.coeffs_to_values(coeffs[b]))

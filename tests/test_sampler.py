@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import stats as scistats
@@ -17,6 +19,7 @@ from wickflow import (
 )
 from wickflow import sampler as sampler_module
 from wickflow.sampler import (
+    BLOCK,
     ChainState,
     ChainResult,
     gibbs_samples,
@@ -193,6 +196,98 @@ def test_chain_on_the_compute_grid_accepts_as_on_the_observation_grid(monkeypatc
     assert np.array_equal(res.accept_history, ref.accept_history)
     assert all(s.grid is grid and np.array_equal(s.coeffs, r.coeffs)
                for s, r in zip(res.samples, ref.samples))
+
+
+def oracle_chain(grid, P, c, seed, rhos):
+    """The chain drawn per proposal, each action from a fresh transform of phi'."""
+    rng = substream(seed, 0, 0)
+    phi = sample_stationary(grid, rng)
+
+    def action(u):
+        if P is None:
+            return 0.0
+        return wick_action(SpectralField(grid.compute_grid(P.degree), u.coeffs), P, c)
+
+    v = action(phi)
+    history, actions, samples = [], [], []
+    for rho in rhos:
+        xi = sample_stationary(grid, rng)
+        prop = SpectralField(grid, math.sqrt(1.0 - rho * rho) * phi.coeffs + rho * xi.coeffs)
+        v_new = action(prop)
+        accept = math.log(rng.uniform()) < (v - v_new)
+        if accept:
+            phi, v = prop, v_new
+        history.append(accept)
+        actions.append(v)
+        samples.append(phi.coeffs)
+    return history, actions, samples
+
+
+@pytest.mark.parametrize("K, P, seed, rhos", [
+    (4, PolynomialSpec.quadratic(0.5), 3, [0.5] * 300),
+    (4, PolynomialSpec.quadratic(0.5), 7, [0.5] * 300),
+    (4, PolynomialSpec.quadratic(0.5), 910, [0.5] * 300),
+    (10, PolynomialSpec.quartic(0.25, a2=0.3), 12, [0.3] * 200),
+    (0, PolynomialSpec.quartic(1.0), 2, [0.8] * 300),
+    (3, None, 4, [0.7] * 100),
+    (4, PolynomialSpec.quartic(0.25), 5, [0.2, 0.9, 0.5, 1.0, 0.05] * 60),
+], ids=["quadratic-K4-seed3", "quadratic-K4-seed7", "quadratic-K4-seed910", "quartic-K10",
+        "quartic-K0", "free", "changing-rho"])
+def test_block_drawn_chain_equals_the_per_proposal_chain(K, P, seed, rhos):
+    grid = TorusGrid(K, max_degree=2 if P is None else P.degree)
+    c = counterterm_C(grid)
+    history, actions, samples = oracle_chain(grid, P, c, seed, rhos)
+    state = make_chain(grid, P, c, seed)
+    for i, rho in enumerate(rhos):
+        state, accept = pcn_step(state, rho, P, c)
+        assert accept == history[i], i
+        assert np.array_equal(state.phi.coeffs, samples[i]), i
+        assert abs(state.action - actions[i]) <= 1e-12 * abs(actions[i]), i
+    assert len(rhos) > 3 * BLOCK
+    if P is not None:
+        assert 0 < sum(history) < len(rhos)  # both branches ran
+
+
+@pytest.mark.parametrize("P, blocks", [(PolynomialSpec.quartic(0.25), 2), (None, 0)])
+def test_steps_transform_one_block_at_a_time(monkeypatch, P, blocks):
+    grid = TorusGrid(4, max_degree=4)
+    c = counterterm_C(grid)
+    state = make_chain(grid, P, c, 3)
+    calls = []
+    original = TorusGrid.coeffs_to_values
+    monkeypatch.setattr(TorusGrid, "coeffs_to_values",
+                        lambda self, coeffs: calls.append(coeffs.shape) or original(self, coeffs))
+    for _ in range(BLOCK + 1):
+        state, _ = pcn_step(state, 0.5, P, c)
+    assert len(calls) == blocks
+    assert all(shape[0] == BLOCK for shape in calls)
+
+
+def test_chain_rng_ends_at_the_end_of_its_last_block():
+    grid = TorusGrid(2)
+    c = counterterm_C(grid)
+    state = make_chain(grid, None, c, 5)
+    for _ in range(BLOCK + 3):
+        state, _ = pcn_step(state, 0.5, None, c)
+    ref = substream(5, 0, 0)
+    sample_stationary(grid, ref)  # phi(0), then two blocks of proposals
+    for _ in range(2 * BLOCK):
+        sample_stationary(grid, ref)
+        ref.uniform()
+    assert state.rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_continued_chain_reports_the_acceptance_of_its_own_steps():
+    grid = TorusGrid(2, max_degree=4)
+    P = PolynomialSpec.quartic(1.0)
+    c = counterterm_C(grid)
+    state = make_chain(grid, P, c, 13)
+    for _ in range(200):
+        state, _ = pcn_step(state, 1.0, P, c)
+    res = run_chain(state, 100, 0, 1, 0.1, P, c)
+    assert res.acceptance_rate == res.accept_history.sum() / 100
+    lifetime = (state.accepted + res.accept_history.sum()) / (state.proposed + 100)
+    assert abs(lifetime - res.acceptance_rate) > 0.05
 
 
 def test_observables_reference_values():
