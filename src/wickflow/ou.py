@@ -12,6 +12,18 @@ so Z carries no time-discretization error and all counterterm identities
 hold deterministically per sample.  `ou_step(z, delta, rng)` takes that
 step and returns the new field; the solver keeps the time.
 
+Noise source.  `noise_source(grid, rng, n_steps)` yields each step's
+`hermitian_normals` in stream order.  It draws S = `block_steps(grid)`
+steps with one `standard_normal((S, 2, n, n))` and one
+`symmetrize_normals` call, bitwise the per-step calls, and leaves the rng
+where they would.  S is as many steps as fit their complex normals
+(16 n^2 bytes, n = 2K + 1) in `BLOCK_BYTES` = 64 KiB, at least one: 50 at
+K = 4, 9 at K = 10, 1 at K = 32.  Above about 100 KiB, near glibc's
+128 KiB mmap threshold, a block costs more per step than single draws.
+The solver and `OUNoisePath` draw from it; the pCN proposals and
+`besov.block_norms` size their blocks by `block_steps`.  A solve that
+raises `BlowUpError` may leave its rng up to one block ahead.
+
 The towers below read the exact lattice mode sums of `wick` as floats:
 
     c_C      = (2 pi)^{-2} sum_k 1/(2 lambda_k)            (counterterm_C(grid))
@@ -37,6 +49,25 @@ from .wick import WickTower, binomial_fold, counterterm_C, counterterm_t, hermit
 def substream(master_seed: int, trajectory: int, role: int) -> np.random.Generator:
     """The documented stream-split convention: (master_seed, trajectory, role)."""
     return np.random.default_rng([int(master_seed), int(trajectory), int(role)])
+
+
+BLOCK_BYTES = 64 * 1024  # complex normals drawn at once; larger blocks cost more per step
+
+
+def block_steps(grid: TorusGrid) -> int:
+    """Steps of (2K+1)^2 complex normals that fit in `BLOCK_BYTES`, at least 1."""
+    n = 2 * grid.K + 1
+    return max(1, BLOCK_BYTES // (16 * n * n))
+
+
+def noise_source(grid: TorusGrid, rng: np.random.Generator, n_steps: int):
+    """Yield the `hermitian_normals` of n_steps steps, drawn `block_steps(grid)`
+    at a time; the last block is shorter, so exactly n_steps steps are drawn."""
+    n = 2 * grid.K + 1
+    size = block_steps(grid)
+    for start in range(0, n_steps, size):
+        draws = rng.standard_normal((min(size, n_steps - start), 2, n, n))
+        yield from symmetrize_normals(grid, draws)
 
 
 def hermitian_normals(grid: TorusGrid, rng: np.random.Generator) -> np.ndarray:
@@ -103,7 +134,7 @@ def step_constants(grid: TorusGrid, delta: float, drift_scale: float = 1.0) -> S
 
 def ou_step(z: SpectralField, delta: float, rng: np.random.Generator) -> SpectralField:
     """Advance the stochastic convolution z by one step of its exact transition law."""
-    if delta <= 0:
+    if not delta > 0:
         raise DomainError(f"step size must be > 0, got {delta}")
     grid = z.grid
     decay, sigma, _ = step_constants(grid, delta)
@@ -178,23 +209,30 @@ class OUNoisePath:
 
     def __init__(self, grid: TorusGrid, delta: float, n_steps: int,
                  rng: np.random.Generator | None = None, innovations=None):
-        if delta <= 0:
+        if not delta > 0:
             raise DomainError(f"step size must be > 0, got {delta}")
+        if n_steps < 0:
+            raise ConfigurationError(f"a noise path needs n_steps >= 0, got {n_steps}")
         self.grid = grid
         self.delta = float(delta)
         self.n_steps = int(n_steps)
+        n = 2 * grid.K + 1
         if innovations is not None:
-            self.innovations = innovations
+            self.innovations = np.asarray(innovations, dtype=np.complex128)
+            if self.innovations.shape != (self.n_steps, n, n):
+                raise ConfigurationError(f"innovations of shape {self.innovations.shape}, "
+                                         f"expected {(self.n_steps, n, n)}")
             return
         if rng is None:
             raise ConfigurationError("OUNoisePath needs an rng or explicit innovations")
         sigma = step_constants(grid, self.delta).sigma
-        n = 2 * grid.K + 1
-        self.innovations = np.empty((n_steps, n, n), dtype=np.complex128)
-        for i in range(n_steps):
-            self.innovations[i] = sigma * hermitian_normals(grid, rng)
+        self.innovations = np.empty((self.n_steps, n, n), dtype=np.complex128)
+        for i, xi in enumerate(noise_source(grid, rng, self.n_steps)):
+            self.innovations[i] = sigma * xi
 
     def coarsen(self, factor: int) -> "OUNoisePath":
+        if factor < 1:
+            raise ConfigurationError(f"coarsening factor must be >= 1, got {factor}")
         if factor == 1:
             return self
         if self.n_steps % factor != 0:

@@ -17,10 +17,12 @@ quadrature is exact; samples and their observables stay on the chain's grid.
 Draws.  Each proposal takes from the chain's rng two (n, n) standard
 normals (the real and imaginary parts of xi, as `sample_stationary`
 draws them) and then one uniform, whether or not it is accepted.  The
-draws do not depend on the state, so the chain takes them `BLOCK`
-proposals ahead, in that order, and symmetrizes and transforms a block's
-xi in one batched call each; proposal coefficients, and so the samples,
-are bitwise those of drawing per proposal.  A step runs no transform:
+draws do not depend on the state, so the chain takes them
+`ou.block_steps(grid)` proposals ahead (as many as fit xi in
+`ou.BLOCK_BYTES` = 64 KiB: 50 at K = 4, 9 at K = 10, 1 at K = 32), in
+that order, and symmetrizes and transforms a block's xi in one batched
+call each; proposal coefficients, and so the samples, are bitwise those
+of drawing per proposal.  A step runs no transform:
 the state carries phi's samples on the compute grid, and by linearity a
 proposal's samples are sqrt(1 - rho^2) v(phi) + rho v(xi).  V(phi') thus
 differs from the action of a fresh transform of phi' at rounding level,
@@ -38,29 +40,29 @@ import numpy as np
 from .besov import BesovSpec, besov_norm, build_partition
 from .errors import ConfigurationError, DomainError
 from .grid import RealField, SpectralField, TorusGrid
-from .ou import sample_stationary, stationary_std, symmetrize_normals
+from .ou import block_steps, sample_stationary, stationary_std, symmetrize_normals
 from .solver import field_observables
 from .wick import _c_value, wick_action
 
 _partition_for = functools.cache(build_partition)
 MIN_ACCEPTANCE = 0.01  # below it a chain has not warmed up: the step parameter is too large
-BLOCK = 32  # proposals drawn, symmetrized and transformed together
 
 
 class _Proposals:
-    """The draws of a chain's coming proposals, taken `BLOCK` at a time.
+    """The draws of a chain's coming proposals, taken `size` at a time.
 
-    `take()` gives the next proposal's xi (coefficients), its samples on
-    `cgrid` (None without a compute grid, i.e. in the free case) and its
-    uniform.
+    `size` is `ou.block_steps(grid)`.  `take()` gives the next proposal's
+    xi (coefficients), its samples on `cgrid` (None without a compute grid,
+    i.e. in the free case) and its uniform.
     """
 
     def __init__(self, grid: TorusGrid, cgrid: TorusGrid | None, rng: np.random.Generator):
         n = 2 * grid.K + 1
         self.grid, self.cgrid, self.rng = grid, cgrid, rng
         self.std = stationary_std(grid)
-        self.draws = np.empty((BLOCK, 2, n, n))
-        self.next = BLOCK
+        self.size = block_steps(grid)
+        self.draws = np.empty((self.size, 2, n, n))
+        self.next = self.size
 
     def _refill(self):
         self.xi = self.values = None  # the spent block goes before the next is made
@@ -73,7 +75,7 @@ class _Proposals:
         self.next = 0
 
     def take(self):
-        if self.next == BLOCK:
+        if self.next == self.size:
             self._refill()
         j = self.next
         self.next += 1
@@ -114,13 +116,12 @@ def pcn_step(state: ChainState, rho: float, P, c) -> tuple[ChainState, bool]:
         raise DomainError(f"step parameter must lie in (0, 1], got {rho}")
     xi, xi_values, u = state.proposals.take()
     gamma = math.sqrt(1.0 - rho * rho)
-    prop = SpectralField(state.phi.grid, gamma * state.phi.coeffs + rho * xi)
     values = None
     if state.values is not None:
         values = RealField(state.values.grid, gamma * state.values.values + rho * xi_values)
     v_new = wick_action(values, P, c)
-    accept = math.log(u) < (state.action - v_new)
-    if accept:
+    if math.log(u) < (state.action - v_new):
+        prop = SpectralField(state.phi.grid, gamma * state.phi.coeffs + rho * xi)
         return ChainState(prop, v_new, state.rng, state.proposals, values,
                           state.accepted + 1, state.proposed + 1), True
     return ChainState(state.phi, state.action, state.rng, state.proposals, state.values,

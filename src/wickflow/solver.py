@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import BlowUpError, ConfigurationError, NonContractionError
 from .grid import SpectralField, TorusGrid, apply_semigroup
-from .ou import OUNoisePath, ou_step, step_constants, substream
+from .ou import OUNoisePath, noise_source, step_constants, substream
 from .wick import (
     PolynomialSpec, _c_value, _hermite_orders, counterterm_C, wick_nonlinearity_values,
 )
@@ -210,10 +210,15 @@ def _run(grid, cfg, P, Y0, z_init_datum, noise, c=None):
     """The loop of every solve: step Y against the samples of
     zbar = Z + e^{tA} z on the compute grid, advance Z, and record
     X = Y + zbar on `grid`, all with counterterm c (default c_C of `grid`).
-    A step whose Y is not finite or exceeds `BLOWUP_THRESHOLD` raises
-    `BlowUpError` with its start time and Y there."""
+    Z takes the exact OU step of `ou_step` with the normals of
+    `ou.noise_source`, or the path's innovations.  A step whose Y is not
+    finite or exceeds `BLOWUP_THRESHOLD` raises `BlowUpError` with its start
+    time and Y there."""
     rng, path = _as_noise(grid, noise, cfg)
     cgrid = grid.compute_grid(P.degree if P is not None else 2)
+    n_steps = cfg.n_steps
+    decay, sigma, _ = step_constants(cgrid, cfg.delta)
+    normals = noise_source(cgrid, rng, n_steps) if path is None else None
     c = _c_value(counterterm_C(grid) if c is None else c)
     rec = _Recorder(grid, c)
     Z = SpectralField.zero(cgrid)
@@ -226,14 +231,16 @@ def _run(grid, cfg, P, Y0, z_init_datum, noise, c=None):
     zbar = zbar_at(0.0)
     zbar_values = cgrid.coeffs_to_values(zbar.coeffs)
     rec.record(0.0, Y, zbar)
-    n_steps = cfg.n_steps
     for n in range(n_steps):
         t = n * cfg.delta
         new = step(Y, zbar_values, c, cfg, P)
-        if not np.all(np.isfinite(new.coeffs)) or np.max(np.abs(new.coeffs)) > BLOWUP_THRESHOLD:
+        if not np.abs(new.coeffs).max() <= BLOWUP_THRESHOLD:  # also NaN and inf
             raise BlowUpError(t=t, last_state=SpectralField(grid, Y.coeffs))
         Y = new
-        Z = path.step(Z, n) if path is not None else ou_step(Z, cfg.delta, rng)
+        if path is None:
+            Z = SpectralField(cgrid, decay * Z.coeffs + sigma * next(normals))
+        else:
+            Z = path.step(Z, n)
         t_next = (n + 1) * cfg.delta
         zbar = zbar_at(t_next)
         zbar_values = cgrid.coeffs_to_values(zbar.coeffs)

@@ -249,3 +249,28 @@ def test_block_norms_skip_zero_blocks_bit_for_bit():
         norms = block_norms(v, partition, p)
         assert np.array_equal(norms, unskipped)
         assert np.count_nonzero(norms == 0.0) == 3
+
+
+@pytest.mark.parametrize("K", [4, 10, 16, 32])
+def test_batched_block_norms_equal_the_per_block_loop_bitwise(K, monkeypatch):
+    grid = TorusGrid(K)
+    partition = build_partition(grid)
+    u = sample_stationary(grid, np.random.default_rng(K))
+    mask = (np.abs(grid.kx) <= 2) & (np.abs(grid.ky) <= 2)  # leaves the annuli j >= 2 empty
+    band = SpectralField(grid, np.where(mask, u.coeffs, 0.0))
+    original = TorusGrid.coeffs_to_values
+    seen = []
+    monkeypatch.setattr(TorusGrid, "coeffs_to_values",
+                        lambda self, coeffs: seen.append(coeffs) or original(self, coeffs))
+    for field, empty in ((u, 0), (band, partition.j_max - 1)):
+        for p in (np.inf, 2.0):
+            loop = np.zeros(partition.j_max + 2)
+            for j in range(-1, partition.j_max + 1):
+                coeffs = block(field, j, partition).coeffs
+                if coeffs.any():
+                    loop[j + 1] = _lp_norm(original(grid, coeffs), p)
+            norms = block_norms(field, partition, p)
+            assert np.array_equal(norms, loop)
+            assert np.count_nonzero(norms == 0.0) == empty
+    n = 2 * K + 1
+    assert seen and all(c.reshape(-1, n, n).any(axis=(1, 2)).all() for c in seen)

@@ -20,7 +20,11 @@ from wickflow import (
 )
 from wickflow.besov import BesovSpec, besov_norm, build_partition
 from wickflow.grid import RealField, apply_semigroup
-from wickflow.ou import hermitian_normals
+from wickflow.ou import (
+    BLOCK_BYTES, block_steps, hermitian_normals, noise_source, step_constants,
+)
+from wickflow.solver import SolverConfig, solve, stationary_solve
+from wickflow.wick import PolynomialSpec
 
 
 def test_substream_deterministic_and_split():
@@ -60,6 +64,59 @@ def test_hermitian_normals_equal_the_roll_formula_bitwise(K):
     got_rng = np.random.default_rng(K)
     assert np.array_equal(hermitian_normals(grid, got_rng), expected)
     assert got_rng.standard_normal() == rng.standard_normal()  # the same draws consumed
+
+
+def test_block_steps_fill_the_byte_budget():
+    for K in range(41):
+        size, step_bytes = block_steps(TorusGrid(K)), 16 * (2 * K + 1) ** 2
+        assert size * step_bytes <= BLOCK_BYTES or size == 1
+        assert (size + 1) * step_bytes > BLOCK_BYTES
+    assert [block_steps(TorusGrid(K)) for K in (4, 10, 32)] == [50, 9, 1]
+
+
+BLOCK_EDGES = pytest.mark.parametrize(
+    "extra", [-1, 0, 1], ids=["below-one-block", "one-block", "one-block-plus-one"])
+
+
+@BLOCK_EDGES
+@pytest.mark.parametrize("K", [2, 4, 10, 32])
+def test_noise_source_equals_per_step_hermitian_normals_bitwise(K, extra):
+    grid = TorusGrid(K)
+    n_steps = block_steps(grid) + extra
+    rng, ref = substream(K, 0, 1), substream(K, 0, 1)
+    drawn = 0
+    for xi in noise_source(grid, rng, n_steps):
+        assert np.array_equal(xi, hermitian_normals(grid, ref)), drawn
+        drawn += 1
+    assert drawn == n_steps
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@BLOCK_EDGES
+@pytest.mark.parametrize("run", ["solve", "stationary_solve", "OUNoisePath"])
+def test_a_generator_ends_where_per_step_draws_leave_it(run, extra):
+    grid = TorusGrid(4, max_degree=4)
+    n_steps = block_steps(grid) + extra
+    delta = 1e-3
+    cfg = SolverConfig(delta=delta, T=n_steps * delta)
+    P = PolynomialSpec.quartic(0.25)
+    rng, ref = substream(9, 0, 1), substream(9, 0, 1)
+    z = SpectralField.zero(grid)
+    if run == "OUNoisePath":
+        sigma = step_constants(grid, delta).sigma
+        path = OUNoisePath(grid, delta, n_steps, rng)
+        expected = [sigma * hermitian_normals(grid, ref) for _ in range(n_steps)]
+        assert np.array_equal(path.innovations, np.reshape(expected, path.innovations.shape))
+    else:
+        y0 = sample_stationary(grid, substream(9, 0, 0))
+        if run == "solve":
+            traj = solve(y0, None, rng, cfg, P)
+        else:
+            traj = stationary_solve(y0, rng, cfg, P)
+        for _ in range(n_steps):
+            z = ou_step(z, delta, ref)
+        assert np.array_equal(traj.zbar[-1].coeffs, z.coeffs)  # zbar = Z: the noise, bitwise
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_ou_mode_variance_ito_isometry():
@@ -112,6 +169,33 @@ def test_ou_step_composition_in_law():
 def test_ou_step_rejects_nonpositive_delta():
     with pytest.raises(DomainError):
         ou_step(SpectralField.zero(TorusGrid(1)), 0.0, np.random.default_rng(4))
+
+
+@pytest.mark.parametrize("make", [
+    lambda grid, rng: ou_step(SpectralField.zero(grid), np.nan, rng),
+    lambda grid, rng: OUNoisePath(grid, np.nan, 2, rng),
+], ids=["ou_step", "OUNoisePath"])
+def test_nan_step_size_is_a_domain_error(make):
+    with pytest.raises(DomainError):
+        make(TorusGrid(1), np.random.default_rng(4))
+
+
+@pytest.mark.parametrize("factor", [0, -2])
+def test_noise_path_rejects_a_coarsening_factor_below_one(factor):
+    path = OUNoisePath(TorusGrid(1), 0.05, 4, np.random.default_rng(4))
+    with pytest.raises(ConfigurationError):
+        path.coarsen(factor)
+
+
+def test_noise_path_rejects_a_negative_step_count():
+    with pytest.raises(ConfigurationError):
+        OUNoisePath(TorusGrid(1), 0.05, -1, np.random.default_rng(4))
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 4), (4, 3, 3), (3, 9)])
+def test_noise_path_rejects_innovations_of_the_wrong_shape(shape):
+    with pytest.raises(ConfigurationError):
+        OUNoisePath(TorusGrid(1), 0.05, 3, innovations=np.zeros(shape, dtype=np.complex128))
 
 
 def test_stationary_sample_pointwise_variance():
