@@ -1,24 +1,30 @@
-"""The six experiment suites behind the command-line front end.
+"""The experiment suites behind the command-line front end.
 
 Every suite is a pure function of an `ExperimentConfig`: deterministic
 given (config, master_seed) in sequential mode, returning a JSON-ready
-report that embeds the resolved config and a version string.  Statistical
-pass/fail rules are fixed here (3 combined standard errors, pre-registered
-observable lists); nothing is tuned per run.
+report that states the parameters that ran and a version string.  Each
+command is declared once, by `command` on its suite: the config fields the
+suite reads (the CLI accepts their keys and flags), the fields it fixes
+itself, and its summary lines.  Statistical pass/fail rules are fixed here
+(3 combined standard errors, pre-registered observable lists); nothing is
+tuned per run.
 """
 
+import contextlib
 import functools
 import math
 import numbers
 import os
 import subprocess
-from dataclasses import asdict, dataclass, fields
+from collections.abc import Callable
+from dataclasses import asdict, dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .besov import BesovSpec, besov_norm, build_partition, regularity_estimate
-from .errors import ConfigurationError, WarmupError
+from .errors import BlowUpError, ConfigurationError, WarmupError
 from .grid import SpectralField, TorusGrid, apply_semigroup
 from .ou import (
     OUNoisePath, build_tower, convert_tower, ct_tower, ou_step, sample_stationary, substream,
@@ -57,54 +63,38 @@ def version_string() -> str:
     return f"wickflow {__version__}" + (f" ({tag})" if tag else "")
 
 
+def _param(default, key: str, flag: str | None = None, help: str | None = None):
+    """A config field set by the config-file `key` ("section.key") and, if named, a flag."""
+    return field(default=default, metadata={"key": key, "flag": flag, "help": help})
+
+
 @dataclass
 class ExperimentConfig:
-    """Resolved run configuration; sections mirror the config-file schema."""
+    """Resolved run configuration; each field names its config-file key
+    (sections mirror the schema) and its command-line flag, if any."""
 
-    K: int = 8
-    dealiasing_degree: int = 4
-    N: int = 2
-    a: tuple = (0.0, 0.0, 0.0, 0.0, 0.25)
-    delta: float = 1e-3
-    T: float = 0.25
-    record_every: int = 50
-    rho: float = 0.3
-    n_steps: int = 20000
-    burn_in: int = 3000
-    thinning: int = 120
-    n_traj: int = 4
-    master_seed: int = 0
-    out_dir: str = "wickflow-out"
-    formats: tuple = ("csv", "json")
-    threads: int = 1
+    K: int = _param(8, "grid.K", "--k")
+    dealiasing_degree: int = _param(4, "grid.dealiasing_degree")
+    N: int = _param(2, "polynomial.N")
+    a: tuple = _param((0.0, 0.0, 0.0, 0.0, 0.25), "polynomial.a")
+    delta: float = _param(1e-3, "solver.delta", "--dt")
+    T: float = _param(0.25, "solver.T")
+    record_every: int = _param(50, "solver.record_every")
+    rho: float = _param(0.3, "sampler.rho")
+    n_steps: int = _param(20000, "sampler.n_steps")
+    burn_in: int = _param(3000, "sampler.burn_in")
+    thinning: int = _param(120, "sampler.thinning")
+    n_traj: int = _param(4, "ensemble.n_traj")
+    master_seed: int = _param(0, "ensemble.master_seed", "--seed")
+    out_dir: str = _param("wickflow-out", "output.dir", "--out")
+    formats: tuple = _param(("csv", "json"), "output.formats")
+    threads: int = _param(1, "threads", "--threads", "trajectory-level parallelism "
+                          "(default: available cores; 1 = reproducibility reference)")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """Build and validate a config; unknown sections or keys are errors."""
-        sections = {
-            "grid": {"K": "K", "dealiasing_degree": "dealiasing_degree"},
-            "polynomial": {"N": "N", "a": "a"},
-            "solver": {"delta": "delta", "T": "T", "record_every": "record_every"},
-            "sampler": {"rho": "rho", "n_steps": "n_steps",
-                        "burn_in": "burn_in", "thinning": "thinning"},
-            "ensemble": {"n_traj": "n_traj", "master_seed": "master_seed"},
-            "output": {"dir": "out_dir", "formats": "formats"},
-        }
-        if not isinstance(data, dict):
-            raise ConfigurationError("a config must be a JSON object")
-        unknown = set(data) - set(sections) - {"threads"}
-        if unknown:
-            raise ConfigurationError(f"unknown config sections: {sorted(unknown)}")
-        kw = {"threads": data["threads"]} if "threads" in data else {}
-        for section, keys in sections.items():
-            body = data.get(section, {})
-            if not isinstance(body, dict):
-                raise ConfigurationError(f"config section {section!r} must be an object")
-            unknown = set(body) - set(keys)
-            if unknown:
-                raise ConfigurationError(f"unknown keys in section {section!r}: {sorted(unknown)}")
-            kw.update((keys[key], value) for key, value in body.items())
-        cfg = cls(**kw)
+        cfg = cls(**config_fields(data))
         cfg.validate()
         return cfg
 
@@ -163,14 +153,86 @@ def _finite_float(name: str, value) -> float:
     return value
 
 
-def _report(name: str, cfg: ExperimentConfig, results: dict, passed) -> dict:
+KEYS = {f.name: f.metadata["key"] for f in fields(ExperimentConfig)}  # field -> config key
+
+
+def config_fields(data) -> dict:
+    """The fields a config file sets, by name; unknown sections or keys are errors."""
+    if not isinstance(data, dict):
+        raise ConfigurationError("a config must be a JSON object")
+    names = {key: name for name, key in KEYS.items()}
+    kw = {}
+    for section, body in data.items():
+        if section in names:  # a top-level key: threads
+            kw[names[section]] = body
+        elif section not in {key.partition(".")[0] for key in names}:
+            raise ConfigurationError(f"unknown config section {section!r}")
+        elif not isinstance(body, dict):
+            raise ConfigurationError(f"config section {section!r} must be an object")
+        elif unknown := sorted(key for key in body if f"{section}.{key}" not in names):
+            raise ConfigurationError(f"unknown keys in section {section!r}: {unknown}")
+        else:
+            kw.update((names[f"{section}.{key}"], value) for key, value in body.items())
+    return kw
+
+
+class Suite(NamedTuple):
+    """One command: its suite, the fields it reads and fixes, its summary lines."""
+    run: Callable
+    reads: frozenset
+    fixed: dict
+    summary: Callable
+
+
+SUITES = {}  # command name -> Suite, in the order the suites are declared
+
+
+def command(name: str, reads, summary=lambda results: (), **fixed):
+    """Declare the decorated suite as the command `name`: it reads the fields
+    `reads` and runs on a copy of its config with the fields in `fixed` set;
+    its report states both, and the CLI prints `summary(results)`."""
+    def declare(run):
+        @functools.wraps(run)
+        def suite(cfg, *args, **kwargs):
+            return run(replace(cfg, **fixed), *args, **kwargs)
+
+        SUITES[name] = Suite(suite, frozenset(reads), fixed, summary)
+        return suite
+    return declare
+
+
+MODEL = ("dealiasing_degree", "N", "a")  # the fields of the model: its grid padding and P
+
+
+def _report(name: str, cfg: ExperimentConfig, results: dict, passed, **ran) -> dict:
+    """The report of command `name`.  Its `config` states what ran: the fields
+    the command reads or fixes, then `ran`, the suite's own constants,
+    keyword arguments and derived sizes."""
+    suite = SUITES[name]
+    stated = {f.name: getattr(cfg, f.name) for f in fields(cfg)
+              if f.name in suite.reads or f.name in suite.fixed}
     return {
-        "experiment": name,
+        "experiment": name.replace("-", "_"),
         "version": version_string(),
-        "config": cfg.resolved(),
+        "config": {**stated, **ran},
         "results": results,
         "pass": bool(passed) if passed is not None else None,
     }
+
+
+def _sizes(grid: TorusGrid, P: PolynomialSpec) -> dict:
+    """M of the observation grid and of the compute grid the dynamics runs on."""
+    return {"M": grid.M, "compute_M": grid.compute_grid(P.degree).M}
+
+
+@contextlib.contextmanager
+def _noise_stream(seed: int, i: int):
+    """Trajectory i's noise stream (seed, i, 1), named in a `BlowUpError` raised inside."""
+    try:
+        yield substream(seed, i, 1)
+    except BlowUpError as err:
+        err.trajectory, err.stream = i, (seed, i, 1)
+        raise
 
 
 def _check_warmup(acceptance_rate: float) -> None:
@@ -196,21 +258,20 @@ def _trajectory_rows(traj: Trajectory):
     return header, rows
 
 
-# ----------------------------------------------------------------------
-# simulate
-# ----------------------------------------------------------------------
-
+@command("simulate", ("K", *MODEL, "delta", "T", "record_every", "n_traj", "master_seed",
+                      "out_dir", "formats"))
 def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     """Integrate `n_traj` trajectories of the shifted equation and dump observables."""
     grid = cfg.grid()
     P = cfg.polynomial()
+    scfg = cfg.solver_config()
     out = out_dir or cfg.out_dir
     os.makedirs(out, exist_ok=True)
     sups = []
     defect = 0.0
     for i in range(cfg.n_traj):
-        rng = substream(cfg.master_seed, i, 1)
-        traj = solve(None, None, rng, cfg.solver_config(), P, grid=grid)
+        with _noise_stream(cfg.master_seed, i) as rng:
+            traj = solve(None, None, rng, scfg, P, grid=grid)
         sups.append(float(traj.observable("sup_Y")[-1]))
         defect = max(defect, float(traj.reconstruction_defect))
         if "csv" in cfg.formats:
@@ -220,15 +281,14 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
             write_snapshots(os.path.join(out, f"trajectory_{i:03d}.wck1"), traj.X)
     results = {"n_traj": cfg.n_traj, "final_sup_Y": sups,
                "max_reconstruction_defect": defect}
-    return _report("simulate", cfg, results, passed=all(np.isfinite(sups)))
+    return _report("simulate", cfg, results, all(np.isfinite(sups)), out_dir=out,
+                   **_sizes(grid, P), solver_steps=scfg.n_steps)
 
 
-# ----------------------------------------------------------------------
-# gibbs
-# ----------------------------------------------------------------------
-
+@command("gibbs", ("K", *MODEL, "rho", "n_steps", "burn_in", "thinning", "master_seed",
+                   "out_dir", "formats"))
 def run_gibbs(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
-    """Run the pCN chain, dump thinned samples and diagnostics."""
+    """Run the pCN chain, dump thinned samples and diagnostics; a chain that warms up passes."""
     grid = cfg.grid()
     P = cfg.polynomial()
     c = counterterm_C(grid)
@@ -248,13 +308,13 @@ def run_gibbs(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
         "iat_wick2": result.iat_wick2,
         "n_samples": len(result.samples),
     }
-    return _report("gibbs", cfg, results, passed=True)  # a chain that warmed up passes
+    return _report("gibbs", cfg, results, True, out_dir=out, **_sizes(grid, P))
 
 
-# ----------------------------------------------------------------------
-# identities
-# ----------------------------------------------------------------------
-
+@command("identities", ("master_seed",), lambda r: (
+    f"{name:<24s} max residual {v:.3e}  {'ok' if v < 1e-10 else 'FAIL'}"
+    for name, v in r["max_residuals"].items()),
+    K=8, dealiasing_degree=6, N=2, a=(0.0, 0.0, 0.0, 0.0, 0.25), delta=1e-3, T=0.02, record_every=5)
 def run_identities(cfg: ExperimentConfig) -> dict:
     """Deterministic identity suites; PASS iff every residual < 1e-10.
 
@@ -272,7 +332,7 @@ def run_identities(cfg: ExperimentConfig) -> dict:
     out["hermite_binomial"] = worst
 
     # covariance conversion, n <= 5, K = 8, OU samples at several times
-    g = TorusGrid(8, max_degree=6)
+    g = cfg.grid()
     cC = counterterm_C(g)
     zero = SpectralField.zero(g)
     worst = 0.0
@@ -315,21 +375,18 @@ def run_identities(cfg: ExperimentConfig) -> dict:
 
     # reconstruction along a short quartic run: X(T) - Y(T) against
     # zbar(T) = Z(T) + e^{TA} z0, with Z(T) composed from the run's own noise path
-    scfg = SolverConfig(delta=1e-3, T=0.02, record_every=5)
+    scfg = cfg.solver_config()
+    P = cfg.polynomial()
     n = scfg.n_steps
     path = OUNoisePath(g, scfg.delta, n, substream(seed, 1, 1))
     z0 = sample_stationary(g, substream(seed, 1, 0))
-    traj = solve(None, z0, path, scfg, PolynomialSpec.quartic(0.25))
+    traj = solve(None, z0, path, scfg, P)
     zbar = path.coarsen(n).innovations[0] + apply_semigroup(z0, scfg.T).coeffs
     out["reconstruction"] = float(np.max(np.abs(traj.X[-1].coeffs - traj.Y[-1].coeffs - zbar)))
 
-    passed = all(v < 1e-10 for v in out.values())
-    return _report("identities", cfg, {"max_residuals": out}, passed)
+    return _report("identities", cfg, {"max_residuals": out}, all(v < 1e-10 for v in out.values()),
+                   **_sizes(g, P), solver_steps=n)
 
-
-# ----------------------------------------------------------------------
-# invariance
-# ----------------------------------------------------------------------
 
 def _pmap(fn, payloads, threads):
     # the pool starts all its workers at once: no more than payloads or cores
@@ -347,15 +404,15 @@ def _drift_end(scfg, P, c, c_obs, seed, item):
     """Observables (counterterm c_obs) at time T of trajectory i, started from
     the Gibbs sample eta and run with counterterm c."""
     i, eta = item
-    traj = stationary_solve(eta, substream(seed, i, 1), scfg, P, c=c)
+    with _noise_stream(seed, i) as rng:
+        traj = stationary_solve(eta, rng, scfg, P, c=c)
     return observables(traj.X[-1], P, c_obs)
 
 
-def _drift_zscores(samples, start_obs, cfg, c, c_obs, delta, T, seed):
+def _drift_zscores(samples, start_obs, cfg, scfg, c, c_obs, seed):
     """Paired drift z-score of every observable of `sampler.observables`;
     `start_obs[i]` holds the observables of `samples[i]`, and the dynamics
-    runs with counterterm c."""
-    scfg = SolverConfig(delta=delta, T=T, record_every=10**9)
+    runs on `scfg` with counterterm c."""
     end = functools.partial(_drift_end, scfg, cfg.polynomial(), c, c_obs, seed)
     end_obs = _pmap(end, list(enumerate(samples)), cfg.threads)
     stats = {}
@@ -373,6 +430,17 @@ def _drift_zscores(samples, start_obs, cfg, c, c_obs, delta, T, seed):
     return stats
 
 
+def _invariance_lines(results):
+    for tag in ("drift_at_delta", "drift_at_half_delta"):
+        stats = results[tag]
+        worst = max(stats, key=lambda n: abs(stats[n]["z"]))
+        yield f"{tag}: max |z| = {abs(stats[worst]['z']):.2f} ({worst})"
+    if (z := results.get("negative_control_max_abs_z")) is not None:
+        yield f"negative control max |z| = {z:.2f} (must exceed 3)"
+
+
+@command("invariance", ("K", *MODEL, "delta", "T", "rho", "burn_in", "thinning", "n_traj",
+                        "master_seed", "threads"), _invariance_lines)
 def run_invariance(cfg: ExperimentConfig, negative_control: bool = True) -> dict:
     """Drift test of the Gibbs measure under the measure-preserving dynamics.
 
@@ -396,10 +464,10 @@ def run_invariance(cfg: ExperimentConfig, negative_control: bool = True) -> dict
     _check_warmup(chain.acceptance_rate)
     start = [observables(eta, P, c_obs) for eta in samples]
 
-    stats_d = _drift_zscores(samples, start, cfg, c_obs, c_obs, cfg.delta, cfg.T,
-                             seed=cfg.master_seed + 1)
-    stats_h = _drift_zscores(samples, start, cfg, c_obs, c_obs, cfg.delta / 2, cfg.T,
-                             seed=cfg.master_seed + 2)
+    full, half = (SolverConfig(delta=d, T=cfg.T, record_every=10**9)
+                  for d in (cfg.delta, cfg.delta / 2))
+    stats_d = _drift_zscores(samples, start, cfg, full, c_obs, c_obs, seed=cfg.master_seed + 1)
+    stats_h = _drift_zscores(samples, start, cfg, half, c_obs, c_obs, seed=cfg.master_seed + 2)
     zmax_d = max(abs(s["z"]) for s in stats_d.values())
     zmax_h = max(abs(s["z"]) for s in stats_h.values())
     passed = (zmax_h <= 3.0) and (zmax_d <= 3.0 or zmax_h < zmax_d)
@@ -414,7 +482,7 @@ def run_invariance(cfg: ExperimentConfig, negative_control: bool = True) -> dict
     }
 
     if negative_control:
-        stats_b = _drift_zscores(samples, start, cfg, 2.0 * c_obs, c_obs, cfg.delta, cfg.T,
+        stats_b = _drift_zscores(samples, start, cfg, full, 2.0 * c_obs, c_obs,
                                  seed=cfg.master_seed + 3)
         zmax_b = max(abs(s["z"]) for s in stats_b.values())
         results["negative_control"] = stats_b
@@ -422,17 +490,16 @@ def run_invariance(cfg: ExperimentConfig, negative_control: bool = True) -> dict
         results["negative_control_fails"] = zmax_b > 3.0
         passed = passed and (zmax_b > 3.0)
 
-    return _report("invariance", cfg, results, passed)
+    return _report("invariance", cfg, results, passed, negative_control=negative_control,
+                   deltas=[full.delta, half.delta], solver_steps=[full.n_steps, half.n_steps],
+                   **_sizes(grid, P))
 
-
-# ----------------------------------------------------------------------
-# gaussian submodel exactness (used by the acceptance suite)
-# ----------------------------------------------------------------------
 
 def run_gaussian_exactness(K: int = 4, a2: float = 0.5, seed: int = 0,
                            n_chain: int = 200_000, n_traj: int = 1024,
                            T: float = 6.0, delta: float = 0.01) -> dict:
-    """Mode variances of the quadratic model against 1/(2(lambda_k + a2)).
+    """Mode variances of the quadratic model against 1/(2(lambda_k + a2)):
+    criterion 5 of the acceptance suite, not a command.
 
     Checks the pCN equilibrium and the long-time marginal of the
     measure-preserving dynamics (ensemble from zero initial data).
@@ -490,26 +557,25 @@ def run_gaussian_exactness(K: int = 4, a2: float = 0.5, seed: int = 0,
     }
 
 
-# ----------------------------------------------------------------------
-# regularity
-# ----------------------------------------------------------------------
-
+@command("regularity", (*MODEL, "master_seed"), lambda r: [
+    f"alpha(Z) in band: {r['alpha_Z']['frac_in_band']:.2%}, "
+    f"alpha(Y) >= 0.5: {r['alpha_Y']['frac_above_0.5']:.2%}"], K=16, T=0.1, delta=1e-3)
 def run_regularity(cfg: ExperimentConfig, n_runs: int = 100) -> dict:
     """Regularity-exponent bands for the rough part, its Wick square, and Y.
 
     Quartic runs at K = 16 to T = 0.1; pre-registered bands:
     alpha(Z) in [-0.3, 0.05], alpha(Y) >= 0.5, each in >= 95% of runs.
     """
-    grid = TorusGrid(16, max_degree=max(cfg.dealiasing_degree, 4))
+    grid = TorusGrid(cfg.K, max_degree=max(cfg.dealiasing_degree, 4))
     part = build_partition(grid)
     P = cfg.polynomial()
-    T, delta = 0.1, 1e-3
-    c_CT = counterterm_C(grid) + counterterm_t(grid, T)  # the variance of Z(T)
-    scfg = SolverConfig(delta=delta, T=T, record_every=10**9)
+    c_CT = counterterm_C(grid) + counterterm_t(grid, cfg.T)  # the variance of Z(T)
+    scfg = SolverConfig(delta=cfg.delta, T=cfg.T, record_every=10**9)
     a_z, a_z2, a_y = [], [], []
     rows = []
     for i in range(n_runs):
-        traj = solve(None, None, substream(cfg.master_seed, i, 1), scfg, P, grid=grid)
+        with _noise_stream(cfg.master_seed, i) as rng:
+            traj = solve(None, None, rng, scfg, P, grid=grid)
         Z = traj.zbar[-1]
         Y = traj.Y[-1]
         z2 = wick_power(Z, 2, c_CT)
@@ -531,13 +597,13 @@ def run_regularity(cfg: ExperimentConfig, n_runs: int = 100) -> dict:
                     "frac_above_0.5": frac_y},
         "rows": rows,
     }
-    return _report("regularity", cfg, results, passed=(frac_z >= 0.95 and frac_y >= 0.95))
+    return _report("regularity", cfg, results, frac_z >= 0.95 and frac_y >= 0.95,
+                   n_runs=n_runs, **_sizes(grid, P), solver_steps=scfg.n_steps)
 
 
-# ----------------------------------------------------------------------
-# equivalence of the two splittings
-# ----------------------------------------------------------------------
-
+@command("equivalence", (*MODEL, "master_seed"), lambda r: [
+    f"fitted order {r['fitted_order']:.3f} "
+    f"(coupled same-step gap {max(r['coupled_same_delta_gap']):.2e})"], K=8, T=0.2)
 def run_equivalence(cfg: ExperimentConfig) -> dict:
     """Agreement of the two reconstructions of X on a fixed Wiener path.
 
@@ -551,28 +617,27 @@ def run_equivalence(cfg: ExperimentConfig) -> dict:
     * convergence order: the coarse-step runs of one splitting against a
       fine-step reference computed with the other; the discrepancy is then
       the genuine scheme error and must decay at fitted order >= 0.9 over
-      delta in {4e-3, 2e-3, 1e-3}.
+      delta in {4e-3, 2e-3, 1e-3}; the report's `deltas` end with the fine step.
     """
-    grid = TorusGrid(8, max_degree=max(cfg.dealiasing_degree, 4))
+    grid = TorusGrid(cfg.K, max_degree=max(cfg.dealiasing_degree, 4))
     P = cfg.polynomial()
-    T = 0.2
+    T = cfg.T
     deltas = (4e-3, 2e-3, 1e-3)
     fine = deltas[-1] / 8.0
-    n_fine = round(T / fine)
-    path = OUNoisePath(grid, fine, n_fine, substream(cfg.master_seed, 0, 1))
+    runs = {d: SolverConfig(delta=d, T=T, record_every=10**9) for d in (*deltas, fine)}
+    path = OUNoisePath(grid, fine, runs[fine].n_steps, substream(cfg.master_seed, 0, 1))
     z0 = sample_stationary(grid, substream(cfg.master_seed, 0, 0))
     z1_init = sample_stationary(grid, substream(cfg.master_seed, 0, 2))
 
     # the stationary-reference splitting: Y(0) = z0 - z1, rough part started at z1
-    ref = solve(z0 - z1_init, z1_init, path, SolverConfig(delta=fine, T=T, record_every=10**9), P)
+    ref = solve(z0 - z1_init, z1_init, path, runs[fine], P)
 
     gaps, coupled = [], []
     relation_defect = 0.0
     for delta in deltas:
         cpath = path.coarsen(round(delta / fine))
-        scfg = SolverConfig(delta=delta, T=T, record_every=10**9)
-        ta = solve(None, z0, cpath, scfg, P)
-        tb = solve(z0 - z1_init, z1_init, cpath, scfg, P)
+        ta = solve(None, z0, cpath, runs[delta], P)
+        tb = solve(z0 - z1_init, z1_init, cpath, runs[delta], P)
         gaps.append(float(np.sqrt(np.sum(np.abs(ta.X[-1].coeffs - ref.X[-1].coeffs) ** 2))))
         coupled.append(float(np.max(np.abs(ta.X[-1].coeffs - tb.X[-1].coeffs))))
         # the defining relation between the two remainders, checked directly
@@ -588,13 +653,13 @@ def run_equivalence(cfg: ExperimentConfig) -> dict:
         "remainder_relation_defect": relation_defect,
     }
     passed = order >= 0.9 and max(coupled) < 1e-10 and relation_defect < 1e-10
-    return _report("equivalence", cfg, results, passed)
+    return _report("equivalence", cfg, results, passed, deltas=list(runs),
+                   solver_steps=[r.n_steps for r in runs.values()], **_sizes(grid, P))
 
 
-# ----------------------------------------------------------------------
-# wick convergence across cutoffs
-# ----------------------------------------------------------------------
-
+@command("wick-convergence", ("master_seed",), lambda r: [
+    f"monotone fraction {r['fraction_monotone']:.2%}, mean distances {r['mean_distances']}"],
+    K=32)
 def run_wick_convergence(cfg: ExperimentConfig, n_pairs: int = 200) -> dict:
     """Cutoff stability of the Wick square in a negative-regularity norm.
 
@@ -613,11 +678,12 @@ def run_wick_convergence(cfg: ExperimentConfig, n_pairs: int = 200) -> dict:
     decrease over K in {4, 8, 16} for >= 90% of paired samples.
     """
     Ks = (4, 8, 16)
-    big = TorusGrid(32, max_degree=2)
+    family = (*Ks, cfg.K)  # each cutoff and its double
+    big = TorusGrid(cfg.K, max_degree=2)
     part = build_partition(big)
     spec = BesovSpec(-0.2)
-    masks = {K: (np.abs(big.kx) <= K) & (np.abs(big.ky) <= K) for K in (*Ks, 32)}
-    cterm = {K: counterterm_C(TorusGrid(K, max_degree=2)) for K in (*Ks, 32)}
+    masks = {K: (np.abs(big.kx) <= K) & (np.abs(big.ky) <= K) for K in family}
+    cterm = {K: counterterm_C(TorusGrid(K, max_degree=2)) for K in family}
     window = masks[min(Ks)]
 
     monotone = 0
@@ -625,7 +691,7 @@ def run_wick_convergence(cfg: ExperimentConfig, n_pairs: int = 200) -> dict:
     for i in range(n_pairs):
         phi = sample_stationary(big, np.random.default_rng([cfg.master_seed, 77, i]))
         wick_sq = {}
-        for K in (*Ks, 32):
+        for K in family:
             vals = big.coeffs_to_values(np.where(masks[K], phi.coeffs, 0.0))
             wick_sq[K] = big.values_to_coeffs(hermite_variance(2, vals, cterm[K]))
         d = [besov_norm(SpectralField(big, np.where(window, wick_sq[K] - wick_sq[2 * K], 0.0)),
@@ -641,4 +707,5 @@ def run_wick_convergence(cfg: ExperimentConfig, n_pairs: int = 200) -> dict:
         "fraction_monotone": frac,
         "mean_distances": [float(x) for x in dists.mean(axis=0)],
     }
-    return _report("wick_convergence", cfg, results, passed=frac >= 0.9)
+    return _report("wick-convergence", cfg, results, frac >= 0.9, cutoffs=list(Ks),
+                   n_pairs=n_pairs, M=big.M)

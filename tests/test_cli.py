@@ -1,17 +1,23 @@
 import concurrent.futures
 import copy
+import functools
 import json
 import os
+import pickle
+import re
 import subprocess
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wickflow import __version__, cli, experiments, solver
+import numpy as np
+
+from wickflow import PolynomialSpec, SpectralField, TorusGrid, __version__, cli, experiments, solver
 from wickflow.cli import main
-from wickflow.errors import ConfigurationError, DomainError, WarmupError
+from wickflow.errors import BlowUpError, ConfigurationError, DomainError, WarmupError
 from wickflow.experiments import ExperimentConfig
+from wickflow.solver import SolverConfig
 
 
 def write_config(path, data):
@@ -222,7 +228,7 @@ def test_version_string_runs_git_once_per_process(monkeypatch):
     monkeypatch.setattr(experiments.subprocess, "run", fake_run)
     experiments.version_string.cache_clear()
     try:
-        reports = [experiments._report("x", ExperimentConfig(), {}, True) for _ in range(2)]
+        reports = [experiments._report("identities", ExperimentConfig(), {}, True) for _ in range(2)]
     finally:
         experiments.version_string.cache_clear()
     assert len(calls) == 1
@@ -285,7 +291,7 @@ def test_flag_a_command_ignores_exit_2(tmp_path, capsys, command, flag):
 
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
 def test_every_command_accepts_the_keys_it_reads(tmp_path, command):
-    keys = (cli.READS[command] | cli.COMMON_KEYS) - {"threads"}
+    keys = {experiments.KEYS[name] for name in cli.accepted(command)} - {"threads"}
     data = dict(config_of(sorted(keys)), threads=2)
     argv = [command, "--config", write_config(tmp_path / "c.json", data), "--seed", "9",
             "--out", str(tmp_path / "out")]
@@ -385,3 +391,151 @@ def test_invariance_results_at_two_threads_equal_one_thread():
     serial = experiments.run_invariance(cfg)["results"]
     cfg.threads = 2
     assert experiments.run_invariance(cfg)["results"] == serial
+
+
+def test_config_file_threads_is_not_replaced_by_the_core_count(tmp_path, monkeypatch):
+    # the core count once overwrote a config file's threads
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    for data, argv, threads in (({"threads": 3}, [], 3), ({"threads": 3}, ["--threads", "2"], 2),
+                                ({}, [], 5)):
+        args = ["gibbs", "--config", write_config(tmp_path / "c.json", data), *argv]
+        assert cli.resolve_config(cli.build_parser().parse_args(args)).threads == threads
+
+
+def test_blow_up_error_survives_pickling():
+    # a BlowUpError once failed to unpickle, so a worker's blow-up broke the pool
+    assert pickle.loads(pickle.dumps(BlowUpError(t=0.5))).t == 0.5
+    state = SpectralField.zero(TorusGrid(2))
+    err = BlowUpError(t=0.25, last_state=state)
+    err.trajectory, err.stream = 3, (7, 3, 1)
+    back = pickle.loads(pickle.dumps(err))
+    assert (back.t, back.trajectory, back.stream) == (0.25, 3, (7, 3, 1))
+    assert np.array_equal(back.last_state.coeffs, state.coeffs) and str(back) == str(err)
+    assert str(err) == "solution blew up at t=0.25 in trajectory 3, stream (7, 3, 1)"
+
+
+def test_a_blow_up_in_a_worker_is_re_raised_with_its_trajectory(monkeypatch):
+    monkeypatch.setattr(solver, "BLOWUP_THRESHOLD", 0.0)  # every first step blows up
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    grid = TorusGrid(2, max_degree=4)
+    P = PolynomialSpec.quartic(0.25)
+    c = experiments.counterterm_C(grid)
+    scfg = SolverConfig(delta=1e-3, T=2e-3)
+    end = functools.partial(experiments._drift_end, scfg, P, c, c, 11)
+    eta = experiments.sample_stationary(grid, np.random.default_rng(1))
+    with pytest.raises(BlowUpError) as err:
+        experiments._pmap(end, [(0, eta), (1, eta)], threads=2)
+    assert (err.value.t, err.value.trajectory, err.value.stream) == (0.0, 0, (11, 0, 1))
+
+
+@pytest.mark.parametrize("command, data, stream", [
+    ("simulate", SMALL_SIM, "(7, 0, 1)"),
+    ("regularity", {"ensemble": {"master_seed": 4}}, "(4, 0, 1)"),
+    ("invariance", {"grid": {"K": 2}, "ensemble": {"n_traj": 2, "master_seed": 4},
+                    "sampler": {"burn_in": 100, "thinning": 10}}, "(5, 0, 1)"),
+])
+def test_forced_blow_up_exits_3_naming_its_trajectory(tmp_path, capsys, monkeypatch,
+                                                     command, data, stream):
+    # invariance runs its trajectories in two worker processes here
+    monkeypatch.setattr(solver, "BLOWUP_THRESHOLD", 0.0)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    out = tmp_path / "out"
+    argv = [command, "--config", write_config(tmp_path / "c.json", data), "--out", str(out)]
+    assert main(argv + ["--threads", "2"]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"blow-up: solution blew up at t=\S+ in trajectory 0, "
+                        rf"stream {re.escape(stream)}\n", err)
+    assert not out.exists()
+
+
+# what each command runs, small; the suites fix the rest
+STATED_RUNS = {
+    "simulate": (dict(K=3, delta=2e-3, T=0.02, record_every=5, n_traj=2, master_seed=7), {}),
+    "gibbs": (dict(K=2, rho=0.4, n_steps=400, burn_in=100, thinning=20), {}),
+    "invariance": (dict(K=3, n_traj=3, T=0.004, delta=2e-3, burn_in=100, thinning=10),
+                   {"negative_control": False}),
+    "identities": ({}, {}),
+    "regularity": ({}, {"n_runs": 2}),
+    "equivalence": ({}, {}),
+    "wick-convergence": ({}, {"n_pairs": 2}),
+}
+# the constants each suite fixes, with the sizes they give in STATED_RUNS
+FIXED = {
+    "invariance": dict(deltas=[2e-3, 1e-3], solver_steps=[2, 4]),
+    "identities": dict(K=8, dealiasing_degree=6, N=2, a=[0, 0, 0, 0, 0.25], delta=1e-3, T=0.02,
+                       record_every=5, M=58, compute_M=34, solver_steps=20),
+    "regularity": dict(K=16, T=0.1, delta=1e-3, M=82, compute_M=66, solver_steps=100),
+    "equivalence": dict(K=8, T=0.2, deltas=[4e-3, 2e-3, 1e-3, 1.25e-4],
+                        solver_steps=[50, 100, 200, 1600], M=42, compute_M=34),
+    "wick-convergence": dict(K=32, cutoffs=[4, 8, 16], M=130),
+}
+
+
+def listed(value):
+    return value if isinstance(value, list) else [value]
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_every_report_states_what_ran(tmp_path, monkeypatch, command):
+    grids, solver_configs = [], []
+
+    class RecordedGrid(TorusGrid):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            grids.append(self)
+
+    class RecordedSolverConfig(SolverConfig):
+        def __post_init__(self):
+            super().__post_init__()
+            solver_configs.append(self)
+
+    fields, kwargs = STATED_RUNS[command]
+    cfg = ExperimentConfig(**fields, out_dir=str(tmp_path), threads=1)
+    cfg.validate()
+    monkeypatch.setattr(experiments, "TorusGrid", RecordedGrid)
+    monkeypatch.setattr(experiments, "SolverConfig", RecordedSolverConfig)
+    config = json.loads(json.dumps(cli.COMMANDS[command](cfg, **kwargs)["config"]))
+    suite = experiments.SUITES[command]
+
+    # every field stated is one the command reads or fixes; those it reads as given
+    assert set(config) & set(experiments.KEYS) == suite.reads | set(suite.fixed)
+    given = json.loads(json.dumps(cfg.resolved()))
+    assert all(config[name] == given[name] for name in suite.reads)
+    assert all(config[name] == value for name, value in {**FIXED.get(command, {}),
+                                                         **kwargs}.items())
+    # the grids and solver schedules the suite built
+    assert grids
+    for grid in grids:
+        if grid.K in config.get("cutoffs", []):
+            continue  # the counterterm of a cutoff
+        assert (grid.K, grid.M) == (config["K"], config["M"])
+        if "compute_M" in config:
+            assert grid.compute_grid(2 * config["N"]).M == config["compute_M"]
+    assert bool(solver_configs) == ("T" in config)
+    steps = dict(zip(listed(config.get("deltas", config.get("delta"))),
+                     listed(config.get("solver_steps"))))
+    for scfg in solver_configs:
+        assert scfg.T == config["T"] and steps[scfg.delta] == scfg.n_steps
+        assert scfg.record_every == config.get("record_every", 10**9)
+
+
+def readme_reads_table():
+    """The rows of the README's table of the config keys each command reads."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    table = re.search(r"^\| command \| reads.*?\n\n", text, re.S | re.M).group(0)
+    rows = [[re.findall(r"`([^`]+)`", cell) for cell in line.split("|")[1:3]]
+            for line in table.strip().splitlines() if not line.startswith("| ---")]
+    return rows[0][1], rows[1:]
+
+
+def test_readme_lists_the_keys_each_command_accepts():
+    accepted = {command: {experiments.KEYS[name] for name in cli.accepted(command)}
+                for command in cli.COMMANDS}
+    common, rows = readme_reads_table()
+    assert set(common) == set.intersection(*accepted.values())
+    listed_commands = [command for commands, _ in rows for command in commands]
+    assert sorted(listed_commands) == sorted(cli.COMMANDS)
+    for commands, keys in rows:
+        for command in commands:
+            assert set(keys) == accepted[command] - set(common), command
