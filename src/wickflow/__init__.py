@@ -32,7 +32,6 @@ from .wick import (
     hermite,
     recombine,
     wick_action,
-    wick_nonlinearity,
     wick_power,
 )
 

@@ -17,7 +17,7 @@ import numbers
 import os
 import subprocess
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -30,8 +30,7 @@ from .ou import (
     OUNoisePath, build_tower, convert_tower, ct_tower, ou_step, sample_stationary, substream,
 )
 from .sampler import (
-    MIN_ACCEPTANCE, ChainState, gibbs_samples, integrated_autocorrelation, observables, pcn_step,
-    run_chain,
+    MIN_ACCEPTANCE, ChainState, gibbs_samples, integrated_autocorrelation, observables, run_chain,
 )
 from .snapshots import write_snapshots
 from .solver import SolverConfig, Trajectory, solve, stationary_solve
@@ -138,9 +137,6 @@ class ExperimentConfig:
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(delta=self.delta, T=self.T, record_every=self.record_every)
-
-    def resolved(self) -> dict:
-        return asdict(self)
 
 
 def _finite_float(name: str, value) -> float:
@@ -272,7 +268,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     for i in range(cfg.n_traj):
         with _noise_stream(cfg.master_seed, i) as rng:
             traj = solve(None, None, rng, scfg, P, grid=grid)
-        sups.append(float(traj.observable("sup_Y")[-1]))
+        sups.append(float(traj.observables["sup_Y"][-1]))
         defect = max(defect, float(traj.reconstruction_defect))
         if "csv" in cfg.formats:
             header, rows = _trajectory_rows(traj)
@@ -464,8 +460,7 @@ def run_invariance(cfg: ExperimentConfig, negative_control: bool = True) -> dict
     _check_warmup(chain.acceptance_rate)
     start = [observables(eta, P, c_obs) for eta in samples]
 
-    full, half = (SolverConfig(delta=d, T=cfg.T, record_every=10**9)
-                  for d in (cfg.delta, cfg.delta / 2))
+    full, half = (SolverConfig(delta=d, T=cfg.T) for d in (cfg.delta, cfg.delta / 2))
     stats_d = _drift_zscores(samples, start, cfg, full, c_obs, c_obs, seed=cfg.master_seed + 1)
     stats_h = _drift_zscores(samples, start, cfg, half, c_obs, c_obs, seed=cfg.master_seed + 2)
     zmax_d = max(abs(s["z"]) for s in stats_d.values())
@@ -510,20 +505,17 @@ def run_gaussian_exactness(K: int = 4, a2: float = 0.5, seed: int = 0,
     modes = [(k1, k2) for k1 in range(-2, 3) for k2 in range(-2, 3)]
     target = {k: 1.0 / (2.0 * (1 + k[0]**2 + k[1]**2 + a2)) for k in modes}
 
-    rng = substream(seed, 0, 0)
-    state = ChainState.initial(sample_stationary(grid, rng), P, c, rng)
+    # every 10th state from the 10% burn-in on, to step n_chain
     burn = n_chain // 10
-    chain_vals = {k: [] for k in modes}
-    for i in range(n_chain):
-        state, _ = pcn_step(state, 0.5, P, c)
-        if i >= burn and i % 10 == 0:
-            for k in modes:
-                chain_vals[k].append(abs(state.phi.get_mode(*k)) ** 2)
+    samples, _ = gibbs_samples(grid, P, c, len(range(burn, n_chain, 10)), 0.5, burn, 10,
+                               substream(seed, 0, 0))
+    chain_vals = {k: [abs(phi.get_mode(*k)) ** 2 for phi in samples] for k in modes}
 
     sde_vals = {k: [] for k in modes}
-    scfg = SolverConfig(delta=delta, T=T, record_every=10**9)
+    scfg = SolverConfig(delta=delta, T=T)
     for i in range(n_traj):
-        traj = stationary_solve(SpectralField.zero(grid), substream(seed, i, 1), scfg, P)
+        with _noise_stream(seed, i) as rng:
+            traj = stationary_solve(SpectralField.zero(grid), rng, scfg, P)
         for k in modes:
             sde_vals[k].append(abs(traj.X[-1].get_mode(*k)) ** 2)
 
@@ -566,11 +558,11 @@ def run_regularity(cfg: ExperimentConfig, n_runs: int = 100) -> dict:
     Quartic runs at K = 16 to T = 0.1; pre-registered bands:
     alpha(Z) in [-0.3, 0.05], alpha(Y) >= 0.5, each in >= 95% of runs.
     """
-    grid = TorusGrid(cfg.K, max_degree=max(cfg.dealiasing_degree, 4))
+    grid = cfg.grid()
     part = build_partition(grid)
     P = cfg.polynomial()
     c_CT = counterterm_C(grid) + counterterm_t(grid, cfg.T)  # the variance of Z(T)
-    scfg = SolverConfig(delta=cfg.delta, T=cfg.T, record_every=10**9)
+    scfg = SolverConfig(delta=cfg.delta, T=cfg.T)
     a_z, a_z2, a_y = [], [], []
     rows = []
     for i in range(n_runs):
@@ -619,12 +611,12 @@ def run_equivalence(cfg: ExperimentConfig) -> dict:
       the genuine scheme error and must decay at fitted order >= 0.9 over
       delta in {4e-3, 2e-3, 1e-3}; the report's `deltas` end with the fine step.
     """
-    grid = TorusGrid(cfg.K, max_degree=max(cfg.dealiasing_degree, 4))
+    grid = cfg.grid()
     P = cfg.polynomial()
     T = cfg.T
     deltas = (4e-3, 2e-3, 1e-3)
     fine = deltas[-1] / 8.0
-    runs = {d: SolverConfig(delta=d, T=T, record_every=10**9) for d in (*deltas, fine)}
+    runs = {d: SolverConfig(delta=d, T=T) for d in (*deltas, fine)}
     path = OUNoisePath(grid, fine, runs[fine].n_steps, substream(cfg.master_seed, 0, 1))
     z0 = sample_stationary(grid, substream(cfg.master_seed, 0, 0))
     z1_init = sample_stationary(grid, substream(cfg.master_seed, 0, 2))

@@ -20,9 +20,10 @@ where they would.  S is as many steps as fit their complex normals
 (16 n^2 bytes, n = 2K + 1) in `BLOCK_BYTES` = 64 KiB, at least one: 50 at
 K = 4, 9 at K = 10, 1 at K = 32.  Above about 100 KiB, near glibc's
 128 KiB mmap threshold, a block costs more per step than single draws.
-The solver and `OUNoisePath` draw from it; the pCN proposals and
-`besov.block_norms` size their blocks by `block_steps`.  A solve that
-raises `BlowUpError` may leave its rng up to one block ahead.
+`ou_innovations` scales them into the per-step innovations sigma * xi,
+the one noise stream of the solver and of `OUNoisePath`; the pCN
+proposals and `besov.block_norms` size their blocks by `block_steps`.  A
+solve that raises `BlowUpError` may leave its rng up to one block ahead.
 
 The towers below read the exact lattice mode sums of `wick` as floats:
 
@@ -68,6 +69,13 @@ def noise_source(grid: TorusGrid, rng: np.random.Generator, n_steps: int):
     for start in range(0, n_steps, size):
         draws = rng.standard_normal((min(size, n_steps - start), 2, n, n))
         yield from symmetrize_normals(grid, draws)
+
+
+def ou_innovations(grid: TorusGrid, delta: float, rng: np.random.Generator, n_steps: int):
+    """Yield the exact OU innovations sigma * xi of n_steps steps of size delta,
+    xi from `noise_source`: Z advances by Z <- decay * Z + the next one."""
+    sigma = step_constants(grid, delta).sigma
+    return (sigma * xi for xi in noise_source(grid, rng, n_steps))
 
 
 def hermitian_normals(grid: TorusGrid, rng: np.random.Generator) -> np.ndarray:
@@ -217,18 +225,15 @@ class OUNoisePath:
         self.delta = float(delta)
         self.n_steps = int(n_steps)
         n = 2 * grid.K + 1
-        if innovations is not None:
-            self.innovations = np.asarray(innovations, dtype=np.complex128)
-            if self.innovations.shape != (self.n_steps, n, n):
-                raise ConfigurationError(f"innovations of shape {self.innovations.shape}, "
-                                         f"expected {(self.n_steps, n, n)}")
-            return
-        if rng is None:
-            raise ConfigurationError("OUNoisePath needs an rng or explicit innovations")
-        sigma = step_constants(grid, self.delta).sigma
-        self.innovations = np.empty((self.n_steps, n, n), dtype=np.complex128)
-        for i, xi in enumerate(noise_source(grid, rng, self.n_steps)):
-            self.innovations[i] = sigma * xi
+        if innovations is None:
+            if rng is None:
+                raise ConfigurationError("OUNoisePath needs an rng or explicit innovations")
+            innovations = np.fromiter(ou_innovations(grid, self.delta, rng, self.n_steps),
+                                      np.dtype((np.complex128, (n, n))), self.n_steps)
+        self.innovations = np.asarray(innovations, dtype=np.complex128)
+        if self.innovations.shape != (self.n_steps, n, n):
+            raise ConfigurationError(f"innovations of shape {self.innovations.shape}, "
+                                     f"expected {(self.n_steps, n, n)}")
 
     def coarsen(self, factor: int) -> "OUNoisePath":
         if factor < 1:
@@ -249,8 +254,3 @@ class OUNoisePath:
                 acc = decay * acc + self.innovations[j * factor + i]
             out[j] = acc
         return OUNoisePath(self.grid, self.delta * factor, m, innovations=out)
-
-    def step(self, z: SpectralField, index: int) -> SpectralField:
-        """Advance z by one step of the path; the result stays on z's grid."""
-        decay = step_constants(self.grid, self.delta).decay
-        return SpectralField(z.grid, decay * z.coeffs + self.innovations[index])

@@ -35,6 +35,13 @@ caller's grid (`TorusGrid.compute_grid`), the smallest one on which the
 step is exact; records move the coefficients back onto the caller's grid,
 so every recorded field and observable is the caller's.
 
+Noise and records.  Z advances by Z <- e^{-lambda delta} Z + eta_n, with
+eta_n the n-th innovation of one stream (`ou.ou_innovations`), whether the
+noise is given as a seed (its stream (seed, 0, 1)), a Generator or a
+frozen `OUNoisePath`; the three give bitwise the same run.  A `Trajectory`
+records itself at t = 0, after every `record_every` steps and at T;
+`record_every=None` records the start and the end only.
+
 Drift scaling: with the free measure fixed to mode variance 1/(2 lambda_k)
 and unit cylindrical noise, the dynamics that preserves the Gibbs density
 exp(-integral :q:) carries HALF the gradient of the action (the Langevin
@@ -51,7 +58,7 @@ import numpy as np
 
 from .errors import BlowUpError, ConfigurationError, NonContractionError
 from .grid import SpectralField, TorusGrid, apply_semigroup
-from .ou import OUNoisePath, noise_source, step_constants, substream
+from .ou import OUNoisePath, ou_innovations, step_constants, substream
 from .wick import (
     PolynomialSpec, _c_value, _hermite_orders, counterterm_C, wick_nonlinearity_values,
 )
@@ -63,13 +70,13 @@ BLOWUP_THRESHOLD = 1e8  # a step whose coefficients exceed this in modulus blows
 class SolverConfig:
     delta: float
     T: float
-    record_every: int = 1
+    record_every: int | None = None  # None: the start and the end only
     drift_scale: float = 1.0
 
     def __post_init__(self):
         if not (0 < self.delta <= self.T):
             raise ConfigurationError(f"need 0 < delta <= T, got delta={self.delta}, T={self.T}")
-        if self.record_every < 1:
+        if self.record_every is not None and self.record_every < 1:
             raise ConfigurationError("record_every must be >= 1")
 
     @property
@@ -83,30 +90,6 @@ class SolverConfig:
                 f"T={self.T} is not an integer multiple of delta={self.delta}"
             )
         return n
-
-
-@dataclass
-class Trajectory:
-    """Recorded snapshots and observables of one run.
-
-    Each recorded X is formed as Y + zbar, so `reconstruction_defect`, the
-    largest |X - Y - zbar| over the records, measures only the rounding of
-    that sum; the `identities` suite checks X - Y against a zbar rebuilt
-    from the noise path instead.
-    """
-
-    grid: TorusGrid
-    config: SolverConfig
-    P: PolynomialSpec
-    times: np.ndarray
-    Y: list
-    X: list
-    zbar: list
-    observables: dict
-    reconstruction_defect: float
-
-    def observable(self, name: str) -> np.ndarray:
-        return np.asarray(self.observables[name])
 
 
 MODE_OBSERVABLES = [
@@ -162,17 +145,27 @@ def step(Y: SpectralField, zbar_values: np.ndarray, c: float, cfg: SolverConfig,
 
 
 def _as_noise(grid: TorusGrid, noise, cfg: SolverConfig):
-    """Normalize the noise argument: seed, generator, or a frozen path."""
+    """The per-step OU innovations of a solve on `grid`: drawn from a seed's
+    stream (seed, 0, 1) or a Generator, or read from a frozen path."""
     if isinstance(noise, OUNoisePath):
         if abs(noise.delta - cfg.delta) > 1e-12 * cfg.delta or noise.n_steps < cfg.n_steps:
             raise ConfigurationError("noise path does not match the solver schedule")
-        return None, noise
-    if isinstance(noise, np.random.Generator):
-        return noise, None
-    return substream(int(noise), 0, 1), None
+        return iter(noise.innovations)
+    rng = noise if isinstance(noise, np.random.Generator) else substream(int(noise), 0, 1)
+    return ou_innovations(grid, cfg.delta, rng, cfg.n_steps)
 
 
-class _Recorder:
+class Trajectory:
+    """Recorded snapshots and observables of one run, X = Y + zbar on `grid`
+    Wick-ordered with counterterm c; `record` appends one time, and `_run`
+    turns `times` and each of `observables` into arrays when the run ends.
+
+    Each recorded X is formed as Y + zbar, so `reconstruction_defect`, the
+    largest |X - Y - zbar| over the records, measures only the rounding of
+    that sum; the `identities` suite checks X - Y against a zbar rebuilt
+    from the noise path instead.
+    """
+
     def __init__(self, grid: TorusGrid, c: float):
         self.grid = grid
         self.c = c
@@ -180,8 +173,8 @@ class _Recorder:
         self.Y = []
         self.X = []
         self.zbar = []
-        self.obs = {}
-        self.defect = 0.0
+        self.observables = {}
+        self.reconstruction_defect = 0.0
 
     def record(self, t, Y, zbar):
         Y, zbar = SpectralField(self.grid, Y.coeffs), SpectralField(self.grid, zbar.coeffs)
@@ -190,37 +183,27 @@ class _Recorder:
         self.Y.append(Y)
         self.X.append(X)
         self.zbar.append(zbar)
-        self.defect = max(self.defect, float(np.max(np.abs(X.coeffs - Y.coeffs - zbar.coeffs))))
+        defect = float(np.max(np.abs(X.coeffs - Y.coeffs - zbar.coeffs)))
+        self.reconstruction_defect = max(self.reconstruction_defect, defect)
         obs = field_observables(X, self.c)
         obs["sup_Y"] = float(np.max(np.abs(self.grid.coeffs_to_values(Y.coeffs))))
         for name, value in obs.items():
-            self.obs.setdefault(name, []).append(value)
-
-    def done(self, cfg, P):
-        return Trajectory(
-            grid=self.grid, config=cfg, P=P,
-            times=np.array(self.times),
-            Y=self.Y, X=self.X, zbar=self.zbar,
-            observables={k: np.array(v) for k, v in self.obs.items()},
-            reconstruction_defect=self.defect,
-        )
+            self.observables.setdefault(name, []).append(value)
 
 
 def _run(grid, cfg, P, Y0, z_init_datum, noise, c=None):
     """The loop of every solve: step Y against the samples of
-    zbar = Z + e^{tA} z on the compute grid, advance Z, and record
-    X = Y + zbar on `grid`, all with counterterm c (default c_C of `grid`).
-    Z takes the exact OU step of `ou_step` with the normals of
-    `ou.noise_source`, or the path's innovations.  A step whose Y is not
-    finite or exceeds `BLOWUP_THRESHOLD` raises `BlowUpError` with its start
-    time and Y there."""
-    rng, path = _as_noise(grid, noise, cfg)
+    zbar = Z + e^{tA} z on the compute grid, advance Z by the exact OU step
+    Z <- decay * Z + the next innovation of the noise (`_as_noise`), and
+    record X = Y + zbar on `grid`, all with counterterm c (default c_C of
+    `grid`).  A step whose Y is not finite or exceeds `BLOWUP_THRESHOLD`
+    raises `BlowUpError` with its start time and Y there."""
     cgrid = grid.compute_grid(P.degree if P is not None else 2)
+    innovations = _as_noise(cgrid, noise, cfg)
     n_steps = cfg.n_steps
-    decay, sigma, _ = step_constants(cgrid, cfg.delta)
-    normals = noise_source(cgrid, rng, n_steps) if path is None else None
+    decay = step_constants(cgrid, cfg.delta).decay
     c = _c_value(counterterm_C(grid) if c is None else c)
-    rec = _Recorder(grid, c)
+    traj = Trajectory(grid, c)
     Z = SpectralField.zero(cgrid)
     Y = SpectralField(cgrid, Y0.coeffs.copy())
     v = SpectralField(cgrid, z_init_datum.coeffs) if z_init_datum is not None else None
@@ -230,23 +213,22 @@ def _run(grid, cfg, P, Y0, z_init_datum, noise, c=None):
 
     zbar = zbar_at(0.0)
     zbar_values = cgrid.coeffs_to_values(zbar.coeffs)
-    rec.record(0.0, Y, zbar)
+    traj.record(0.0, Y, zbar)
     for n in range(n_steps):
         t = n * cfg.delta
         new = step(Y, zbar_values, c, cfg, P)
         if not np.abs(new.coeffs).max() <= BLOWUP_THRESHOLD:  # also NaN and inf
             raise BlowUpError(t=t, last_state=SpectralField(grid, Y.coeffs))
         Y = new
-        if path is None:
-            Z = SpectralField(cgrid, decay * Z.coeffs + sigma * next(normals))
-        else:
-            Z = path.step(Z, n)
+        Z = SpectralField(cgrid, decay * Z.coeffs + next(innovations))
         t_next = (n + 1) * cfg.delta
         zbar = zbar_at(t_next)
         zbar_values = cgrid.coeffs_to_values(zbar.coeffs)
-        if (n + 1) % cfg.record_every == 0 or n + 1 == n_steps:
-            rec.record(t_next, Y, zbar)
-    return rec.done(cfg, P)
+        if n + 1 == n_steps or cfg.record_every and (n + 1) % cfg.record_every == 0:
+            traj.record(t_next, Y, zbar)
+    traj.times = np.array(traj.times)
+    traj.observables = {name: np.array(v) for name, v in traj.observables.items()}
+    return traj
 
 
 def solve(y0, z0, noise, cfg: SolverConfig, P: PolynomialSpec,

@@ -230,20 +230,6 @@ def wick_power(u, n: int, c):
     return _return_like(u, grid, hermite_variance(n, values, cval))
 
 
-def wick_nonlinearity(u, P: PolynomialSpec | None, c):
-    """:p(u):_c = sum_n n a_n :u^{n-1}:_c  with p = q'.
-
-    P = None stands for the free case (all couplings zero, not expressible
-    as a PolynomialSpec since the leading coefficient must be positive).
-    """
-    cval = _c_value(c)
-    grid, values = _field_values(u)
-    if P is None:
-        return _return_like(u, grid, np.zeros_like(values))
-    grid.assert_product_degree(max(P.degree - 1, 1))
-    return _return_like(u, grid, wick_nonlinearity_values(values, P, cval))
-
-
 def wick_nonlinearity_values(values: np.ndarray, P: PolynomialSpec, c: float) -> np.ndarray:
     """Pointwise :p(u):_c = sum_n n a_n He_{n-1}(u; c) at the samples of u."""
     x = np.asarray(values, dtype=np.float64)

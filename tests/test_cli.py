@@ -6,6 +6,7 @@ import os
 import pickle
 import re
 import subprocess
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from wickflow import PolynomialSpec, SpectralField, TorusGrid, __version__, cli,
 from wickflow.cli import main
 from wickflow.errors import BlowUpError, ConfigurationError, DomainError, WarmupError
 from wickflow.experiments import ExperimentConfig
+from wickflow.sampler import ChainState, pcn_step
 from wickflow.solver import SolverConfig
 
 
@@ -214,7 +216,7 @@ def test_gibbs_command(tmp_path):
 def test_config_schema_round_trip():
     cfg = ExperimentConfig.from_dict(SMALL_SIM)
     assert cfg.K == 3 and cfg.n_traj == 2
-    resolved = cfg.resolved()
+    resolved = asdict(cfg)
     assert resolved["delta"] == 2e-3
 
 
@@ -299,7 +301,7 @@ def test_every_command_accepts_the_keys_it_reads(tmp_path, command):
     argv += ["--dt", "0.05"] if "solver.delta" in keys else []
     cfg = cli.resolve_config(cli.build_parser().parse_args(argv))  # runs nothing
     assert cfg.master_seed == 9 and cfg.threads == 2 and cfg.out_dir == str(tmp_path / "out")
-    resolved = json.loads(json.dumps(cfg.resolved()))  # tuples as JSON lists
+    resolved = json.loads(json.dumps(asdict(cfg)))  # tuples as JSON lists
     for name in keys - {"ensemble.master_seed", "output.dir", "grid.K", "solver.delta"}:
         assert resolved[name.split(".")[1]] == KEY_VALUES[name], name
 
@@ -428,6 +430,32 @@ def test_a_blow_up_in_a_worker_is_re_raised_with_its_trajectory(monkeypatch):
     assert (err.value.t, err.value.trajectory, err.value.stream) == (0.0, 0, (11, 0, 1))
 
 
+def test_a_blow_up_in_the_gaussian_check_names_its_trajectory(monkeypatch):
+    monkeypatch.setattr(solver, "BLOWUP_THRESHOLD", 0.0)  # the first step off zero blows up
+    with pytest.raises(BlowUpError) as err:
+        experiments.run_gaussian_exactness(seed=5, n_chain=100, n_traj=2, T=0.04, delta=0.02)
+    assert (err.value.trajectory, err.value.stream) == (0, (5, 0, 1))
+
+
+@pytest.mark.parametrize("n_chain", [400, 405])
+def test_the_gaussian_check_chain_is_the_hand_written_pcn_loop(n_chain):
+    # the check once drove its own pCN loop: every 10th state from step n_chain // 10
+    res = experiments.run_gaussian_exactness(seed=3, n_chain=n_chain, n_traj=2, T=0.04,
+                                             delta=0.02)
+    grid = TorusGrid(4, max_degree=2)
+    P = PolynomialSpec.quadratic(0.5)
+    c = experiments.counterterm_C(grid)
+    rng = experiments.substream(3, 0, 0)
+    state = ChainState.initial(experiments.sample_stationary(grid, rng), P, c, rng)
+    vals = []
+    for i in range(n_chain):
+        state, _ = pcn_step(state, 0.5, P, c)
+        if i >= n_chain // 10 and i % 10 == 0:
+            vals.append(abs(state.phi.get_mode(1, -2)) ** 2)
+    assert res["chain"]["1_-2"]["mean"] == float(np.mean(vals))
+    assert res["chain"]["1_-2"]["iat"] == experiments.integrated_autocorrelation(np.array(vals))
+
+
 @pytest.mark.parametrize("command, data, stream", [
     ("simulate", SMALL_SIM, "(7, 0, 1)"),
     ("regularity", {"ensemble": {"master_seed": 4}}, "(4, 0, 1)"),
@@ -499,7 +527,7 @@ def test_every_report_states_what_ran(tmp_path, monkeypatch, command):
 
     # every field stated is one the command reads or fixes; those it reads as given
     assert set(config) & set(experiments.KEYS) == suite.reads | set(suite.fixed)
-    given = json.loads(json.dumps(cfg.resolved()))
+    given = json.loads(json.dumps(asdict(cfg)))
     assert all(config[name] == given[name] for name in suite.reads)
     assert all(config[name] == value for name, value in {**FIXED.get(command, {}),
                                                          **kwargs}.items())
@@ -516,7 +544,18 @@ def test_every_report_states_what_ran(tmp_path, monkeypatch, command):
                      listed(config.get("solver_steps"))))
     for scfg in solver_configs:
         assert scfg.T == config["T"] and steps[scfg.delta] == scfg.n_steps
-        assert scfg.record_every == config.get("record_every", 10**9)
+        assert scfg.record_every == config.get("record_every")
+
+
+@pytest.mark.parametrize("command, kwargs, M", [
+    ("regularity", {"n_runs": 1}, 114),
+    ("equivalence", {}, 58),
+])
+def test_a_sextic_model_runs_on_the_grid_its_products_need(command, kwargs, M):
+    # both once padded their grid for degree 4 only, and a sextic raised there;
+    # the default quartic's M = 82 and 42 are pinned in FIXED
+    cfg = ExperimentConfig(N=3, a=(0.0,) * 6 + (0.1,))
+    assert cli.COMMANDS[command](cfg, **kwargs)["config"]["M"] == M
 
 
 def readme_reads_table():

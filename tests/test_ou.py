@@ -352,11 +352,11 @@ def test_noise_path_coarsening_exact():
     path = OUNoisePath(grid, 0.05, 8, substream(18, 0, 1))
     coarse = path.coarsen(4)
     z = sample_stationary(grid, substream(18, 0, 0))
-    fine = z
+    fine = z.coeffs
     for i in range(4):
-        fine = path.step(fine, i)
-    direct = coarse.step(z, 0)
-    assert np.max(np.abs(fine.coeffs - direct.coeffs)) < 1e-14
+        fine = step_constants(grid, path.delta).decay * fine + path.innovations[i]
+    direct = step_constants(grid, coarse.delta).decay * z.coeffs + coarse.innovations[0]
+    assert np.max(np.abs(fine - direct)) < 1e-14
     with pytest.raises(ConfigurationError):
         path.coarsen(3)
 

@@ -20,7 +20,6 @@ from wickflow import (
     sample_stationary,
     substream,
     to_spectral,
-    wick_nonlinearity,
 )
 from wickflow import solver as solver_module
 from wickflow import wick as wick_module
@@ -35,7 +34,7 @@ from wickflow.solver import (
     stationary_solve,
     step,
 )
-from wickflow.wick import recombine
+from wickflow.wick import recombine, wick_nonlinearity_values
 
 
 def zero_noise_path(grid, delta, n_steps):
@@ -85,7 +84,8 @@ def test_nonlinear_term_collapses_to_wick_polynomial():
     c = counterterm_C(grid)
     P = PolynomialSpec.quartic(0.25, a2=0.3)
     F = nonlinear_term(Y, grid.coeffs_to_values(zbar.coeffs), P, c)
-    direct = wick_nonlinearity(Y + zbar, P, c)
+    x = grid.coeffs_to_values((Y + zbar).coeffs)
+    direct = SpectralField(grid, grid.values_to_coeffs(wick_nonlinearity_values(x, P, c)))
     assert np.max(np.abs(F.coeffs - direct.coeffs)) < 1e-11 * (1 + np.max(np.abs(direct.coeffs)))
 
 
@@ -122,7 +122,7 @@ def tower_route_final_state(z0, path, cfg, P):
             for l in range(k):
                 F += k * P.a[k] * math.comb(k - 1, l) * yv**l * tower.order_values(k - 1 - l)
         Y = SpectralField(grid, decay * Y.coeffs - weight * grid.values_to_coeffs(F))
-        Z = path.step(Z, n)
+        Z = SpectralField(grid, decay * Z.coeffs + path.innovations[n])
     return Y, Y + Z + apply_semigroup(z0, cfg.T)
 
 
@@ -139,6 +139,24 @@ def test_solve_matches_the_tower_route_step_by_step(P):
     for got, expected in zip((traj.Y[-1], traj.X[-1]), tower_route_final_state(z0, path, cfg, P)):
         scale = np.max(np.abs(expected.coeffs))
         assert np.max(np.abs(got.coeffs - expected.coeffs)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("K, M, compute_M", [(4, 22, 18), (10, 52, 42)])
+def test_a_seed_its_stream_and_its_frozen_path_give_bitwise_equal_records(K, M, compute_M):
+    grid = TorusGrid(K, max_degree=4)
+    assert (grid.M, grid.compute_grid(4).M) == (M, compute_M)
+    P = PolynomialSpec.quartic(0.25, a2=0.2)
+    cfg = SolverConfig(delta=1e-3, T=0.06, record_every=25)  # a noise block is 50 or 9 steps
+    z0 = sample_stationary(grid, substream(19, 0, 0))
+    path = OUNoisePath(grid, cfg.delta, cfg.n_steps, substream(19, 0, 1))
+    first, *others = (solve(None, z0, noise, cfg, P) for noise in (19, substream(19, 0, 1), path))
+    for other in others:
+        assert np.array_equal(other.times, first.times) and len(first.times) == 4
+        for a, b in zip(first.Y + first.X + first.zbar, other.Y + other.X + other.zbar):
+            assert np.array_equal(a.coeffs, b.coeffs)
+        assert other.observables.keys() == first.observables.keys()
+        for name, values in first.observables.items():
+            assert np.array_equal(other.observables[name], values), name
 
 
 def test_step_pure_semigroup_when_free():
@@ -171,7 +189,6 @@ def test_step_constants_are_cached_and_bitwise_equal_to_inline_formulas():
     rng = substream(3, 0, 1)
     innovations = [sigma * hermitian_normals(grid, rng) for _ in range(2)]
     assert np.array_equal(path.innovations, innovations)
-    assert np.array_equal(path.step(z, 1).coeffs, decay * z.coeffs + innovations[1])
     consts = step_constants(TorusGrid(4, max_degree=4), delta, 0.3)
     assert consts is step_constants(grid, delta, 0.3)
     assert np.array_equal(consts.weight, delta * 0.3 * phi1)
@@ -201,7 +218,7 @@ def test_solve_quartic_runs_and_bounded():
     grid = TorusGrid(8, max_degree=4)
     cfg = SolverConfig(delta=1e-3, T=0.25, record_every=50)
     traj = solve(None, None, 42, cfg, PolynomialSpec.quartic(0.25), grid=grid)
-    sup = traj.observable("sup_Y")
+    sup = traj.observables["sup_Y"]
     assert np.all(np.isfinite(sup))
     assert sup[-1] < 1e2  # a-priori boundedness, qualitative
 
@@ -258,7 +275,7 @@ def test_scheme_self_convergence_on_fixed_path():
     path = OUNoisePath(grid, fine, round(T / fine), substream(6, 0, 1))
     finals = {}
     for delta in (2e-3, 1e-3, 5e-4):
-        cfg = SolverConfig(delta=delta, T=T, record_every=10**9)
+        cfg = SolverConfig(delta=delta, T=T)
         traj = solve(None, None, path.coarsen(round(delta / fine)), cfg, P, grid=grid)
         finals[delta] = traj.X[-1].coeffs
     d1 = np.sqrt(np.sum(np.abs(finals[2e-3] - finals[1e-3]) ** 2))
@@ -273,7 +290,7 @@ def test_alternative_splitting_coupled_and_relation():
     path = OUNoisePath(grid, delta, round(T / delta), substream(7, 0, 1))
     z0 = sample_stationary(grid, substream(7, 0, 0))
     z1 = sample_stationary(grid, substream(7, 0, 2))
-    cfg = SolverConfig(delta=delta, T=T, record_every=10**9)
+    cfg = SolverConfig(delta=delta, T=T)
     ta = solve(None, z0, path, cfg, P)
     tb = solve(z0 - z1, z1, path, cfg, P)  # the stationary-reference splitting
     # same mild equation, same path: reconstructions agree to roundoff
@@ -349,7 +366,7 @@ def test_stationary_solve_gaussian_conjugacy_small():
     grid = TorusGrid(2, max_degree=2)
     a2 = 0.5
     P = PolynomialSpec.quadratic(a2)
-    cfg = SolverConfig(delta=0.01, T=4.0, record_every=10**9)
+    cfg = SolverConfig(delta=0.01, T=4.0)
     n = 300
     vals = np.empty(n)
     for i in range(n):
@@ -427,7 +444,7 @@ def test_solve_steps_on_the_compute_grid_and_reports_on_the_callers(monkeypatch)
     monkeypatch.undo()
     assert traj.grid is grid
     assert all(f.grid is grid for f in traj.Y + traj.X + traj.zbar)
-    for Y, sup in zip(traj.Y, traj.observable("sup_Y")):
+    for Y, sup in zip(traj.Y, traj.observables["sup_Y"]):
         assert sup == np.max(np.abs(grid.coeffs_to_values(Y.coeffs)))
     on_small = solve(None, SpectralField(small, z0.coeffs), substream(17, 0, 1), cfg, P)
     monkeypatch.setattr(TorusGrid, "compute_grid", lambda self, degree: self)

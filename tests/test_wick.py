@@ -20,10 +20,9 @@ from wickflow import (
     to_real,
     to_spectral,
     wick_action,
-    wick_nonlinearity,
     wick_power,
 )
-from wickflow.solver import field_observables
+from wickflow.solver import SolverConfig, field_observables, nonlinear_term, stationary_solve
 from wickflow.wick import hermite_tower_values, hermite_variance, wick_nonlinearity_values
 
 
@@ -151,7 +150,9 @@ def test_negative_counterterm_rejected():
     with pytest.raises(DomainError):
         wick_power(u, 2, -0.1)
     with pytest.raises(DomainError):
-        wick_nonlinearity(u, PolynomialSpec.quartic(0.25), -1.0)
+        wick_action(u, PolynomialSpec.quartic(0.25), -1.0)
+    with pytest.raises(DomainError):  # the dynamics' nonlinearity
+        stationary_solve(u, 0, SolverConfig(delta=0.1, T=0.1), PolynomialSpec.quartic(0.25), c=-1.0)
 
 
 def test_wick_power_zero_counterterm_classical():
@@ -167,7 +168,7 @@ def test_wick_nonlinearity_quartic_constant():
     grid = TorusGrid(2)
     P = PolynomialSpec.quartic(0.25)
     u = to_spectral(RealField.constant(grid, 2.0))
-    out = to_real(wick_nonlinearity(u, P, 1.0)).values
+    out = to_real(nonlinear_term(u, np.zeros((grid.M, grid.M)), P, 1.0)).values
     assert np.max(np.abs(out - 2.0)) < 1e-12  # 4 a4 :phi^3: = :2^3: at c = 1
 
 
@@ -175,7 +176,7 @@ def test_wick_nonlinearity_linear_case():
     grid = TorusGrid(3)
     P = PolynomialSpec.quadratic(0.7)
     u = sample_stationary(grid, np.random.default_rng(8))
-    out = wick_nonlinearity(u, P, counterterm_C(grid))
+    out = nonlinear_term(u, np.zeros((grid.M, grid.M)), P, counterterm_C(grid))
     assert np.max(np.abs(out.coeffs - 2 * 0.7 * u.coeffs)) < 1e-12
 
 
@@ -185,7 +186,7 @@ def test_wick_nonlinearity_classical_limit():
     u = sample_stationary(grid, np.random.default_rng(9))
     vals = grid.coeffs_to_values(u.coeffs)
     classical = grid.values_to_coeffs(vals**3 + 2 * 0.5 * vals)
-    out = wick_nonlinearity(u, P, 0.0)
+    out = nonlinear_term(u, np.zeros((grid.M, grid.M)), P, 0.0)
     assert np.max(np.abs(out.coeffs - classical)) < 1e-11
 
 
@@ -220,7 +221,7 @@ def test_wick_action_gradient_matches_nonlinearity():
     c = counterterm_C(grid)
     rng = np.random.default_rng(11)
     u = sample_stationary(grid, rng)
-    grad = wick_nonlinearity(u, P, c)
+    grad = nonlinear_term(u, np.zeros((grid.M, grid.M)), P, c)
     for _ in range(4):
         v = sample_stationary(grid, rng)
         eps = 1e-5
