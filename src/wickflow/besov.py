@@ -11,11 +11,11 @@ partition is therefore exact by construction (residual at roundoff), the
 theta supports sit inside the annulus [3/4, 8/3] scaled by 2^j, and blocks
 two or more apart have disjoint supports.
 
-Norm conventions on the grid: L^p uses the normalized measure dx/(2pi)^2
-(so constants have norm |c| for every p), and the low block j = -1 carries
-weight 1 instead of 2^{-alpha}.  Both choices give equivalent norms and
-keep the convention-free facts (scaling, monotonicity in alpha) exactly
-true.
+The one Besov norm is B^alpha_{inf,inf}, the norm every suite reads: the
+largest block sup norm over the grid's samples, weighted 2^{j alpha} and 1
+for the low block j = -1 (an equivalent norm that keeps scaling and
+monotonicity in alpha exact).  The regularity fit reads block root mean
+squares (measure dx/(2pi)^2) by Parseval on the coefficients, no transform.
 """
 
 import math
@@ -53,15 +53,9 @@ def _profile(r: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BesovSpec:
-    """Norm parameters: regularity alpha and integrability (p, q)."""
+    """The regularity alpha of a B^alpha_{inf,inf} norm."""
 
     alpha: float
-    p: float = np.inf
-    q: float = np.inf
-
-    def __post_init__(self):
-        if not (self.p >= 1 and self.q >= 1):
-            raise ConfigurationError("p, q must lie in [1, inf]")
 
 
 class DyadicPartition:
@@ -99,21 +93,19 @@ def build_partition(grid: TorusGrid) -> DyadicPartition:
     return DyadicPartition(grid)
 
 
-def block(u: SpectralField, j: int, partition: DyadicPartition) -> SpectralField:
-    """Littlewood-Paley block: the multiplier of annulus j applied to u."""
+def _check_grid(u: SpectralField, partition: DyadicPartition) -> None:
     if partition.grid != u.grid:
         raise ConfigurationError("partition built for a different grid")
+
+
+def block(u: SpectralField, j: int, partition: DyadicPartition) -> SpectralField:
+    """Littlewood-Paley block: the multiplier of annulus j applied to u."""
+    _check_grid(u, partition)
     return SpectralField(u.grid, u.coeffs * partition.multiplier(j))
 
 
-def _lp_norm(values: np.ndarray, p: float) -> float:
-    if np.isinf(p):
-        return float(np.max(np.abs(values)))
-    return float(np.mean(np.abs(values) ** p) ** (1.0 / p))
-
-
-def block_norms(u: SpectralField, partition: DyadicPartition, p: float = np.inf) -> np.ndarray:
-    """L^p norms of all blocks, j = -1 .. j_max.
+def block_norms(u: SpectralField, partition: DyadicPartition) -> np.ndarray:
+    """Sup norms over the grid's samples of all blocks, j = -1 .. j_max.
 
     Blocks are formed and inverse-transformed `ou.block_steps(grid)` at a
     time (as many as fit a block's coefficients in 64 KiB: all of them at
@@ -122,9 +114,8 @@ def block_norms(u: SpectralField, partition: DyadicPartition, p: float = np.inf)
     own transform.  A block with no nonzero coefficient has norm exactly
     0.0 and is not transformed.
     """
+    _check_grid(u, partition)
     grid = u.grid
-    if partition.grid != grid:
-        raise ConfigurationError("partition built for a different grid")
     out = np.zeros(partition.j_max + 2)
     size = block_steps(grid)
     for start in range(0, out.size, size):
@@ -132,32 +123,31 @@ def block_norms(u: SpectralField, partition: DyadicPartition, p: float = np.inf)
         live = [j for j, c in enumerate(coeffs) if c.any()]
         if live:  # copying out the live blocks costs about 13% at K = 32
             batch = coeffs if len(live) == len(coeffs) else coeffs[live]
-            out[start + np.array(live)] = [_lp_norm(v, p) for v in grid.coeffs_to_values(batch)]
+            out[start + np.array(live)] = np.abs(grid.coeffs_to_values(batch)).max(axis=(1, 2))
     return out
 
 
-def besov_norm(u: SpectralField, spec: BesovSpec, partition: DyadicPartition | None = None) -> float:
-    """Grid Besov norm (sum_j (2^{j alpha} ||Delta_j u||_p)^q)^{1/q}.
+def block_rms(u: SpectralField, partition: DyadicPartition) -> np.ndarray:
+    """Root mean squares of all blocks, sqrt(sum_k |theta_j(k) u_k|^2) / (2 pi)."""
+    _check_grid(u, partition)
+    return np.sqrt(np.sum(np.abs(u.coeffs * partition.profiles) ** 2, axis=(1, 2))) / u.grid.L
 
-    q = inf takes the max over blocks; block -1 carries weight 1.
-    """
+
+def besov_norm(u: SpectralField, spec: BesovSpec, partition: DyadicPartition | None = None) -> float:
+    """Grid Besov norm max_j 2^{j alpha} ||Delta_j u||_inf; block -1 carries weight 1."""
     partition = partition or build_partition(u.grid)
-    norms = block_norms(u, partition, spec.p)
     weights = np.array([1.0] + [2.0 ** (j * spec.alpha) for j in range(partition.j_max + 1)])
-    terms = weights * norms
-    if np.isinf(spec.q):
-        return float(np.max(terms))
-    return float(np.sum(terms**spec.q) ** (1.0 / spec.q))
+    return float(np.max(weights * block_norms(u, partition)))
 
 
 def regularity_estimate(u: SpectralField, partition: DyadicPartition | None = None):
     """Least-squares regularity exponent from block-amplitude decay.
 
-    Fits log2 of the block root-mean-square amplitudes against j over the
-    trusted annuli j = 1 .. j_usable and returns (alpha_hat, residual);
-    alpha_hat is minus the slope.  For Gaussian-type fields the rms
-    amplitude tracks the Hoelder-scale exponent cleanly (a flat spectrum
-    gives -1 in two dimensions, the free field 0-), whereas block sup
+    Fits log2 of the block root-mean-square amplitudes (`block_rms`)
+    against j over the trusted annuli j = 1 .. j_usable and returns
+    (alpha_hat, residual); alpha_hat is minus the slope.  For Gaussian-type
+    fields the rms amplitude tracks the Hoelder-scale exponent cleanly (a
+    flat spectrum gives -1 in two dimensions, the free field 0-), whereas block sup
     norms carry a logarithmic extreme-value growth that biases the slope
     by about -0.2 on these lattice sizes; the calibration bands used by
     the experiments are stated for the rms variant.  Returns (None, None)
@@ -167,7 +157,7 @@ def regularity_estimate(u: SpectralField, partition: DyadicPartition | None = No
     if partition.j_usable < 3:
         raise ConfigurationError("regularity fit needs at least three usable annuli (K >= 16)")
     js = np.arange(1, partition.j_usable + 1)
-    norms = block_norms(u, partition, 2.0)[js + 1]
+    norms = block_rms(u, partition)[js + 1]
     if np.any(norms <= 0.0):
         return None, None
     y = np.log2(norms)

@@ -114,6 +114,8 @@ class ExperimentConfig:
         PolynomialSpec(self.N, self.a)  # enforces a_{2N} > 0 and the coefficient count
         if self.K < 0:
             raise ConfigurationError("K must be >= 0")
+        if self.dealiasing_degree < 1:  # TorusGrid's own max_degree rule
+            raise ConfigurationError("dealiasing_degree must be >= 1")
         if self.master_seed < 0:
             raise ConfigurationError("master_seed must be >= 0")
         self.solver_config().n_steps  # 0 < delta <= T, record_every >= 1, whole finite steps

@@ -13,12 +13,14 @@ hold deterministically per sample.  `ou_step(z, delta, rng)` takes that
 step and returns the new field; the solver keeps the time.
 
 Noise source.  `noise_source(grid, rng, n_steps)` yields each step's
-`hermitian_normals` in stream order.  It draws S = `block_steps(grid)`
-steps with one `standard_normal((S, 2, n, n))` and one
-`symmetrize_normals` call, bitwise the per-step calls, and leaves the rng
-where they would.  S is as many steps as fit their complex normals
-(16 n^2 bytes, n = 2K + 1) in `BLOCK_BYTES` = 64 KiB, at least one: 50 at
-K = 4, 9 at K = 10, 1 at K = 32.  Above about 100 KiB, near glibc's
+Hermitian normals in stream order, and every draw of the module comes
+from it: `hermitian_normals` is one step of it and `ou_step` adds one
+innovation of `ou_innovations`.  It draws S = `block_steps(grid)` steps
+with one `standard_normal((S, 2, n, n))` and one `symmetrize_normals`
+call, bitwise the per-step draws, and leaves the rng where they would.
+S is as many steps as fit their complex normals (16 n^2 bytes,
+n = 2K + 1) in `BLOCK_BYTES` = 64 KiB, at least one: 50 at K = 4, 9 at
+K = 10, 1 at K = 32.  Above about 100 KiB, near glibc's
 128 KiB mmap threshold, a block costs more per step than single draws.
 `ou_innovations` scales them into the per-step innovations sigma * xi,
 the one noise stream of the solver and of `OUNoisePath`; the pCN
@@ -62,7 +64,7 @@ def block_steps(grid: TorusGrid) -> int:
 
 
 def noise_source(grid: TorusGrid, rng: np.random.Generator, n_steps: int):
-    """Yield the `hermitian_normals` of n_steps steps, drawn `block_steps(grid)`
+    """Yield the Hermitian normals of n_steps steps, drawn `block_steps(grid)`
     at a time; the last block is shorter, so exactly n_steps steps are drawn."""
     n = 2 * grid.K + 1
     size = block_steps(grid)
@@ -82,10 +84,9 @@ def hermitian_normals(grid: TorusGrid, rng: np.random.Generator) -> np.ndarray:
     """Complex standard normals xi with xi(-k) = conj(xi(k)), E|xi(k)|^2 = 1.
 
     Built by symmetrizing an i.i.d. complex array; the self-paired k = 0
-    entry comes out real with unit variance.
+    entry comes out real with unit variance.  One step of `noise_source`.
     """
-    n = 2 * grid.K + 1
-    return symmetrize_normals(grid, rng.standard_normal((2, n, n)))
+    return next(noise_source(grid, rng, 1))
 
 
 def symmetrize_normals(grid: TorusGrid, draws: np.ndarray) -> np.ndarray:
@@ -145,8 +146,8 @@ def ou_step(z: SpectralField, delta: float, rng: np.random.Generator) -> Spectra
     if not delta > 0:
         raise DomainError(f"step size must be > 0, got {delta}")
     grid = z.grid
-    decay, sigma, _ = step_constants(grid, delta)
-    return SpectralField(grid, decay * z.coeffs + sigma * hermitian_normals(grid, rng))
+    decay = step_constants(grid, delta).decay
+    return SpectralField(grid, decay * z.coeffs + next(ou_innovations(grid, delta, rng, 1)))
 
 
 def ct_tower(z: SpectralField, t: float, n_orders: int) -> WickTower:

@@ -42,7 +42,7 @@ from .errors import ConfigurationError, DomainError
 from .grid import RealField, SpectralField, TorusGrid
 from .ou import block_steps, sample_stationary, stationary_std, symmetrize_normals
 from .solver import field_observables
-from .wick import _c_value, wick_action
+from .wick import wick2_integral, wick_action
 
 _partition_for = functools.cache(build_partition)
 MIN_ACCEPTANCE = 0.01  # below it a chain has not warmed up: the step parameter is too large
@@ -176,8 +176,6 @@ def run_chain(init: ChainState, n_steps: int, burn_in: int, thinning: int,
     if thinning < 1:
         raise ConfigurationError("thinning must be >= 1")
     state = init
-    grid = init.phi.grid
-    cval = _c_value(c)
     samples = []
     wick2 = []
     accepts = np.zeros(n_steps, dtype=bool)
@@ -188,10 +186,8 @@ def run_chain(init: ChainState, n_steps: int, burn_in: int, thinning: int,
         if acc:
             h2 = None
         if i >= burn_in:
-            if h2 is None:
-                # integral of :phi^2: by Parseval, recomputed only when phi moved
-                coeffs = state.phi.coeffs
-                h2 = float(np.vdot(coeffs, coeffs).real) - grid.L**2 * cval
+            if h2 is None:  # recomputed only when phi moved
+                h2 = wick2_integral(state.phi, c)
             wick2.append(h2)
             if (i - burn_in) % thinning == 0:
                 samples.append(state.phi.copy())

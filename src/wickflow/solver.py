@@ -60,7 +60,8 @@ from .errors import BlowUpError, ConfigurationError, NonContractionError
 from .grid import SpectralField, TorusGrid, apply_semigroup
 from .ou import OUNoisePath, ou_innovations, step_constants, substream
 from .wick import (
-    PolynomialSpec, _c_value, _hermite_orders, counterterm_C, wick_nonlinearity_values,
+    PolynomialSpec, _c_value, _hermite_orders, counterterm_C, wick2_integral,
+    wick_nonlinearity_values,
 )
 
 BLOWUP_THRESHOLD = 1e8  # a step whose coefficients exceed this in modulus blows up
@@ -101,15 +102,13 @@ MODE_OBSERVABLES = [
 def field_observables(X: SpectralField, c) -> dict:
     """The registered observables of a field X, Wick-ordered with counterterm c.
 
-    wick2 and wick4 are the integrals of :X^2: and :X^4:; mode2_<k1>_<k2> is
-    |X_k|^2 for every k of MODE_OBSERVABLES that the grid retains.
+    wick2 and wick4 are the integrals of :X^2: (by Parseval, `wick2_integral`)
+    and :X^4: (over the samples); mode2_<k1>_<k2> is |X_k|^2 for every k of
+    MODE_OBSERVABLES that the grid retains.
     """
     grid = X.grid
-    h = list(_hermite_orders(grid.coeffs_to_values(X.coeffs), _c_value(c), 4))
-    out = {
-        "wick2": float(np.sum(h[2])) * grid.cell_area,
-        "wick4": float(np.sum(h[4])) * grid.cell_area,
-    }
+    *_, he4 = _hermite_orders(grid.coeffs_to_values(X.coeffs), _c_value(c), 4)
+    out = {"wick2": wick2_integral(X, c), "wick4": float(np.sum(he4)) * grid.cell_area}
     for k in MODE_OBSERVABLES:
         if max(abs(k[0]), abs(k[1])) <= grid.K:
             out[f"mode2_{k[0]}_{k[1]}"] = abs(X.get_mode(*k)) ** 2

@@ -11,7 +11,8 @@ where He_n(x; c) satisfies He_0 = 1, He_1 = x and the recurrence
 
 The recurrence is written once, in `_hermite_orders`, which yields the
 orders one after another from two buffers; every evaluator here (a single
-order, a stacked tower, the nonlinearity, the action) reads from it.  It
+order, a stacked tower, the nonlinearity, the action) reads from it,
+except the integral of :u^2:, which `wick2_integral` takes by Parseval.  It
 is numerically stable and degenerates gracefully to plain powers at c = 0
 (the unrenormalized limit).  A counterterm is a plain float c >= 0.  All
 pointwise evaluation happens on the dealiased fine grid; public operations
@@ -260,6 +261,12 @@ def wick_action(u, P: PolynomialSpec | None, c) -> float:
         if a_n != 0.0:
             total += a_n * float(np.sum(he))
     return total * grid.cell_area
+
+
+def wick2_integral(u: SpectralField, c) -> float:
+    """integral :u^2:_c over the torus by Parseval, sum_k |u_k|^2 - L^2 c."""
+    coeffs = u.coeffs
+    return float(np.vdot(coeffs, coeffs).real) - u.grid.L**2 * _c_value(c)
 
 
 def recombine(y, tower: WickTower, n: int):

@@ -111,12 +111,15 @@ def test_unknown_section_exit_2(tmp_path):
     {"ensemble": {"master_seed": -1}},          # once a ValueError traceback
     {"solver": {"T": 10**400}},                 # once an OverflowError traceback
     {"polynomial": {"a": [0, 0, 0, 0, 10**400]}},
+    {"grid": {"dealiasing_degree": -3}},        # once ran and reported -3 on an M of degree 4
+    {"grid": {"dealiasing_degree": 0}},
 ], ids=["unknown-key", "infinite-T", "nan-K", "negative-threads", "section-not-object",
         "fractional-K", "string-K", "fractional-n_traj", "bool-K", "float-threads",
         "float-burn_in", "string-seed", "string-T", "bool-rho", "string-coefficient",
         "scalar-a", "string-formats", "integer-dir", "overflowing-step-count",
         "T-not-a-multiple-of-delta", "zero-record_every", "negative-burn_in", "zero-thinning",
-        "negative-seed", "huge-integer-T", "huge-integer-coefficient"])
+        "negative-seed", "huge-integer-T", "huge-integer-coefficient",
+        "negative-dealiasing_degree", "zero-dealiasing_degree"])
 def test_invalid_config_exit_2(tmp_path, data):
     cfg = write_config(tmp_path / "c.json", data)
     command = "gibbs" if "sampler" in data else "simulate"  # the command that reads the keys
@@ -350,6 +353,7 @@ def test_config_resolution_returns_a_valid_config_or_a_config_error(
             continue
         cfg.validate()
         assert cfg.solver_config().n_steps >= 1 and cfg.polynomial().degree == 2 * cfg.N
+        assert cfg.dealiasing_degree >= 1  # TorusGrid's max_degree rule
 
 
 def test_identities_reconstruction_residual_sees_a_wrong_zbar(monkeypatch):

@@ -27,6 +27,7 @@ from wickflow.sampler import (
     pcn_step,
     run_chain,
 )
+from wickflow.solver import field_observables
 from wickflow.wick import hermite_variance
 
 
@@ -160,6 +161,20 @@ def test_run_chain_wick2_by_parseval_matches_grid_sum_and_leaves_chain_unchanged
     assert len(res.samples) == len(samples)
     assert all(np.array_equal(s.coeffs, ref) for s, ref in zip(res.samples, samples))
     np.testing.assert_allclose(res.observables["wick2"], wick2, rtol=1e-12, atol=0.0)
+
+
+def test_run_chain_wick2_of_thinned_states_equals_field_observables_bitwise():
+    # one route for the integral of :phi^2:, wick.wick2_integral, in the chain and the solver
+    grid = TorusGrid(10)
+    P = PolynomialSpec.quartic(0.25)
+    c = counterterm_C(grid)
+    burn_in, thinning = 30, 7
+    res = run_chain(make_chain(grid, P, c, 12), 150, burn_in, thinning, 0.6, P, c)
+    thinned = res.observables["wick2"][::thinning]
+    assert len(thinned) == len(res.samples) == 18
+    assert 0.0 < res.acceptance_rate < 1.0
+    for value, sample in zip(thinned, res.samples):
+        assert value == field_observables(sample, c)["wick2"]
 
 
 def test_low_acceptance_warning():

@@ -382,5 +382,7 @@ def test_field_observables_equal_the_written_out_recurrence_bitwise(c, M):
     X = sample_stationary(grid, np.random.default_rng([M, 2]))
     he = written_out_orders(grid.coeffs_to_values(X.coeffs), c, 4)
     obs = field_observables(X, c)
-    assert obs["wick2"] == float(np.sum(he[2])) * grid.cell_area
+    # wick2 by Parseval on the coefficients, wick4 over the samples
+    assert obs["wick2"] == float(np.vdot(X.coeffs, X.coeffs).real) - grid.L**2 * c
+    assert obs["wick2"] == pytest.approx(float(np.sum(he[2])) * grid.cell_area, rel=1e-12)
     assert obs["wick4"] == float(np.sum(he[4])) * grid.cell_area
