@@ -25,6 +25,10 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 
+# Largest M whose transforms run as dense products (see TorusGrid), set from
+# a crossover table measured single and batched (README, design notes).
+DFT_MAX_M = 100
+
 
 def sample_count(K: int, max_degree: int) -> int:
     """M of `TorusGrid(K, max_degree)`: the least even M >= (max_degree+1)*K + 1
@@ -36,17 +40,24 @@ def sample_count(K: int, max_degree: int) -> int:
 class TorusGrid:
     """Truncated Fourier lattice plus its dealiased real sampling grid.
 
-    The two grid transforms are pruned real-to-complex FFTs.  A real field
-    needs only the half-spectrum ky >= 0, and of that only the
+    The two grid transforms are pruned half-spectrum transforms.  A real
+    field needs only the half-spectrum ky >= 0, and of that only the
     (2K+1) x (K+1) corner |kx| <= K, 0 <= ky <= K is nonzero.  The inverse
-    scatters the window's columns ky = 0..K into an M x (K+1) array, runs a
-    complex inverse FFT along axis 0 on those K+1 columns and a
-    complex-to-real FFT along axis 1; columns ky > 0 first take the
-    Hermitian part (c(k) + conj c(-k))/2, so the result equals the real
-    part of the full inverse also for a non-Hermitian coefficient array.
-    The forward transform runs a real FFT along axis 1, keeps K+1 columns,
-    runs a complex FFT along axis 0 and gathers the window rows; the
-    columns ky < 0 follow by conjugate symmetry, exactly.
+    takes the columns ky > 0 as the Hermitian part (c(k) + conj c(-k))/2,
+    so the result equals the real part of the full inverse also for a
+    non-Hermitian coefficient array; the forward fills the columns ky < 0
+    by conjugate symmetry, exactly.  The route depends on M alone:
+
+    * M <= DFT_MAX_M: dense products with matrices cached per (K, M)
+      (`_dft_matrices`).  The inverse is E @ H, E[m, i] = exp(i k_i x_m),
+      then a real product against cos/sin rows in j; the forward is the
+      transpose pair.  On these sizes two small matrix products cost
+      fewer and cheaper calls than two FFTs.
+    * M > DFT_MAX_M: pruned FFTs.  The inverse scatters the columns
+      ky = 0..K into an M x (K+1) array, runs a complex inverse FFT along
+      axis 0 and a complex-to-real FFT along axis 1; the forward runs a
+      real FFT along axis 1, keeps K+1 columns, runs a complex FFT along
+      axis 0 and gathers the window rows.
 
     Parameters
     ----------
@@ -130,6 +141,14 @@ class TorusGrid:
         and its samples are bitwise those of the unbatched call.
         """
         K, L = self.K, self.L
+        if self.M <= DFT_MAX_M:
+            # Re(E H W) with W[j, m] = exp(i j x_m): E H read as (re, im) pairs
+            # against G's rows (cos, -sin); the weights 1/L of column 0 and
+            # 2 * 0.5/L of the Hermitian sums are G's 1/L
+            E, G, _, _ = _dft_matrices(K, self.M)
+            H = np.concatenate((coeffs[..., :1], coeffs[..., 1:K + 1]
+                                + np.conj(coeffs[..., self._neg, :K:-1])), axis=-1)
+            return (E @ H).view(np.float64) @ G
         half = np.zeros(coeffs.shape[:-2] + (self.M, K + 1), dtype=np.complex128)
         half[..., self._rows, 0] = coeffs[..., 0] * (1.0 / L)
         # the imaginary part of the ky = 0 output is dropped by irfft; the
@@ -148,12 +167,38 @@ class TorusGrid:
         are the exact conjugates of their mirrors, c(-k) = conj c(k).
         """
         K = self.K
-        half = np.fft.fft(np.fft.rfft(values, axis=1)[:, :K + 1], axis=0)[self._rows]
-        half *= self.L / self.M**2
+        if self.M <= DFT_MAX_M:
+            _, _, F, Eh = _dft_matrices(K, self.M)
+            half = Eh @ (values @ F).view(np.complex128)
+        else:
+            half = np.fft.fft(np.fft.rfft(values, axis=1)[:, :K + 1], axis=0)[self._rows]
+            half *= self.L / self.M**2
         return np.concatenate((half, np.conj(half[self._neg, K:0:-1])), axis=1)
 
 
 _lattice_grid = functools.cache(TorusGrid)
+
+
+@functools.cache
+def _dft_matrices(K: int, M: int):
+    """The dense half-spectrum transforms of the (K, M) grid, built on first use.
+
+    With x_m = 2*pi*m/M, k_i the window wavenumbers and j = 0..K:
+    E[m, i] = exp(i k_i x_m); G interleaves the rows cos(j x_m)/L and
+    -sin(j x_m)/L; F interleaves the columns cos(j x_m) and -sin(j x_m);
+    Eh = conj(E)^T L/M^2.  Phases are reduced mod M in integers.
+    """
+    L = 2.0 * np.pi
+    n = 2 * K + 1
+    m = np.arange(M)
+    k = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
+    E = np.exp(1j * (np.outer(m, k) % M) * (L / M))
+    jx = (np.outer(np.arange(K + 1), m) % M) * (L / M)
+    cs = np.stack((np.cos(jx), -np.sin(jx)), axis=1)  # (K+1, 2, M)
+    G = cs.reshape(2 * K + 2, M) / L
+    F = np.ascontiguousarray(cs.transpose(2, 0, 1).reshape(M, 2 * K + 2))
+    Eh = np.ascontiguousarray(np.conj(E).T) * (L / M**2)
+    return E, G, F, Eh
 
 
 class RealField:

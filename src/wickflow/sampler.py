@@ -42,7 +42,7 @@ from .errors import ConfigurationError, DomainError
 from .grid import RealField, SpectralField, TorusGrid
 from .ou import block_steps, sample_stationary, stationary_std, symmetrize_normals
 from .solver import field_observables
-from .wick import wick2_integral, wick_action
+from .wick import wick2_integral, wick_action, wick_action_values
 
 _partition_for = functools.cache(build_partition)
 MIN_ACCEPTANCE = 0.01  # below it a chain has not warmed up: the step parameter is too large
@@ -86,8 +86,9 @@ class _Proposals:
 class ChainState:
     """phi, its action V(phi) and the chain's rng and counters.
 
-    `values` are phi's samples on the compute grid where V is evaluated
-    (None in the free case, P = None); they change only on accept.
+    `values` are phi's samples on the compute grid where V is evaluated,
+    a plain array (None in the free case, P = None); they change only on
+    accept.
     `proposals` holds the draws taken ahead from `rng` (see the module
     docstring); states of one chain share it, as they share `rng`.  Build
     a chain's first state with `initial`.
@@ -97,7 +98,7 @@ class ChainState:
     action: float
     rng: np.random.Generator
     proposals: _Proposals = field(repr=False, compare=False)
-    values: RealField | None = None
+    values: np.ndarray | None = None
     accepted: int = 0
     proposed: int = 0
 
@@ -106,20 +107,26 @@ class ChainState:
         if P is None:
             return cls(phi, 0.0, rng, _Proposals(phi.grid, None, rng))
         cgrid = phi.grid.compute_grid(P.degree)
-        values = RealField(cgrid, cgrid.coeffs_to_values(phi.coeffs))
-        return cls(phi, wick_action(values, P, c), rng, _Proposals(phi.grid, cgrid, rng), values)
+        values = cgrid.coeffs_to_values(phi.coeffs)
+        return cls(phi, wick_action(RealField(cgrid, values), P, c), rng,
+                   _Proposals(phi.grid, cgrid, rng), values)
 
 
 def pcn_step(state: ChainState, rho: float, P, c) -> tuple[ChainState, bool]:
-    """One pCN proposal/accept step; returns (new state, accepted?)."""
+    """One pCN proposal/accept step; returns (new state, accepted?).
+
+    Raises `ConfigurationError` if the proposal's action is not finite.
+    """
     if not 0.0 < rho <= 1.0:
         raise DomainError(f"step parameter must lie in (0, 1], got {rho}")
     xi, xi_values, u = state.proposals.take()
     gamma = math.sqrt(1.0 - rho * rho)
-    values = None
+    values, v_new = None, 0.0
     if state.values is not None:
-        values = RealField(state.values.grid, gamma * state.values.values + rho * xi_values)
-    v_new = wick_action(values, P, c)
+        values = gamma * state.values + rho * xi_values
+        v_new = wick_action_values(values, P, c, state.proposals.cgrid.cell_area)
+        if not math.isfinite(v_new):
+            raise ConfigurationError(f"pCN proposal action is not finite: {v_new}")
     if math.log(u) < (state.action - v_new):
         prop = SpectralField(state.phi.grid, gamma * state.phi.coeffs + rho * xi)
         return ChainState(prop, v_new, state.rng, state.proposals, values,

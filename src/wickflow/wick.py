@@ -79,16 +79,18 @@ def _c_value(c) -> float:
 def _hermite_orders(x: np.ndarray, c: float, n: int):
     """Yield He_0(x; c) .. He_n(x; c), the recurrence in two buffers.
 
-    He_1 is x itself: a caller that returns an order must copy that one.
+    He_0 is the scalar 1.0 and He_1 is x itself: a caller that returns an
+    order must make an array of the first and copy the second.
     """
-    prev = np.ones_like(x)
-    yield prev
+    yield 1.0
     if n == 0:
         return
-    cur = x
+    prev, cur = 1.0, x
     yield cur
     for m in range(1, n):
-        prev, cur = cur, x * cur - m * c * prev
+        nxt = x * cur
+        nxt -= m * c * prev
+        prev, cur = cur, nxt
         yield cur
 
 
@@ -108,6 +110,8 @@ def hermite_variance(n: int, x, c: float):
     """He_n(x; c) = c^{n/2} P_n(c^{-1/2} x); works on scalars and arrays."""
     _check_order(n)
     x = np.asarray(x, dtype=np.float64)
+    if n == 0:
+        return np.ones_like(x)
     for he in _hermite_orders(x, c, n):
         pass
     return he.copy() if he is x else he
@@ -234,10 +238,14 @@ def wick_power(u, n: int, c):
 def wick_nonlinearity_values(values: np.ndarray, P: PolynomialSpec, c: float) -> np.ndarray:
     """Pointwise :p(u):_c = sum_n n a_n He_{n-1}(u; c) at the samples of u."""
     x = np.asarray(values, dtype=np.float64)
-    out = np.zeros_like(x)
+    out = None
     for n, he in enumerate(_hermite_orders(x, c, P.degree - 1), start=1):
         if P.a[n] != 0.0:
-            out += n * P.a[n] * he
+            term = n * P.a[n] * he
+            if out is None:
+                out = term
+            else:
+                out += term  # the a_1 term is a scalar; the top one is an array
     return out
 
 
@@ -250,17 +258,23 @@ def wick_action(u, P: PolynomialSpec | None, c) -> float:
     """
     if P is None:
         return 0.0
-    cval = _c_value(c)
     grid, values = _field_values(u)
     if P.degree * grid.K + 1 > grid.M:
         raise ConfigurationError(
             f"grid M={grid.M} too small for exact degree-{P.degree} quadrature at K={grid.K}"
         )
+    return wick_action_values(values, P, c, grid.cell_area)
+
+
+def wick_action_values(values: np.ndarray, P: PolynomialSpec, c: float,
+                       cell_area: float) -> float:
+    """The Wick action from the samples of u on a grid of cells of `cell_area`;
+    exact on the grids `wick_action` accepts."""
     total = 0.0
-    for a_n, he in zip(P.a, _hermite_orders(values, cval, P.degree)):
+    for a_n, he in zip(P.a, _hermite_orders(values, _c_value(c), P.degree)):
         if a_n != 0.0:
-            total += a_n * float(np.sum(he))
-    return total * grid.cell_area
+            total += a_n * (float(np.sum(he)) if np.ndim(he) else he * values.size)
+    return total * cell_area
 
 
 def wick2_integral(u: SpectralField, c) -> float:

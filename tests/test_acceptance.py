@@ -3,9 +3,9 @@
 Run with `pytest tests/test_acceptance.py -s` to see the PASS lines as they
 complete.  All experiments are deterministic given the seeds fixed here;
 statistical criteria use the pre-registered 3-standard-error rules.  The
-heavy invariance criterion dominates the runtime (about 160 s of a 250-s
+heavy invariance criterion dominates the runtime (about 100 s of a 165-s
 tier-1 run on a 2-core host with Python 3.11 and numpy 2.4); criterion 5
-takes about 70 s and everything else seconds.
+takes 35-50 s and everything else seconds.
 """
 
 import math

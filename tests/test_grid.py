@@ -13,6 +13,7 @@ from wickflow import (
     to_real,
     to_spectral,
 )
+from wickflow.grid import DFT_MAX_M
 
 
 def random_field(grid, seed):
@@ -197,7 +198,12 @@ def test_dealiasing_grid_size_rule():
 
 # -- pruned real transforms against the full complex FFT ----------------------
 
-TRANSFORM_KS = (0, 1, 4, 32)
+# (K, max_degree), id: K at the default degree (M = 4K + 2) on both routes,
+# the grids next to the dense route's bound (M = 98 and 102), and the
+# FFT-hostile quartic K = 16 grid (M = 82 = 2 * 41)
+TRANSFORM_KS = [pytest.param(K, d, id=i) for K, d, i in (
+    (0, 3, "0"), (1, 3, "1"), (4, 3, "4"), (32, 3, "32"),
+    (24, 3, "24"), (25, 3, "25"), (16, 4, "16-quartic"))]
 
 
 def full_inverse(grid, coeffs):
@@ -217,27 +223,27 @@ def assert_rel_close(a, b, rel):
     assert np.max(np.abs(a - b)) <= rel * np.max(np.abs(b))
 
 
-@pytest.mark.parametrize("K", TRANSFORM_KS)
-def test_inverse_transform_matches_full_fft_for_non_hermitian_input(K):
-    grid = TorusGrid(K)
+@pytest.mark.parametrize("K, max_degree", TRANSFORM_KS)
+def test_inverse_transform_matches_full_fft_for_non_hermitian_input(K, max_degree):
+    grid = TorusGrid(K, max_degree)
     n = 2 * K + 1
     rng = np.random.default_rng(100 + K)
     coeffs = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     assert_rel_close(grid.coeffs_to_values(coeffs), full_inverse(grid, coeffs), 1e-14)
 
 
-@pytest.mark.parametrize("K", TRANSFORM_KS)
-def test_inverse_transform_matches_full_fft_for_single_modes(K):
-    grid = TorusGrid(K)
+@pytest.mark.parametrize("K, max_degree", TRANSFORM_KS)
+def test_inverse_transform_matches_full_fft_for_single_modes(K, max_degree):
+    grid = TorusGrid(K, max_degree)
     for k1, k2 in {(K, K), (-K, K), (K, -K), (-K, -K), (K, 0), (-K, 0), (0, 0)}:
         u = SpectralField.zero(grid)
         u.set_mode(k1, k2, 0.7 - 1.3j)
         assert_rel_close(grid.coeffs_to_values(u.coeffs), full_inverse(grid, u.coeffs), 1e-14)
 
 
-@pytest.mark.parametrize("K", TRANSFORM_KS)
-def test_forward_transform_matches_full_fft_and_is_hermitian(K):
-    grid = TorusGrid(K)
+@pytest.mark.parametrize("K, max_degree", TRANSFORM_KS)
+def test_forward_transform_matches_full_fft_and_is_hermitian(K, max_degree):
+    grid = TorusGrid(K, max_degree)
     values = np.random.default_rng(200 + K).standard_normal((grid.M, grid.M))
     coeffs = grid.values_to_coeffs(values)
     assert_rel_close(coeffs, full_forward(grid, values), 1e-14)
@@ -257,6 +263,11 @@ def test_compute_grid_is_the_smallest_exact_grid_of_the_quartic(K, M, M_compute)
     assert small.compute_grid(4) is small
 
 
+def test_transform_grids_lie_on_both_routes():
+    assert TorusGrid(24).M <= DFT_MAX_M < TorusGrid(25).M
+    assert TorusGrid(16, max_degree=4).M <= DFT_MAX_M < TorusGrid(32).M
+
+
 def test_compute_grid_keeps_a_grid_that_is_not_larger():
     quadratic = TorusGrid(4, max_degree=2)  # the 2(2K+1) floor: M = 18 either way
     assert quadratic.compute_grid(2) is quadratic
@@ -266,9 +277,10 @@ def test_compute_grid_keeps_a_grid_that_is_not_larger():
         too_small.compute_grid(6).assert_product_degree(5)
 
 
-@pytest.mark.parametrize("K", [0, 4, 10, 32])
-def test_batched_inverse_transform_equals_each_unbatched_call_bitwise(K):
-    grid = TorusGrid(K, max_degree=3)
+@pytest.mark.parametrize("K, max_degree", [pytest.param(10, 3, id="10")]
+                         + [p for p in TRANSFORM_KS if p.id != "1"])
+def test_batched_inverse_transform_equals_each_unbatched_call_bitwise(K, max_degree):
+    grid = TorusGrid(K, max_degree)
     n = 2 * K + 1
     rng = np.random.default_rng([K, 1])
     coeffs = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -193,6 +194,19 @@ def test_action_cache_consistency():
     for _ in range(50):
         state, _ = pcn_step(state, 0.5, P, c)
     assert state.action == pytest.approx(wick_action(state.phi, P, c), abs=1e-10)
+
+
+def test_non_finite_proposal_action_raises():
+    grid = TorusGrid(2, max_degree=4)
+    P = PolynomialSpec.quartic(0.25)
+    c = counterterm_C(grid)
+    state = make_chain(grid, P, c, 7)
+    assert isinstance(state.values, np.ndarray)
+    for bad in (np.nan, np.inf, 1e300):  # the last overflows in the quartic
+        values = state.values.copy()
+        values[1, 2] = bad
+        with pytest.raises(ConfigurationError, match="not finite"), np.errstate(all="ignore"):
+            pcn_step(dataclasses.replace(state, values=values), 0.5, P, c)
 
 
 def test_chain_on_the_compute_grid_accepts_as_on_the_observation_grid(monkeypatch):
