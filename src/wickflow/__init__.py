@@ -9,7 +9,6 @@ from .grid import (
     SpectralField,
     TorusGrid,
     apply_semigroup,
-    dealiased_product,
     to_real,
     to_spectral,
 )

@@ -19,6 +19,7 @@ squares (measure dx/(2pi)^2) by Parseval on the coefficients, no transform.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,10 @@ class BesovSpec:
 
     alpha: float
 
+    def __post_init__(self):
+        if not isinstance(self.alpha, numbers.Real) or not math.isfinite(self.alpha):
+            raise DomainError(f"Besov alpha must be a finite real number, got {self.alpha!r}")
+
 
 class DyadicPartition:
     """Evaluated multiplier profiles of all blocks on a grid's lattice.
@@ -79,6 +84,10 @@ class DyadicPartition:
         for j in range(self.j_max + 1):
             profiles.append(_profile(r / 2 ** (j + 1)) - _profile(r / 2**j))
         self.profiles = np.stack(profiles)  # index 0 is block -1
+        # each block's band: the largest |k|_inf at which its profile is
+        # nonzero (profiles are exactly 0.0 outside their supports)
+        kinf = np.maximum(np.abs(grid.kx), np.abs(grid.ky))
+        self.bands = [int(np.max(kinf, where=p != 0.0, initial=0)) for p in self.profiles]
 
     def multiplier(self, j: int) -> np.ndarray:
         if not -1 <= j <= self.j_max:
@@ -98,21 +107,18 @@ def _check_grid(u: SpectralField, partition: DyadicPartition) -> None:
         raise ConfigurationError("partition built for a different grid")
 
 
-def block(u: SpectralField, j: int, partition: DyadicPartition) -> SpectralField:
-    """Littlewood-Paley block: the multiplier of annulus j applied to u."""
-    _check_grid(u, partition)
-    return SpectralField(u.grid, u.coeffs * partition.multiplier(j))
-
-
 def block_norms(u: SpectralField, partition: DyadicPartition) -> np.ndarray:
     """Sup norms over the grid's samples of all blocks, j = -1 .. j_max.
 
     Blocks are formed and inverse-transformed `ou.block_steps(grid)` at a
     time (as many as fit a block's coefficients in 64 KiB: all of them at
     K = 4 and K = 10, three at K = 16, one at K = 32), through the batch
-    axis of `coeffs_to_values`; each norm is bitwise that of its block's
-    own transform.  A block with no nonzero coefficient has norm exactly
-    0.0 and is not transformed.
+    axis of `coeffs_to_values`; each batch is transformed over the largest
+    band among its live blocks (`DyadicPartition.bands`: K for a batch
+    holding the outer block, 1, 2, 5, 10, 21, 32, 32 at K = 32), which
+    every block of the batch lies inside, and each norm is bitwise that of
+    its block's own transform over that band.  A block with no nonzero
+    coefficient has norm exactly 0.0 and is not transformed.
     """
     _check_grid(u, partition)
     grid = u.grid
@@ -123,7 +129,9 @@ def block_norms(u: SpectralField, partition: DyadicPartition) -> np.ndarray:
         live = [j for j, c in enumerate(coeffs) if c.any()]
         if live:  # copying out the live blocks costs about 13% at K = 32
             batch = coeffs if len(live) == len(coeffs) else coeffs[live]
-            out[start + np.array(live)] = np.abs(grid.coeffs_to_values(batch)).max(axis=(1, 2))
+            band = max(partition.bands[start + j] for j in live)
+            out[start + np.array(live)] = np.abs(
+                grid.coeffs_to_values(batch, band=band)).max(axis=(1, 2))
     return out
 
 

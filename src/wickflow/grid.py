@@ -26,8 +26,10 @@ import numpy as np
 from .errors import ConfigurationError, DomainError
 
 # Largest M whose transforms run as dense products (see TorusGrid), set from
-# a crossover table measured single and batched (README, design notes).
-DFT_MAX_M = 100
+# a crossover table measured single and batched (README, design notes;
+# scripts/transform_tables.py): the dense route wins every column up to
+# M = 146 and the forward loses at 150 and 162.
+DFT_MAX_M = 146
 
 
 def sample_count(K: int, max_degree: int) -> int:
@@ -58,6 +60,10 @@ class TorusGrid:
       axis 0 and a complex-to-real FFT along axis 1; the forward runs a
       real FFT along axis 1, keeps K+1 columns, runs a complex FFT along
       axis 0 and gathers the window rows.
+
+    Both transforms take a `band` s <= K: they then act on the sub-window
+    |k|_inf <= s alone, as above with s in place of K (on the dense route
+    with the matrices of (s, M)), which projects the field to that band.
 
     Parameters
     ----------
@@ -132,48 +138,76 @@ class TorusGrid:
 
     # -- low-level array transforms (hot path, no field wrappers) ----------
 
-    def coeffs_to_values(self, coeffs: np.ndarray) -> np.ndarray:
+    def coeffs_to_values(self, coeffs: np.ndarray, band: int | None = None) -> np.ndarray:
         """Window coefficients -> real samples on the fine M x M grid.
 
         Equals Re of the full inverse FFT of the zero-padded window, for any
         complex input; only the columns ky = 0..K are transformed.  Leading
         axes are a batch: each (2K+1, 2K+1) slice is transformed on its own,
         and its samples are bitwise those of the unbatched call.
+
+        `band` = s in 0..K transforms only the coefficients with |k|_inf <= s
+        (the others are treated as zero) and costs by the (2s+1)^2 window;
+        None, like s = K, transforms the whole window.
         """
-        K, L = self.K, self.L
+        s, L = self.K if band is None else self._band(band), self.L
+        neg, rows = self._neg, self._rows
+        if s < self.K:
+            idx, neg, rows = _window(s, self.M)
+            coeffs = coeffs[..., idx[:, None], idx]
         if self.M <= DFT_MAX_M:
             # Re(E H W) with W[j, m] = exp(i j x_m): E H read as (re, im) pairs
             # against G's rows (cos, -sin); the weights 1/L of column 0 and
             # 2 * 0.5/L of the Hermitian sums are G's 1/L
-            E, G, _, _ = _dft_matrices(K, self.M)
-            H = np.concatenate((coeffs[..., :1], coeffs[..., 1:K + 1]
-                                + np.conj(coeffs[..., self._neg, :K:-1])), axis=-1)
+            E, G, _, _ = _dft_matrices(s, self.M)
+            H = np.concatenate((coeffs[..., :1], coeffs[..., 1:s + 1]
+                                + np.conj(coeffs[..., neg, :s:-1])), axis=-1)
             return (E @ H).view(np.float64) @ G
-        half = np.zeros(coeffs.shape[:-2] + (self.M, K + 1), dtype=np.complex128)
-        half[..., self._rows, 0] = coeffs[..., 0] * (1.0 / L)
+        half = np.zeros(coeffs.shape[:-2] + (self.M, s + 1), dtype=np.complex128)
+        half[..., rows, 0] = coeffs[..., 0] * (1.0 / L)
         # the imaginary part of the ky = 0 output is dropped by irfft; the
         # columns ky > 0 carry k and -k together as the Hermitian part
-        half[..., self._rows, 1:] = (coeffs[..., 1:K + 1]
-                                     + np.conj(coeffs[..., self._neg, :K:-1])) * (0.5 / L)
+        half[..., rows, 1:] = (coeffs[..., 1:s + 1]
+                               + np.conj(coeffs[..., neg, :s:-1])) * (0.5 / L)
         half = np.fft.ifft(half, axis=-2, norm="forward")
         return np.fft.irfft(half, n=self.M, axis=-1, norm="forward")
 
-    def values_to_coeffs(self, values: np.ndarray) -> np.ndarray:
+    def values_to_coeffs(self, values: np.ndarray, band: int | None = None) -> np.ndarray:
         """Real samples -> coefficients on the retained window.
 
         Exact as long as the sampled function has no frequency aliasing
         into the window, which `assert_product_degree` guarantees for
         polynomial operations performed on this grid.  The columns ky < 0
         are the exact conjugates of their mirrors, c(-k) = conj c(k).
+
+        `band` = s in 0..K computes only the coefficients with |k|_inf <= s
+        and returns zeros elsewhere, at the cost of the (2s+1)^2 window;
+        None, like s = K, computes the whole window.
         """
-        K = self.K
+        s = self.K if band is None else self._band(band)
+        neg, rows = self._neg, self._rows
+        if s < self.K:
+            idx, neg, rows = _window(s, self.M)
         if self.M <= DFT_MAX_M:
-            _, _, F, Eh = _dft_matrices(K, self.M)
+            _, _, F, Eh = _dft_matrices(s, self.M)
             half = Eh @ (values @ F).view(np.complex128)
         else:
-            half = np.fft.fft(np.fft.rfft(values, axis=1)[:, :K + 1], axis=0)[self._rows]
+            half = np.fft.fft(np.fft.rfft(values, axis=1)[:, :s + 1], axis=0)[rows]
             half *= self.L / self.M**2
-        return np.concatenate((half, np.conj(half[self._neg, K:0:-1])), axis=1)
+        coeffs = np.concatenate((half, np.conj(half[neg, s:0:-1])), axis=1)
+        if s == self.K:
+            return coeffs
+        n = 2 * self.K + 1
+        out = np.zeros((n, n), dtype=np.complex128)
+        out[idx[:, None], idx] = coeffs
+        return out
+
+    def _band(self, band) -> int:
+        """The cutoff s of a transform's `band` argument other than None."""
+        if isinstance(band, (int, np.integer)) and not isinstance(band, bool) \
+                and 0 <= band <= self.K:
+            return int(band)
+        raise ConfigurationError(f"band must be an int in 0..{self.K} or None, got {band!r}")
 
 
 _lattice_grid = functools.cache(TorusGrid)
@@ -199,6 +233,20 @@ def _dft_matrices(K: int, M: int):
     F = np.ascontiguousarray(cs.transpose(2, 0, 1).reshape(M, 2 * K + 2))
     Eh = np.ascontiguousarray(np.conj(E).T) * (L / M**2)
     return E, G, F, Eh
+
+
+@functools.cache
+def _window(s: int, M: int):
+    """Indices of the |k|_inf <= s window inside any larger window, M-point grid.
+
+    The wrap-order wavenumbers [0..s, -s..-1] index the sub-window in a
+    wrap-order array of any cutoff K >= s (a negative index counts from the
+    end); returned with the window's own index of -k and its rows on the
+    M-point axis.
+    """
+    n = 2 * s + 1
+    idx = np.fft.fftfreq(n, d=1.0 / n).astype(np.int64)
+    return idx, -np.arange(n) % n, idx % M
 
 
 class RealField:
@@ -301,22 +349,3 @@ def apply_semigroup(u: SpectralField, t: float) -> SpectralField:
     if t < 0:
         raise DomainError(f"semigroup time must be >= 0, got {t}")
     return SpectralField(u.grid, u.coeffs * np.exp(-u.grid.lam * t))
-
-
-def dealiased_product(fields, degree: int | None = None) -> SpectralField:
-    """Exact spectral product of band-limited fields, truncated to the window.
-
-    `degree` defaults to the number of factors; pass it explicitly when the
-    factors are themselves powers so the padding check stays honest.
-    """
-    fields = list(fields)
-    if not fields:
-        raise ConfigurationError("dealiased_product needs at least one field")
-    _check_same_grid(*fields)
-    grid = fields[0].grid
-    d = len(fields) if degree is None else int(degree)
-    grid.assert_product_degree(d)
-    prod = grid.coeffs_to_values(fields[0].coeffs)
-    for f in fields[1:]:
-        prod = prod * grid.coeffs_to_values(f.coeffs)
-    return SpectralField(grid, grid.values_to_coeffs(prod))

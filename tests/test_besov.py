@@ -15,14 +15,14 @@ from wickflow.besov import (
     BesovSpec,
     DyadicPartition,
     besov_norm,
-    block,
     block_norms,
     block_rms,
     build_partition,
     heat_norm_curve,
     regularity_estimate,
 )
-from wickflow.ou import hermitian_normals
+from wickflow.ou import block_steps, hermitian_normals
+from oracles import block
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +119,12 @@ def test_besov_norm_cosine_against_multiplier_oracle(g16, p16):
             weight = 1.0 if j == -1 else 2.0 ** (j * alpha)
             oracle = max(oracle, weight * w * 1.0)
     assert norm == pytest.approx(oracle, rel=1e-10)
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf"), 1j, "0.5", None])
+def test_besov_spec_rejects_a_non_finite_or_non_real_alpha(alpha):
+    with pytest.raises(DomainError):
+        BesovSpec(alpha)
 
 
 def test_besov_norm_homogeneous(g16, p16):
@@ -223,21 +229,45 @@ def test_heat_norm_curve_monotone(g16, p16):
     assert np.all(np.diff(curve) < 0)  # smoothing decays the stronger norm
 
 
+def batch_bands(field, partition):
+    """Per block, the band `block_norms` transforms it over: the largest band
+    of the nonzero blocks in its batch of `ou.block_steps(grid)`."""
+    live = [block(field, j, partition).coeffs.any() for j in range(-1, partition.j_max + 1)]
+    size, bands = block_steps(field.grid), []
+    for start in range(0, len(live), size):
+        batch = [b for b, on in zip(partition.bands[start:start + size], live[start:start + size]) if on]
+        bands += [max(batch, default=0)] * len(live[start:start + size])
+    return bands
+
+
+def per_block_norms(field, partition, transform, bands):
+    """Each block's sup norm by its own transform over `bands`, 0.0 for an empty block."""
+    norms = np.zeros(partition.j_max + 2)
+    for j in range(-1, partition.j_max + 1):
+        coeffs = block(field, j, partition).coeffs
+        if coeffs.any():
+            norms[j + 1] = np.max(np.abs(transform(field.grid, coeffs, bands[j + 1])))
+    return norms
+
+
 def test_block_norms_skip_zero_blocks_bit_for_bit():
     # a field restricted to |k|_inf <= 4 on the K = 32 grid leaves the
     # annuli j >= 3 empty, as in the Wick convergence suite
     grid = TorusGrid(32, max_degree=3)
     partition = build_partition(grid)
+    assert partition.bands == [1, 2, 5, 10, 21, 32, 32]
     u = sample_stationary(grid, np.random.default_rng(21))
     mask = (np.abs(grid.kx) <= 4) & (np.abs(grid.ky) <= 4)
     v = SpectralField(grid, np.where(mask, u.coeffs, 0.0))
     unskipped = np.array([
-        np.max(np.abs(grid.coeffs_to_values(block(v, j, partition).coeffs)))
+        np.max(np.abs(grid.coeffs_to_values(block(v, j, partition).coeffs, band=partition.bands[j + 1])))
         for j in range(-1, partition.j_max + 1)
     ])
     norms = block_norms(v, partition)
     assert np.array_equal(norms, unskipped)
     assert np.count_nonzero(norms == 0.0) == 3
+    full_band = per_block_norms(v, partition, TorusGrid.coeffs_to_values, [None] * norms.size)
+    np.testing.assert_allclose(norms, full_band, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("K", [4, 10, 16, 32])
@@ -250,16 +280,14 @@ def test_batched_block_norms_equal_the_per_block_loop_bitwise(K, monkeypatch):
     original = TorusGrid.coeffs_to_values
     seen = []
     monkeypatch.setattr(TorusGrid, "coeffs_to_values",
-                        lambda self, coeffs: seen.append(coeffs) or original(self, coeffs))
+                        lambda self, coeffs, band=None: seen.append(coeffs) or original(self, coeffs, band))
     for field, empty in ((u, 0), (band, partition.j_max - 1)):
-        loop = np.zeros(partition.j_max + 2)
-        for j in range(-1, partition.j_max + 1):
-            coeffs = block(field, j, partition).coeffs
-            if coeffs.any():
-                loop[j + 1] = np.max(np.abs(original(grid, coeffs)))
+        loop = per_block_norms(field, partition, original, batch_bands(field, partition))
         norms = block_norms(field, partition)
         assert np.array_equal(norms, loop)
         assert np.count_nonzero(norms == 0.0) == empty
+        full_band = per_block_norms(field, partition, original, [None] * norms.size)
+        np.testing.assert_allclose(norms, full_band, rtol=1e-14, atol=0)
     n = 2 * K + 1
     assert seen and all(c.reshape(-1, n, n).any(axis=(1, 2)).all() for c in seen)
 

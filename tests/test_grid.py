@@ -8,12 +8,13 @@ from wickflow import (
     SpectralField,
     TorusGrid,
     apply_semigroup,
-    dealiased_product,
     sample_stationary,
     to_real,
     to_spectral,
 )
+import wickflow.grid as grid_module
 from wickflow.grid import DFT_MAX_M
+from oracles import dealiased_product
 
 
 def random_field(grid, seed):
@@ -198,12 +199,13 @@ def test_dealiasing_grid_size_rule():
 
 # -- pruned real transforms against the full complex FFT ----------------------
 
-# (K, max_degree), id: K at the default degree (M = 4K + 2) on both routes,
-# the grids next to the dense route's bound (M = 98 and 102), and the
-# FFT-hostile quartic K = 16 grid (M = 82 = 2 * 41)
+# (K, max_degree), id: K at the default degree (M = 4K + 2), M = 98 and 102
+# (the dense route's old bound), the FFT-hostile quartic K = 16 grid
+# (M = 82 = 2 * 41), and the FFT route's grids M = 162 and 194 = 2 * 97
 TRANSFORM_KS = [pytest.param(K, d, id=i) for K, d, i in (
     (0, 3, "0"), (1, 3, "1"), (4, 3, "4"), (32, 3, "32"),
-    (24, 3, "24"), (25, 3, "25"), (16, 4, "16-quartic"))]
+    (24, 3, "24"), (25, 3, "25"), (16, 4, "16-quartic"),
+    (32, 4, "32-quartic"), (48, 3, "48"))]
 
 
 def full_inverse(grid, coeffs):
@@ -264,8 +266,8 @@ def test_compute_grid_is_the_smallest_exact_grid_of_the_quartic(K, M, M_compute)
 
 
 def test_transform_grids_lie_on_both_routes():
-    assert TorusGrid(24).M <= DFT_MAX_M < TorusGrid(25).M
-    assert TorusGrid(16, max_degree=4).M <= DFT_MAX_M < TorusGrid(32).M
+    assert TorusGrid(32).M <= DFT_MAX_M < TorusGrid(32, max_degree=4).M
+    assert TorusGrid(24, max_degree=4).M <= DFT_MAX_M < TorusGrid(48).M
 
 
 def test_compute_grid_keeps_a_grid_that_is_not_larger():
@@ -288,3 +290,47 @@ def test_batched_inverse_transform_equals_each_unbatched_call_bitwise(K, max_deg
     assert batched.shape == (3, grid.M, grid.M)
     for b in range(3):
         assert np.array_equal(batched[b], grid.coeffs_to_values(coeffs[b]))
+
+
+# -- band-limited transforms ---------------------------------------------------
+
+ROUTES = {"dense": 10**6, "fft": -1}
+
+
+def band_mask(grid, s):
+    return (np.abs(grid.kx) <= s) & (np.abs(grid.ky) <= s)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("K", [4, 10, 32])
+def test_band_transforms_are_the_projected_full_transforms(K, route, monkeypatch):
+    monkeypatch.setattr(grid_module, "DFT_MAX_M", ROUTES[route])
+    grid = TorusGrid(K)
+    n = 2 * K + 1
+    rng = np.random.default_rng([K, 7])
+    coeffs = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+    values = rng.standard_normal((grid.M, grid.M))
+    for s in sorted({0, 1, K // 2, K}):
+        inside = band_mask(grid, s)
+        samples = grid.coeffs_to_values(coeffs, band=s)
+        for b in range(3):
+            assert_rel_close(samples[b], full_inverse(grid, np.where(inside, coeffs[b], 0.0)), 1e-14)
+            assert np.array_equal(samples[b], grid.coeffs_to_values(coeffs[b], band=s))
+        window = grid.values_to_coeffs(values, band=s)
+        assert_rel_close(window, np.where(inside, full_forward(grid, values), 0.0), 1e-14)
+        assert np.all(window[~inside] == 0.0)
+        u = SpectralField(grid, window)
+        for k1 in range(-K, K + 1):
+            for k2 in range(1, K + 1):
+                assert u.get_mode(-k1, -k2) == np.conj(u.get_mode(k1, k2))
+    assert np.array_equal(grid.coeffs_to_values(coeffs, band=K), grid.coeffs_to_values(coeffs))
+    assert np.array_equal(grid.values_to_coeffs(values, band=K), grid.values_to_coeffs(values))
+
+
+@pytest.mark.parametrize("band", [-1, 5, 1.0, "2", True, np.float64(2.0)])
+def test_bad_band_rejected(band):
+    grid = TorusGrid(4)
+    with pytest.raises(ConfigurationError):
+        grid.coeffs_to_values(np.zeros((9, 9), dtype=np.complex128), band=band)
+    with pytest.raises(ConfigurationError):
+        grid.values_to_coeffs(np.zeros((grid.M, grid.M)), band=band)
