@@ -6,9 +6,11 @@ Run from the root of a checkout; it imports `wickflow` from `./src` with one
 BLAS thread, as `perfbench/run.py` does.  Two tables, microseconds per call,
 each the median of `--repeats` interleaved timeit loops of >= 10 ms:
 
-* crossover: per grid (K, max_degree), the single inverse, the single
-  forward and one slice of an 8-slice batched inverse, on the FFT route
-  (`DFT_MAX_M` set below M) and on the dense route (set above M);
+* crossover: per grid (K, max_degree), the single inverse of a full
+  window and of a half window (the (2K+1) x (K+1) columns ky >= 0 that the
+  solver steps), the single forward and one slice of an 8-slice batched
+  inverse, on the FFT route (`DFT_MAX_M` set below M) and on the dense
+  route (set above M);
 * band: on the K = 32 grid (M = 130), the inverse and forward with
   `band` = s on both routes.
 
@@ -71,10 +73,12 @@ def crossover(repeats):
         n = 2 * K + 1
         rng = np.random.default_rng(K)
         c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        h = g.half_window(c)
         batch = rng.standard_normal((8, n, n)) + 1j * rng.standard_normal((8, n, n))
         v = rng.standard_normal((g.M, g.M))
         row = {"K": K, "max_degree": d, "M": g.M}
         for name, f, per in (("inverse", lambda: g.coeffs_to_values(c), 1),
+                             ("inverse_half", lambda: g.coeffs_to_values(h), 1),
                              ("forward", lambda: g.values_to_coeffs(v), 1),
                              ("inverse_batch8", lambda: g.coeffs_to_values(batch), 8)):
             fft, dense = per_call_us([routed("fft", f), routed("dense", f)], repeats, per)
@@ -82,6 +86,7 @@ def crossover(repeats):
                         f"{name}_fft_over_dense": round(fft / dense, 2)})
         rows.append(row)
         print(f"| {g.M} | {row['inverse_fft_us']:.0f}/{row['inverse_dense_us']:.0f} "
+              f"| {row['inverse_half_fft_us']:.0f}/{row['inverse_half_dense_us']:.0f} "
               f"| {row['forward_fft_us']:.0f}/{row['forward_dense_us']:.0f} "
               f"| {row['inverse_batch8_fft_us']:.0f}/{row['inverse_batch8_dense_us']:.0f} |",
               file=sys.stderr)
@@ -112,7 +117,8 @@ def main(argv=None):
     parser.add_argument("--repeats", type=int, default=9)
     args = parser.parse_args(argv)
     bound = grid_module.DFT_MAX_M
-    print("| M | inverse | forward | inverse, per slice of 8 |  (FFT/dense, us)", file=sys.stderr)
+    print("| M | inverse | inverse, half window | forward | inverse, per slice of 8 |"
+          "  (FFT/dense, us)", file=sys.stderr)
     cross = crossover(args.repeats)
     print("| band | inverse | forward |  (FFT/dense, us, M = 130)", file=sys.stderr)
     bands = band_table(args.repeats)

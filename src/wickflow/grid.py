@@ -44,22 +44,32 @@ class TorusGrid:
 
     The two grid transforms are pruned half-spectrum transforms.  A real
     field needs only the half-spectrum ky >= 0, and of that only the
-    (2K+1) x (K+1) corner |kx| <= K, 0 <= ky <= K is nonzero.  The inverse
-    takes the columns ky > 0 as the Hermitian part (c(k) + conj c(-k))/2,
-    so the result equals the real part of the full inverse also for a
-    non-Hermitian coefficient array; the forward fills the columns ky < 0
-    by conjugate symmetry, exactly.  The route depends on M alone:
+    (2K+1) x (K+1) corner |kx| <= K, 0 <= ky <= K is nonzero: its *half
+    window*, whose columns ky < 0 are implied as the conjugate mirrors
+    c(-k) = conj c(k).  The inverse takes a full window or a half window.
+    It reads a full window through its Hermitian half h_0 = c_0,
+    h_j = (c_j + conj c_{-j})/2 (`half_window`), bitwise its first K+1
+    columns when the window is exactly Hermitian, so the result equals the
+    real part of the full inverse also for a non-Hermitian array.  The forward returns the full window, its
+    columns ky < 0 filled by conjugate symmetry, exactly (`full_window`),
+    or with `half` the half window alone.  The route depends on M alone:
 
     * M <= DFT_MAX_M: dense products with matrices cached per (K, M)
       (`_dft_matrices`).  The inverse is E @ H, E[m, i] = exp(i k_i x_m),
-      then a real product against cos/sin rows in j; the forward is the
-      transpose pair.  On these sizes two small matrix products cost
-      fewer and cheaper calls than two FFTs.
-    * M > DFT_MAX_M: pruned FFTs.  The inverse scatters the columns
-      ky = 0..K into an M x (K+1) array, runs a complex inverse FFT along
-      axis 0 and a complex-to-real FFT along axis 1; the forward runs a
-      real FFT along axis 1, keeps K+1 columns, runs a complex FFT along
-      axis 0 and gathers the window rows.
+      H a half window, or for a full window its column 0 and sums
+      c_j + conj c_{-j} = 2 h_j, then a real product against cos/sin rows
+      in j, those of j > 0 doubled for a half window (`_half_rows`); the
+      forward is the transpose pair.  On these
+      sizes two small matrix products cost fewer and cheaper calls than
+      two FFTs.
+    * M > DFT_MAX_M: pruned FFTs.  The inverse scatters h/L (a full
+      window's sums times 0.5/L) into an M x (K+1) array, runs a complex inverse FFT along axis 0 and a
+      complex-to-real FFT along axis 1; the forward runs a real FFT along
+      axis 1, keeps K+1 columns, runs a complex FFT along axis 0 and
+      gathers the window rows.
+
+    Scaling by 2 or 1/2 is exact, so a full window and its Hermitian half
+    give bitwise the same samples.
 
     Both transforms take a `band` s <= K: they then act on the sub-window
     |k|_inf <= s alone, as above with s in place of K (on the dense route
@@ -141,44 +151,49 @@ class TorusGrid:
     def coeffs_to_values(self, coeffs: np.ndarray, band: int | None = None) -> np.ndarray:
         """Window coefficients -> real samples on the fine M x M grid.
 
-        Equals Re of the full inverse FFT of the zero-padded window, for any
-        complex input; only the columns ky = 0..K are transformed.  Leading
-        axes are a batch: each (2K+1, 2K+1) slice is transformed on its own,
-        and its samples are bitwise those of the unbatched call.
+        `coeffs` is a full window (..., 2K+1, 2K+1) or a half window
+        (..., 2K+1, K+1), the columns ky >= 0 of a real field (the two
+        coincide at K = 0).  The result equals Re of the full inverse FFT of
+        the zero-padded window, for any complex full window; only the
+        columns ky = 0..K are transformed.  Leading axes are a batch: each
+        slice is transformed on its own, and its samples are bitwise those
+        of the unbatched call.
 
         `band` = s in 0..K transforms only the coefficients with |k|_inf <= s
         (the others are treated as zero) and costs by the (2s+1)^2 window;
         None, like s = K, transforms the whole window.
         """
-        s, L = self.K if band is None else self._band(band), self.L
+        s = self.K if band is None else self._band(band)
         neg, rows = self._neg, self._rows
+        full = coeffs.shape[-1] == 2 * self.K + 1
         if s < self.K:
             idx, neg, rows = _window(s, self.M)
-            coeffs = coeffs[..., idx[:, None], idx]
+            coeffs = coeffs[..., idx[:, None], idx] if full else coeffs[..., idx, :s + 1]
+        # the columns ky > 0 stand for k and -k together: a full window's sums
+        # H = c(k) + conj c(-k), or a half window's h = H/2
+        H = _mirror_sums(coeffs, neg, s) if full else coeffs
         if self.M <= DFT_MAX_M:
             # Re(E H W) with W[j, m] = exp(i j x_m): E H read as (re, im) pairs
-            # against G's rows (cos, -sin); the weights 1/L of column 0 and
-            # 2 * 0.5/L of the Hermitian sums are G's 1/L
+            # against G's rows (cos, -sin)/L, for h with the rows j > 0 doubled
             E, G, _, _ = _dft_matrices(s, self.M)
-            H = np.concatenate((coeffs[..., :1], coeffs[..., 1:s + 1]
-                                + np.conj(coeffs[..., neg, :s:-1])), axis=-1)
-            return (E @ H).view(np.float64) @ G
-        half = np.zeros(coeffs.shape[:-2] + (self.M, s + 1), dtype=np.complex128)
-        half[..., rows, 0] = coeffs[..., 0] * (1.0 / L)
-        # the imaginary part of the ky = 0 output is dropped by irfft; the
-        # columns ky > 0 carry k and -k together as the Hermitian part
-        half[..., rows, 1:] = (coeffs[..., 1:s + 1]
-                               + np.conj(coeffs[..., neg, :s:-1])) * (0.5 / L)
+            return (E @ H).view(np.float64) @ (G if full else _half_rows(s, self.M))
+        half = np.zeros(H.shape[:-2] + (self.M, s + 1), dtype=np.complex128)
+        half[..., rows, 0] = H[..., 0] * (1.0 / self.L)
+        # the imaginary part of the ky = 0 output is dropped by irfft
+        half[..., rows, 1:] = H[..., 1:] * ((0.5 if full else 1.0) / self.L)
         half = np.fft.ifft(half, axis=-2, norm="forward")
         return np.fft.irfft(half, n=self.M, axis=-1, norm="forward")
 
-    def values_to_coeffs(self, values: np.ndarray, band: int | None = None) -> np.ndarray:
+    def values_to_coeffs(self, values: np.ndarray, band: int | None = None,
+                         half: bool = False) -> np.ndarray:
         """Real samples -> coefficients on the retained window.
 
         Exact as long as the sampled function has no frequency aliasing
         into the window, which `assert_product_degree` guarantees for
         polynomial operations performed on this grid.  The columns ky < 0
-        are the exact conjugates of their mirrors, c(-k) = conj c(k).
+        are the exact conjugates of their mirrors, c(-k) = conj c(k);
+        `half` returns the half window (2K+1, K+1) without them, bitwise
+        the columns ky >= 0 of the full one.
 
         `band` = s in 0..K computes only the coefficients with |k|_inf <= s
         and returns zeros elsewhere, at the cost of the (2s+1)^2 window;
@@ -190,17 +205,31 @@ class TorusGrid:
             idx, neg, rows = _window(s, self.M)
         if self.M <= DFT_MAX_M:
             _, _, F, Eh = _dft_matrices(s, self.M)
-            half = Eh @ (values @ F).view(np.complex128)
+            h = Eh @ (values @ F).view(np.complex128)
         else:
-            half = np.fft.fft(np.fft.rfft(values, axis=1)[:, :s + 1], axis=0)[rows]
-            half *= self.L / self.M**2
-        coeffs = np.concatenate((half, np.conj(half[neg, s:0:-1])), axis=1)
+            h = np.fft.fft(np.fft.rfft(values, axis=1)[:, :s + 1], axis=0)[rows]
+            h *= self.L / self.M**2
+        coeffs = h if half else _mirrored(h, neg, s)
         if s == self.K:
             return coeffs
         n = 2 * self.K + 1
-        out = np.zeros((n, n), dtype=np.complex128)
-        out[idx[:, None], idx] = coeffs
+        out = np.zeros((n, self.K + 1 if half else n), dtype=np.complex128)
+        out[idx[:, None], idx[:s + 1] if half else idx] = coeffs
         return out
+
+    def half_window(self, coeffs: np.ndarray) -> np.ndarray:
+        """The Hermitian half (..., 2K+1, K+1) of full windows (..., 2K+1, 2K+1):
+        h_0 = c_0 and h_j = (c_j + conj c_{-j})/2 for j = 1..K, the columns
+        ky >= 0 of the real field that c denotes (the one `coeffs_to_values`
+        samples); bitwise c[..., :K+1] for an exactly Hermitian c."""
+        h = _mirror_sums(coeffs, self._neg, self.K)
+        h[..., 1:] *= 0.5
+        return h
+
+    def full_window(self, half: np.ndarray) -> np.ndarray:
+        """The full window of half windows: the columns ky < 0 are the
+        conjugate mirrors conj h(-k), as in `values_to_coeffs`."""
+        return _mirrored(half, self._neg, self.K)
 
     def _band(self, band) -> int:
         """The cutoff s of a transform's `band` argument other than None."""
@@ -211,6 +240,18 @@ class TorusGrid:
 
 
 _lattice_grid = functools.cache(TorusGrid)
+
+
+def _mirror_sums(coeffs, neg, s):
+    """Column 0 and the sums c(k) + conj c(-k) of the columns ky = 1..s of
+    (..., 2s+1, 2s+1) windows; `neg` indexes -k."""
+    return np.concatenate((coeffs[..., :1], coeffs[..., 1:s + 1]
+                           + np.conj(coeffs[..., neg, :s:-1])), axis=-1)
+
+
+def _mirrored(half, neg, s):
+    """`TorusGrid.full_window` of (..., 2s+1, s+1) halves; `neg` indexes -k."""
+    return np.concatenate((half, np.conj(half[..., neg, s:0:-1])), axis=-1)
 
 
 @functools.cache
@@ -233,6 +274,16 @@ def _dft_matrices(K: int, M: int):
     F = np.ascontiguousarray(cs.transpose(2, 0, 1).reshape(M, 2 * K + 2))
     Eh = np.ascontiguousarray(np.conj(E).T) * (L / M**2)
     return E, G, F, Eh
+
+
+@functools.cache
+def _half_rows(K: int, M: int):
+    """G of `_dft_matrices(K, M)` with its rows j > 0 doubled: the inverse's
+    rows for half windows, whose columns ky > 0 stand for their mirrors too.
+    Cached apart, so transforms of full windows never build it."""
+    G = _dft_matrices(K, M)[1].copy()
+    G[2:] *= 2.0
+    return G
 
 
 @functools.cache

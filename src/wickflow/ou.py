@@ -23,7 +23,8 @@ n = 2K + 1) in `BLOCK_BYTES` = 64 KiB, at least one: 50 at K = 4, 9 at
 K = 10, 1 at K = 32.  Above about 100 KiB, near glibc's
 128 KiB mmap threshold, a block costs more per step than single draws.
 `ou_innovations` scales them into the per-step innovations sigma * xi,
-the one noise stream of the solver and of `OUNoisePath`; the pCN
+the one noise stream of the solver (which scales the half windows
+xi[:, :K+1] alone, bitwise the same columns) and of `OUNoisePath`; the pCN
 proposals and `besov.block_norms` size their blocks by `block_steps`.  A
 solve that raises `BlowUpError` may leave its rng up to one block ahead.
 

@@ -21,8 +21,9 @@ draws do not depend on the state, so the chain takes them
 `ou.block_steps(grid)` proposals ahead (as many as fit xi in
 `ou.BLOCK_BYTES` = 64 KiB: 50 at K = 4, 9 at K = 10, 1 at K = 32), in
 that order, and symmetrizes and transforms a block's xi in one batched
-call each; proposal coefficients, and so the samples, are bitwise those
-of drawing per proposal.  A step runs no transform:
+call each (the inverse on xi's half windows, its columns ky >= 0: xi is
+exactly Hermitian); proposal coefficients, and so the samples, are
+bitwise those of drawing per proposal.  A step runs no transform:
 the state carries phi's samples on the compute grid, and by linearity a
 proposal's samples are sqrt(1 - rho^2) v(phi) + rho v(xi).  V(phi') thus
 differs from the action of a fresh transform of phi' at rounding level,
@@ -71,7 +72,8 @@ class _Proposals:
             self.rng.standard_normal(out=d)
             self.u.append(self.rng.uniform())
         self.xi = self.std * symmetrize_normals(self.grid, self.draws)
-        self.values = None if self.cgrid is None else self.cgrid.coeffs_to_values(self.xi)
+        self.values = (None if self.cgrid is None
+                       else self.cgrid.coeffs_to_values(self.xi[..., :self.grid.K + 1]))
         self.next = 0
 
     def take(self):
@@ -107,7 +109,7 @@ class ChainState:
         if P is None:
             return cls(phi, 0.0, rng, _Proposals(phi.grid, None, rng))
         cgrid = phi.grid.compute_grid(P.degree)
-        values = cgrid.coeffs_to_values(phi.coeffs)
+        values = cgrid.coeffs_to_values(phi.coeffs[:, :phi.grid.K + 1])
         return cls(phi, wick_action(RealField(cgrid, values), P, c), rng,
                    _Proposals(phi.grid, cgrid, rng), values)
 

@@ -35,10 +35,23 @@ caller's grid (`TorusGrid.compute_grid`), the smallest one on which the
 step is exact; records move the coefficients back onto the caller's grid,
 so every recorded field and observable is the caller's.
 
+Half windows.  X is a real field, so the columns ky < 0 of Y, Z and zbar
+are the conjugate mirrors of the columns ky > 0.  A solve carries Y, Z,
+zbar and the datum's coefficients as half windows, their (2K+1) x (K+1)
+columns ky >= 0, and slices the step constants to them once; `step` and
+`nonlinear_term` act on half windows, which the grid transforms take as
+they are.  y0 and z0 enter as their Hermitian halves
+(`TorusGrid.half_window`), bitwise their first K+1 columns when they are
+exactly Hermitian (samples, chain states, their differences, zero).
+Records expand to full windows by the conjugate mirrors
+(`TorusGrid.full_window`), as `values_to_coeffs` fills them.
+
 Noise and records.  Z advances by Z <- e^{-lambda delta} Z + eta_n, with
-eta_n the n-th innovation of one stream (`ou.ou_innovations`), whether the
-noise is given as a seed (its stream (seed, 0, 1)), a Generator or a
-frozen `OUNoisePath`; the three give bitwise the same run.  A `Trajectory`
+eta_n = sigma * xi_n the n-th innovation of one stream (`ou.noise_source`,
+taken on the half window: bitwise the columns ky >= 0 of
+`ou.ou_innovations`), whether the noise is given as a seed (its stream
+(seed, 0, 1)), a Generator or a frozen `OUNoisePath`; the three give
+bitwise the same run.  A `Trajectory`
 records itself at t = 0, after every `record_every` steps and at T;
 `record_every=None` records the start and the end only.
 
@@ -46,7 +59,7 @@ Drift scaling: with the free measure fixed to mode variance 1/(2 lambda_k)
 and unit cylindrical noise, the dynamics that preserves the Gibbs density
 exp(-integral :q:) carries HALF the gradient of the action (the Langevin
 drift is (1/2) d log(density)).  `stationary_solve` therefore runs with
-drift_scale = 1/2; the plain `solve`/`step` integrate the shifted equation
+drift_scale = 1/2; the plain `solve` integrates the shifted equation
 with the literal coefficients (drift_scale = 1), which is what the
 deterministic scheme tests exercise.
 """
@@ -56,9 +69,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BlowUpError, ConfigurationError, NonContractionError
-from .grid import SpectralField, TorusGrid, apply_semigroup
-from .ou import OUNoisePath, ou_innovations, step_constants, substream
+from .errors import BlowUpError, ConfigurationError
+from .grid import SpectralField, TorusGrid
+from .ou import OUNoisePath, noise_source, step_constants, substream
 from .wick import (
     PolynomialSpec, _c_value, _hermite_orders, counterterm_C, wick2_integral,
     wick_nonlinearity_values,
@@ -115,43 +128,59 @@ def field_observables(X: SpectralField, c) -> dict:
     return out
 
 
-def nonlinear_term(Y: SpectralField, zbar_values: np.ndarray, P: PolynomialSpec | None,
-                   c: float) -> SpectralField:
+def nonlinear_term(grid: TorusGrid, Y: np.ndarray, zbar_values: np.ndarray,
+                   P: PolynomialSpec | None, c: float) -> np.ndarray:
     """The shifted-equation nonlinearity
 
         F = sum_{k=1}^{2N} k a_k sum_{l=0}^{k-1} C(k-1, l) Y^l :zbar^{k-1-l}:_c,
 
     evaluated as :p(Y + zbar):_c at the samples of Y plus `zbar_values`, the
-    samples of zbar on Y's grid, pointwise on that dealiased grid and
-    projected to the window.  P = None: F = 0.
+    samples of zbar on `grid`, pointwise on that dealiased grid and
+    projected to the window.  Y is a half or full window of coefficients
+    (`TorusGrid.coeffs_to_values`); F is returned as a half window.
+    P = None: F = 0.
     """
-    grid = Y.grid
     if P is None:
-        return SpectralField.zero(grid)
+        return np.zeros((2 * grid.K + 1, grid.K + 1), dtype=np.complex128)
     grid.assert_product_degree(max(P.degree - 1, 1))
-    x = grid.coeffs_to_values(Y.coeffs) + zbar_values
+    x = grid.coeffs_to_values(Y) + zbar_values
     F = wick_nonlinearity_values(x, P, c)
-    return SpectralField(grid, grid.values_to_coeffs(F))
+    return grid.values_to_coeffs(F, half=True)
 
 
-def step(Y: SpectralField, zbar_values: np.ndarray, c: float, cfg: SolverConfig,
-         P: PolynomialSpec | None) -> SpectralField:
-    """One exponential-Euler step of the shifted equation."""
-    grid = Y.grid
-    F = nonlinear_term(Y, zbar_values, P, c)
-    decay, _, weight = step_constants(grid, cfg.delta, cfg.drift_scale)
-    return SpectralField(grid, decay * Y.coeffs - weight * F.coeffs)
+def step(grid: TorusGrid, Y: np.ndarray, zbar_values: np.ndarray, decay: np.ndarray,
+         weight: np.ndarray, P: PolynomialSpec | None, c: float) -> np.ndarray:
+    """One exponential-Euler step of the shifted equation on half windows:
+    decay * Y - weight * F, with `decay` and `weight` the half windows of
+    `ou.step_constants` (`half_constants`)."""
+    return decay * Y - weight * nonlinear_term(grid, Y, zbar_values, P, c)
 
 
-def _as_noise(grid: TorusGrid, noise, cfg: SolverConfig):
-    """The per-step OU innovations of a solve on `grid`: drawn from a seed's
-    stream (seed, 0, 1) or a Generator, or read from a frozen path."""
+def half_constants(grid: TorusGrid, cfg: SolverConfig):
+    """decay, sigma and weight of `ou.step_constants` for cfg's step, and
+    lambda, sliced to the half window once per solve."""
+    h = grid.K + 1
+    decay, sigma, weight = step_constants(grid, cfg.delta, cfg.drift_scale)
+    return decay[:, :h], sigma[:, :h], weight[:, :h], grid.lam[:, :h]
+
+
+def _heat_flow(v: np.ndarray, lam: np.ndarray, t: float) -> np.ndarray:
+    """e^{tA} of the coefficients v of the modes with eigenvalues -lam."""
+    return v * np.exp(-lam * t)
+
+
+def _innovations(grid: TorusGrid, noise, cfg: SolverConfig, sigma: np.ndarray):
+    """The half windows of the per-step OU innovations sigma * xi of a solve
+    on `grid`: xi drawn from a seed's stream (seed, 0, 1) or a Generator by
+    `ou.noise_source`, or read from a frozen path; bitwise the columns
+    ky >= 0 of `ou.ou_innovations`."""
+    h = grid.K + 1
     if isinstance(noise, OUNoisePath):
         if abs(noise.delta - cfg.delta) > 1e-12 * cfg.delta or noise.n_steps < cfg.n_steps:
             raise ConfigurationError("noise path does not match the solver schedule")
-        return iter(noise.innovations)
+        return iter(noise.innovations[:, :, :h])
     rng = noise if isinstance(noise, np.random.Generator) else substream(int(noise), 0, 1)
-    return ou_innovations(grid, cfg.delta, rng, cfg.n_steps)
+    return (sigma * xi[:, :h] for xi in noise_source(grid, rng, cfg.n_steps))
 
 
 class Trajectory:
@@ -176,53 +205,53 @@ class Trajectory:
         self.reconstruction_defect = 0.0
 
     def record(self, t, Y, zbar):
-        Y, zbar = SpectralField(self.grid, Y.coeffs), SpectralField(self.grid, zbar.coeffs)
+        """Append time t with Y and zbar given as half windows."""
         X = Y + zbar
         self.times.append(t)
-        self.Y.append(Y)
-        self.X.append(X)
-        self.zbar.append(zbar)
-        defect = float(np.max(np.abs(X.coeffs - Y.coeffs - zbar.coeffs)))
+        for fields, half in ((self.Y, Y), (self.X, X), (self.zbar, zbar)):
+            fields.append(SpectralField(self.grid, self.grid.full_window(half)))
+        defect = float(np.max(np.abs(X - Y - zbar)))
         self.reconstruction_defect = max(self.reconstruction_defect, defect)
-        obs = field_observables(X, self.c)
-        obs["sup_Y"] = float(np.max(np.abs(self.grid.coeffs_to_values(Y.coeffs))))
+        obs = field_observables(self.X[-1], self.c)
+        obs["sup_Y"] = float(np.max(np.abs(self.grid.coeffs_to_values(Y))))
         for name, value in obs.items():
             self.observables.setdefault(name, []).append(value)
 
 
 def _run(grid, cfg, P, Y0, z_init_datum, noise, c=None):
-    """The loop of every solve: step Y against the samples of
-    zbar = Z + e^{tA} z on the compute grid, advance Z by the exact OU step
-    Z <- decay * Z + the next innovation of the noise (`_as_noise`), and
-    record X = Y + zbar on `grid`, all with counterterm c (default c_C of
-    `grid`).  A step whose Y is not finite or exceeds `BLOWUP_THRESHOLD`
-    raises `BlowUpError` with its start time and Y there."""
+    """The loop of every solve, on half windows: step Y against the samples
+    of zbar = Z + e^{tA} v on the compute grid, advance Z by the exact OU
+    step Z <- decay * Z + the next innovation of the noise
+    (`_innovations`), and record X = Y + zbar on `grid`, all with
+    counterterm c (default c_C of `grid`).  A step whose Y is not finite or
+    exceeds `BLOWUP_THRESHOLD` raises `BlowUpError` with its start time and
+    Y there."""
     cgrid = grid.compute_grid(P.degree if P is not None else 2)
-    innovations = _as_noise(cgrid, noise, cfg)
+    decay, sigma, weight, lam = half_constants(cgrid, cfg)
+    innovations = _innovations(cgrid, noise, cfg, sigma)
     n_steps = cfg.n_steps
-    decay = step_constants(cgrid, cfg.delta).decay
     c = _c_value(counterterm_C(grid) if c is None else c)
     traj = Trajectory(grid, c)
-    Z = SpectralField.zero(cgrid)
-    Y = SpectralField(cgrid, Y0.coeffs.copy())
-    v = SpectralField(cgrid, z_init_datum.coeffs) if z_init_datum is not None else None
+    Y = cgrid.half_window(Y0.coeffs)
+    Z = np.zeros_like(Y)
+    v = cgrid.half_window(z_init_datum.coeffs) if z_init_datum is not None else None
 
     def zbar_at(t):
-        return Z + apply_semigroup(v, t) if v is not None else Z
+        return Z + _heat_flow(v, lam, t) if v is not None else Z
 
     zbar = zbar_at(0.0)
-    zbar_values = cgrid.coeffs_to_values(zbar.coeffs)
+    zbar_values = cgrid.coeffs_to_values(zbar)
     traj.record(0.0, Y, zbar)
     for n in range(n_steps):
         t = n * cfg.delta
-        new = step(Y, zbar_values, c, cfg, P)
-        if not np.abs(new.coeffs).max() <= BLOWUP_THRESHOLD:  # also NaN and inf
-            raise BlowUpError(t=t, last_state=SpectralField(grid, Y.coeffs))
+        new = step(cgrid, Y, zbar_values, decay, weight, P, c)
+        if not np.abs(new).max() <= BLOWUP_THRESHOLD:  # also NaN and inf
+            raise BlowUpError(t=t, last_state=SpectralField(grid, grid.full_window(Y)))
         Y = new
-        Z = SpectralField(cgrid, decay * Z.coeffs + next(innovations))
+        Z = decay * Z + next(innovations)
         t_next = (n + 1) * cfg.delta
         zbar = zbar_at(t_next)
-        zbar_values = cgrid.coeffs_to_values(zbar.coeffs)
+        zbar_values = cgrid.coeffs_to_values(zbar)
         if n + 1 == n_steps or cfg.record_every and (n + 1) % cfg.record_every == 0:
             traj.record(t_next, Y, zbar)
     traj.times = np.array(traj.times)
@@ -234,7 +263,12 @@ def solve(y0, z0, noise, cfg: SolverConfig, P: PolynomialSpec,
           c: float | None = None, grid: TorusGrid | None = None) -> Trajectory:
     """Integrate the shifted equation with Y(0) = y0 (default 0) and
     zbar = Z + e^{tA} z0, X = Y + zbar, Wick-ordered with counterterm c
-    (default `counterterm_C(grid)`)."""
+    (default `counterterm_C(grid)`).
+
+    y0 and z0 enter as their Hermitian halves (`TorusGrid.half_window`): a
+    window whose columns ky < 0 are not the mirrors of its columns ky > 0
+    stands for the real field that `coeffs_to_values` samples from it, and
+    the trajectory records that field's Y and X."""
     if grid is None:
         grid = y0.grid if y0 is not None else (z0.grid if z0 is not None else None)
     if grid is None:
@@ -258,45 +292,3 @@ def stationary_solve(eta, noise, cfg: SolverConfig, P: PolynomialSpec,
     """
     cfg = replace(cfg, drift_scale=0.5 * cfg.drift_scale)
     return _run(eta.grid, cfg, P, eta, None, noise, c)
-
-
-def picard_solve(y0, zbar_values: list, c: float, delta: float, P: PolynomialSpec,
-                 cfg: SolverConfig | None = None,
-                 tol: float = 1e-8, max_iter: int = 200):
-    """Fixed-point iteration of the discrete mild map on a frozen zbar path,
-    given by its samples `zbar_values[m]` at t = m delta and counterterm c.
-
-    The map uses left-endpoint phi-1 quadrature, so its fixed point is
-    exactly the exponential-Euler trajectory; cross-checking the two is a
-    consistency test of both code paths.  Returns (path, residual_history);
-    raises if the residual grows (horizon too large to contract).
-    """
-    grid = y0.grid
-    n = len(zbar_values) - 1
-    if n < 1:
-        raise ConfigurationError("picard_solve needs zbar samples at least at t=0 and t=delta")
-    scale = cfg.drift_scale if cfg is not None else 1.0
-    decay, _, weight = step_constants(grid, delta, scale)
-    path = [y0.copy() for _ in range(n + 1)]
-    residuals = []
-    grow = 0
-    for _ in range(max_iter):
-        new = [y0.copy()]
-        for m in range(n):
-            F = nonlinear_term(path[m], zbar_values[m], P, c)
-            new.append(SpectralField(grid, decay * new[m].coeffs - weight * F.coeffs))
-        res = max(float(np.max(np.abs(a.coeffs - b.coeffs))) for a, b in zip(new, path))
-        residuals.append(res)
-        path = new
-        if res < tol:
-            return path, residuals
-        if len(residuals) >= 2 and res > residuals[-2]:
-            grow += 1
-            if grow >= 3:
-                raise NonContractionError(
-                    f"Picard residual grew ({residuals[-2]:.3g} -> {res:.3g}); "
-                    "shrink the horizon"
-                )
-        else:
-            grow = 0
-    raise NonContractionError(f"Picard iteration did not reach tol={tol} in {max_iter} sweeps")

@@ -3,12 +3,17 @@
 `block` forms one Littlewood-Paley block, the oracle of `besov.block_norms`
 and `besov.block_rms`; `dealiased_product` forms exact spectral products
 through the grid transforms, the route the convolution oracle and the
-product identities check.
+product identities check; `picard_solve` iterates the discrete mild map
+to its fixed point, the exponential-Euler trajectory of `solver.step`.
 """
 
-from wickflow import ConfigurationError, SpectralField
+import numpy as np
+
+from wickflow import ConfigurationError, NonContractionError, SpectralField
 from wickflow.besov import DyadicPartition, _check_grid
 from wickflow.grid import _check_same_grid
+from wickflow.ou import step_constants
+from wickflow.solver import nonlinear_term
 
 
 def block(u: SpectralField, j: int, partition: DyadicPartition) -> SpectralField:
@@ -34,3 +39,46 @@ def dealiased_product(fields, degree: int | None = None) -> SpectralField:
     for f in fields[1:]:
         prod = prod * grid.coeffs_to_values(f.coeffs)
     return SpectralField(grid, grid.values_to_coeffs(prod))
+
+
+def picard_solve(y0: SpectralField, zbar_values: list, c: float, delta: float, P,
+                 tol: float = 1e-8, max_iter: int = 200):
+    """Fixed-point iteration of the discrete mild map on a frozen zbar path,
+    given by its samples `zbar_values[m]` at t = m delta and counterterm c.
+
+    The map uses left-endpoint phi-1 quadrature, so its fixed point is
+    exactly the exponential-Euler trajectory; cross-checking the two is a
+    consistency test of both code paths.  It iterates on half windows, as
+    the solver steps.  Returns (path, residual_history), the path as full
+    fields; raises if the residual grows (horizon too large to contract).
+    """
+    grid = y0.grid
+    n = len(zbar_values) - 1
+    if n < 1:
+        raise ConfigurationError("picard_solve needs zbar samples at least at t=0 and t=delta")
+    h = grid.K + 1
+    decay, _, weight = (a[:, :h] for a in step_constants(grid, delta))
+    y = grid.half_window(y0.coeffs)
+    path = [y] * (n + 1)
+    residuals = []
+    grow = 0
+    for _ in range(max_iter):
+        new = [y]
+        for m in range(n):
+            F = nonlinear_term(grid, path[m], zbar_values[m], P, c)
+            new.append(decay * new[m] - weight * F)
+        res = max(float(np.max(np.abs(a - b))) for a, b in zip(new, path))
+        residuals.append(res)
+        path = new
+        if res < tol:
+            return [SpectralField(grid, grid.full_window(u)) for u in path], residuals
+        if len(residuals) >= 2 and res > residuals[-2]:
+            grow += 1
+            if grow >= 3:
+                raise NonContractionError(
+                    f"Picard residual grew ({residuals[-2]:.3g} -> {res:.3g}); "
+                    "shrink the horizon"
+                )
+        else:
+            grow = 0
+    raise NonContractionError(f"Picard iteration did not reach tol={tol} in {max_iter} sweeps")

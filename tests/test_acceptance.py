@@ -39,7 +39,7 @@ from wickflow.experiments import (
     run_regularity,
     run_wick_convergence,
 )
-from wickflow.solver import SolverConfig, step
+from wickflow.solver import SolverConfig, half_constants, step
 
 
 def report(num, name, passed, detail):
@@ -155,9 +155,11 @@ def test_criterion_08_scheme_convergence_linear():
     errors = []
     for delta in (0.01, 0.005, 0.0025):
         cfg = SolverConfig(delta=delta, T=1.0)
-        Y = y0.copy()
+        decay, _, weight, _ = half_constants(grid, cfg)
+        Y = grid.half_window(y0.coeffs)
         for _ in range(cfg.n_steps):
-            Y = step(Y, zeros, 0.0, cfg, P)
+            Y = step(grid, Y, zeros, decay, weight, P, 0.0)
+        Y = SpectralField(grid, grid.full_window(Y))
         err = max(
             abs(Y.get_mode(0, 0).real - np.exp(-(1 + 1.0))),      # lambda = 1
             abs(Y.get_mode(1, 0).real - 0.5 * np.exp(-(2 + 1.0))),  # lambda = 2

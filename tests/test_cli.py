@@ -359,7 +359,7 @@ def test_config_resolution_returns_a_valid_config_or_a_config_error(
 def test_identities_reconstruction_residual_sees_a_wrong_zbar(monkeypatch):
     # the residual once compared X - Y with the zbar that X was formed from and
     # could not fail; with no heat flow of the datum it must
-    monkeypatch.setattr(solver, "apply_semigroup", lambda z, t: z)
+    monkeypatch.setattr(solver, "_heat_flow", lambda v, lam, t: v)
     report = experiments.run_identities(ExperimentConfig())
     assert report["results"]["max_residuals"]["reconstruction"] > 1e-10
     assert report["pass"] is False

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wickflow import (
     ConfigurationError,
@@ -14,6 +16,7 @@ from wickflow import (
 )
 import wickflow.grid as grid_module
 from wickflow.grid import DFT_MAX_M
+from wickflow.ou import symmetrize_normals
 from oracles import dealiased_product
 
 
@@ -290,6 +293,60 @@ def test_batched_inverse_transform_equals_each_unbatched_call_bitwise(K, max_deg
     assert batched.shape == (3, grid.M, grid.M)
     for b in range(3):
         assert np.array_equal(batched[b], grid.coeffs_to_values(coeffs[b]))
+
+
+# -- half windows ----------------------------------------------------------------
+
+# (K, max_degree, M): K = 0, where the two windows coincide, the dense route's
+# M = 18, 42 and 130 and the FFT route's M = 158 = 2 * 79 and 162
+HALF_GRIDS = [pytest.param(K, d, M, id=f"K{K}-M{M}") for K, d, M in (
+    (0, 3, 2), (4, 2, 18), (10, 3, 42), (32, 3, 130), (39, 3, 158), (32, 4, 162))]
+
+
+@pytest.mark.parametrize("K, max_degree, M", HALF_GRIDS)
+def test_half_window_transforms_equal_the_full_window_transforms_bitwise(K, max_degree, M):
+    grid = TorusGrid(K, max_degree)
+    assert grid.M == M and (M <= DFT_MAX_M) == (M <= 130)
+    n = 2 * K + 1
+    rng = np.random.default_rng([K, M])
+    coeffs = symmetrize_normals(grid, rng.standard_normal((3, 2, n, n)))  # exactly Hermitian
+    half = coeffs[..., :K + 1]
+    assert np.array_equal(grid.half_window(coeffs), half)
+    assert np.array_equal(grid.full_window(half), coeffs)
+    values = rng.standard_normal((M, M))
+    for band in sorted({0, K // 2, K}) + [None]:
+        samples = grid.coeffs_to_values(coeffs, band=band)
+        assert np.array_equal(grid.coeffs_to_values(half, band=band), samples)
+        for b in range(3):
+            assert np.array_equal(grid.coeffs_to_values(half[b], band=band), samples[b])
+        window = grid.values_to_coeffs(values, band=band)
+        assert np.array_equal(grid.values_to_coeffs(values, band=band, half=True),
+                              window[:, :K + 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=st.integers(0, 8), max_degree=st.integers(1, 5), dense=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_a_full_window_and_its_hermitian_half_give_bitwise_equal_samples(
+        K, max_degree, dense, seed, data):
+    grid = TorusGrid(K, max_degree)
+    n = 2 * K + 1
+    rng = np.random.default_rng(seed)
+    coeffs = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    expected = coeffs[:, :K + 1].copy()
+    for i in range(n):
+        for j in range(1, K + 1):
+            expected[i, j] = (coeffs[i, j] + np.conj(coeffs[-i % n, -j % n])) / 2
+    half = grid.half_window(coeffs)
+    assert np.array_equal(half, expected)
+    band = data.draw(st.none() | st.integers(0, K))
+    bound = grid_module.DFT_MAX_M
+    grid_module.DFT_MAX_M = 10**6 if dense else -1
+    try:
+        assert np.array_equal(grid.coeffs_to_values(half, band=band),
+                              grid.coeffs_to_values(coeffs, band=band))
+    finally:
+        grid_module.DFT_MAX_M = bound
 
 
 # -- band-limited transforms ---------------------------------------------------

@@ -28,13 +28,15 @@ from wickflow.ou import build_tower, hermitian_normals, ou_step, step_constants
 from wickflow.sampler import observables
 from wickflow.solver import (
     SolverConfig,
+    half_constants,
     nonlinear_term,
-    picard_solve,
     solve,
     stationary_solve,
     step,
 )
 from wickflow.wick import recombine, wick_nonlinearity_values
+
+from oracles import picard_solve
 
 
 def zero_noise_path(grid, delta, n_steps):
@@ -52,12 +54,12 @@ def test_nonlinear_term_quartic_structure():
     c = counterterm_C(grid)
     tower = field_tower(zbar, c, 4)
     P = PolynomialSpec.quartic(0.25)
-    F = nonlinear_term(Y, grid.coeffs_to_values(zbar.coeffs), P, c)
+    F = grid.full_window(nonlinear_term(grid, Y.coeffs, grid.coeffs_to_values(zbar.coeffs), P, c))
     yv = grid.coeffs_to_values(Y.coeffs)
     oracle = (tower.order_values(3) + 3 * yv * tower.order_values(2)
               + 3 * yv**2 * tower.order_values(1) + yv**3)
     oracle_coeffs = grid.values_to_coeffs(oracle)
-    assert np.max(np.abs(F.coeffs - oracle_coeffs)) < 1e-12 * (1 + np.max(np.abs(oracle_coeffs)))
+    assert np.max(np.abs(F - oracle_coeffs)) < 1e-12 * (1 + np.max(np.abs(oracle_coeffs)))
 
 
 def test_nonlinear_term_constants():
@@ -65,15 +67,17 @@ def test_nonlinear_term_constants():
     grid = TorusGrid(2, max_degree=4)
     c = 0.3
     one = to_spectral(RealField.constant(grid, 1.0))
-    F = nonlinear_term(one, grid.coeffs_to_values(one.coeffs), PolynomialSpec.quartic(0.25), c)
-    assert F.get_mode(0, 0).real == pytest.approx(2 * np.pi * (8 - 6 * c), rel=1e-12)
+    F = nonlinear_term(grid, one.coeffs, grid.coeffs_to_values(one.coeffs),
+                       PolynomialSpec.quartic(0.25), c)
+    assert F[0, 0].real == pytest.approx(2 * np.pi * (8 - 6 * c), rel=1e-12)
 
 
 def test_nonlinear_term_linear_case():
     grid = TorusGrid(3, max_degree=4)
     Y = sample_stationary(grid, substream(1, 0, 1))
-    F = nonlinear_term(Y, np.zeros((grid.M, grid.M)), PolynomialSpec.quadratic(0.8), 0.0)
-    assert np.max(np.abs(F.coeffs - 2 * 0.8 * Y.coeffs)) < 1e-12
+    F = nonlinear_term(grid, Y.coeffs, np.zeros((grid.M, grid.M)), PolynomialSpec.quadratic(0.8),
+                       0.0)
+    assert np.max(np.abs(grid.full_window(F) - 2 * 0.8 * Y.coeffs)) < 1e-12
 
 
 def test_nonlinear_term_collapses_to_wick_polynomial():
@@ -83,10 +87,10 @@ def test_nonlinear_term_collapses_to_wick_polynomial():
     zbar, Y = sample_stationary(grid, rng), sample_stationary(grid, rng)
     c = counterterm_C(grid)
     P = PolynomialSpec.quartic(0.25, a2=0.3)
-    F = nonlinear_term(Y, grid.coeffs_to_values(zbar.coeffs), P, c)
+    F = grid.full_window(nonlinear_term(grid, Y.coeffs, grid.coeffs_to_values(zbar.coeffs), P, c))
     x = grid.coeffs_to_values((Y + zbar).coeffs)
     direct = SpectralField(grid, grid.values_to_coeffs(wick_nonlinearity_values(x, P, c)))
-    assert np.max(np.abs(F.coeffs - direct.coeffs)) < 1e-11 * (1 + np.max(np.abs(direct.coeffs)))
+    assert np.max(np.abs(F - direct.coeffs)) < 1e-11 * (1 + np.max(np.abs(direct.coeffs)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -101,11 +105,11 @@ def test_nonlinear_term_is_the_recombination_of_every_tower_order(K, N, c, extra
     a[2 * N] = abs(a[2 * N]) + 0.1
     P = PolynomialSpec(N, a)
     tower = field_tower(zbar, c, 2 * N + extra)
-    F = nonlinear_term(Y, grid.coeffs_to_values(zbar.coeffs), P, c)
+    F = grid.full_window(nonlinear_term(grid, Y.coeffs, grid.coeffs_to_values(zbar.coeffs), P, c))
     oracle = SpectralField.zero(grid)
     for k in range(1, 2 * N + 1):
         oracle = oracle + recombine(Y, tower, k - 1) * (k * P.a[k])
-    assert np.max(np.abs(F.coeffs - oracle.coeffs)) <= 1e-12 * (1 + np.max(np.abs(oracle.coeffs)))
+    assert np.max(np.abs(F - oracle.coeffs)) <= 1e-12 * (1 + np.max(np.abs(oracle.coeffs)))
 
 
 def tower_route_final_state(z0, path, cfg, P):
@@ -162,10 +166,11 @@ def test_a_seed_its_stream_and_its_frozen_path_give_bitwise_equal_records(K, M, 
 def test_step_pure_semigroup_when_free():
     grid = TorusGrid(2)
     Y = sample_stationary(grid, substream(4, 0, 1))
-    cfg = SolverConfig(delta=0.05, T=1.0)
-    out = step(Y, np.zeros((grid.M, grid.M)), 0.0, cfg, None)
+    decay, _, weight, _ = half_constants(grid, SolverConfig(delta=0.05, T=1.0))
+    out = step(grid, grid.half_window(Y.coeffs), np.zeros((grid.M, grid.M)), decay, weight,
+               None, 0.0)
     expected = Y.coeffs * np.exp(-grid.lam * 0.05)
-    assert np.max(np.abs(out.coeffs - expected)) < 1e-14
+    assert np.max(np.abs(grid.full_window(out) - expected)) < 1e-14
 
 
 def test_step_constants_are_cached_and_bitwise_equal_to_inline_formulas():
@@ -179,9 +184,14 @@ def test_step_constants_are_cached_and_bitwise_equal_to_inline_formulas():
     Y = sample_stationary(grid, substream(1, 0, 0))
     z = sample_stationary(grid, substream(1, 0, 1))
     zv = grid.coeffs_to_values(z.coeffs)
-    cfg = SolverConfig(delta=delta, T=1.0, drift_scale=0.3)
-    expected = decay * Y.coeffs - delta * 0.3 * phi1 * nonlinear_term(Y, zv, P, 0.0).coeffs
-    assert np.array_equal(step(Y, zv, 0.0, cfg, P).coeffs, expected)
+    h = grid.K + 1
+    y = grid.half_window(Y.coeffs)
+    assert np.array_equal(y, Y.coeffs[:, :h])  # a sample is exactly Hermitian
+    halves = half_constants(grid, SolverConfig(delta=delta, T=1.0, drift_scale=0.3))
+    for got, full in zip(halves, (decay, sigma, delta * 0.3 * phi1, grid.lam)):
+        assert np.array_equal(got, full[:, :h])
+    expected = decay[:, :h] * y - delta * 0.3 * phi1[:, :h] * nonlinear_term(grid, y, zv, P, 0.0)
+    assert np.array_equal(step(grid, y, zv, halves[0], halves[2], P, 0.0), expected)
     moved = ou_step(z, delta, substream(2, 0, 1)).coeffs
     xi = hermitian_normals(grid, substream(2, 0, 1))
     assert np.array_equal(moved, decay * z.coeffs + sigma * xi)
@@ -205,11 +215,12 @@ def test_step_linear_closed_form_and_order():
     errors = []
     for delta in (0.01, 0.005, 0.0025):
         cfg = SolverConfig(delta=delta, T=1.0)
-        Y = y0.copy()
+        decay, _, weight, _ = half_constants(grid, cfg)
+        Y = grid.half_window(y0.coeffs)
         for _ in range(cfg.n_steps):
-            Y = step(Y, zeros, 0.0, cfg, P)
-        errors.append(abs(Y.get_mode(0, 0).real - np.exp(-2.0)))
-    assert abs(Y.get_mode(0, 0).real - 0.1353352832366127) < 1e-3
+            Y = step(grid, Y, zeros, decay, weight, P, 0.0)
+        errors.append(abs(Y[0, 0].real - np.exp(-2.0)))
+    assert abs(Y[0, 0].real - 0.1353352832366127) < 1e-3
     for e1, e2 in zip(errors, errors[1:]):
         assert 1.7 <= e1 / e2 <= 2.3  # first order
 
@@ -324,11 +335,11 @@ def test_picard_linear_convergence():
     assert len(residuals) <= 30
     assert residuals[-1] < 1e-8
     # fixed point coincides with the step integrator
-    cfg = SolverConfig(delta=delta, T=T)
-    Y = y0.copy()
+    decay, _, weight, _ = half_constants(grid, SolverConfig(delta=delta, T=T))
+    Y = grid.half_window(y0.coeffs)
     for _ in range(n):
-        Y = step(Y, zbar_values[0], 0.0, cfg, P)
-    assert np.max(np.abs(path[-1].coeffs - Y.coeffs)) < 1e-10
+        Y = step(grid, Y, zbar_values[0], decay, weight, P, 0.0)
+    assert np.max(np.abs(path[-1].coeffs - grid.full_window(Y))) < 1e-10
 
 
 def test_picard_zero_data():
@@ -395,10 +406,10 @@ def test_blow_up_reports_the_time_and_state_of_the_failing_step(monkeypatch):
     real_step = solver_module.step
     calls = []
 
-    def fails_at_the_fourth(Y, zv, c, cfg, P):
+    def fails_at_the_fourth(*args):
         calls.append(None)
-        out = real_step(Y, zv, c, cfg, P)
-        return SpectralField(out.grid, out.coeffs * np.nan) if len(calls) == 4 else out
+        out = real_step(*args)
+        return out * np.nan if len(calls) == 4 else out
 
     monkeypatch.setattr(solver_module, "step", fails_at_the_fourth)
     with pytest.raises(BlowUpError) as err:
@@ -438,7 +449,7 @@ def test_solve_steps_on_the_compute_grid_and_reports_on_the_callers(monkeypatch)
     seen = []
     real_term = solver_module.nonlinear_term
     monkeypatch.setattr(solver_module, "nonlinear_term",
-                        lambda Y, zv, P, c: seen.append(Y.grid.M) or real_term(Y, zv, P, c))
+                        lambda g, Y, zv, P, c: seen.append(g.M) or real_term(g, Y, zv, P, c))
     traj = solve(None, z0, substream(17, 0, 1), cfg, P)
     assert seen == [small.M] * cfg.n_steps
     monkeypatch.undo()
@@ -470,6 +481,27 @@ def test_blow_up_state_lives_on_the_callers_grid():
     with pytest.raises(BlowUpError) as err:
         solve(huge, None, 13, SolverConfig(delta=0.5, T=1.0), PolynomialSpec.quartic(0.25))
     assert err.value.last_state.grid is grid
+
+
+def test_a_y0_whose_negative_columns_are_not_mirrors_runs_the_real_field_it_denotes():
+    # the inverse transform samples the Hermitian part of any window; that
+    # real field is what the solve steps from and records
+    grid = TorusGrid(4, max_degree=4)
+    n = 2 * grid.K + 1
+    P = PolynomialSpec.quartic(0.25, a2=0.2)
+    cfg = SolverConfig(delta=1e-3, T=0.01, record_every=5)
+    rng = np.random.default_rng(23)
+    skew = sample_stationary(grid, rng).coeffs
+    skew[:, grid.K + 1:] += 0.1 * (rng.standard_normal((n, grid.K))
+                                   + 1j * rng.standard_normal((n, grid.K)))
+    real = SpectralField(grid, grid.full_window(grid.half_window(skew)))
+    assert real.hermitian_defect() == 0.0 < SpectralField(grid, skew).hermitian_defect()
+    assert np.array_equal(grid.coeffs_to_values(skew), grid.coeffs_to_values(real.coeffs))
+    got = solve(SpectralField(grid, skew), None, 23, cfg, P)
+    expected = solve(real, None, 23, cfg, P)
+    assert np.array_equal(got.Y[0].coeffs, real.coeffs)
+    for a, b in zip(got.Y + got.X + got.zbar, expected.Y + expected.X + expected.zbar):
+        assert np.array_equal(a.coeffs, b.coeffs)
 
 
 def test_solver_config_validation():
