@@ -10,7 +10,6 @@ from .grid import (
     TorusGrid,
     apply_semigroup,
     to_real,
-    to_spectral,
 )
 from .ou import (
     OUNoisePath,

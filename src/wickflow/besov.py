@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .grid import SpectralField, TorusGrid, apply_semigroup
+from .grid import SpectralField, TorusGrid
 from .ou import block_steps
 
 _PLATEAU_RADIUS = 1.0       # S == 1 inside; theta vanishes below this
@@ -173,11 +173,4 @@ def regularity_estimate(u: SpectralField, partition: DyadicPartition | None = No
     (slope, _), res, *_ = np.linalg.lstsq(A, y, rcond=None)
     residual = float(np.sqrt(res[0])) if res.size else 0.0
     return float(-slope), residual
-
-
-def heat_norm_curve(u: SpectralField, spec: BesovSpec, t_grid,
-                    partition: DyadicPartition | None = None) -> np.ndarray:
-    """||e^{tA} u|| in the given Besov norm along a time grid."""
-    partition = partition or build_partition(u.grid)
-    return np.array([besov_norm(apply_semigroup(u, t), spec, partition) for t in t_grid])
 

@@ -385,11 +385,6 @@ def _check_same_grid(*fields):
             raise ConfigurationError("fields live on different grids")
 
 
-def to_spectral(f: RealField) -> SpectralField:
-    """Forward transform; exact for band-limited samples."""
-    return SpectralField(f.grid, f.grid.values_to_coeffs(f.values))
-
-
 def to_real(u: SpectralField) -> RealField:
     """Inverse transform onto the fine dealiased grid."""
     return RealField(u.grid, u.grid.coeffs_to_values(u.coeffs))

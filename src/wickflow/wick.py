@@ -269,11 +269,13 @@ def wick_action(u, P: PolynomialSpec | None, c) -> float:
 def wick_action_values(values: np.ndarray, P: PolynomialSpec, c: float,
                        cell_area: float) -> float:
     """The Wick action from the samples of u on a grid of cells of `cell_area`;
-    exact on the grids `wick_action` accepts."""
-    total = 0.0
-    for a_n, he in zip(P.a, _hermite_orders(values, _c_value(c), P.degree)):
+    exact on the grids `wick_action` accepts.  He_0 = 1 sums to values.size."""
+    orders = _hermite_orders(values, _c_value(c), P.degree)
+    next(orders)
+    total = P.a[0] * values.size
+    for a_n, he in zip(P.a[1:], orders):
         if a_n != 0.0:
-            total += a_n * (float(np.sum(he)) if np.ndim(he) else he * values.size)
+            total += a_n * float(he.sum())
     return total * cell_area
 
 

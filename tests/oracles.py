@@ -4,16 +4,49 @@
 and `besov.block_rms`; `dealiased_product` forms exact spectral products
 through the grid transforms, the route the convolution oracle and the
 product identities check; `picard_solve` iterates the discrete mild map
-to its fixed point, the exponential-Euler trajectory of `solver.step`.
+to its fixed point, the exponential-Euler trajectory of `solver.step`;
+`wick_action_per_order` is the Wick action summed order by order with
+`np.sum`, the oracle of `wick.wick_action_values`; `to_spectral` and
+`heat_norm_curve` build the tests' fields and Besov curves.
 """
 
 import numpy as np
 
-from wickflow import ConfigurationError, NonContractionError, SpectralField
-from wickflow.besov import DyadicPartition, _check_grid
+from wickflow import (
+    ConfigurationError,
+    NonContractionError,
+    RealField,
+    SpectralField,
+    apply_semigroup,
+)
+from wickflow.besov import BesovSpec, DyadicPartition, _check_grid, besov_norm, build_partition
 from wickflow.grid import _check_same_grid
 from wickflow.ou import step_constants
 from wickflow.solver import nonlinear_term
+from wickflow.wick import PolynomialSpec, _c_value, _hermite_orders
+
+
+def to_spectral(f: RealField) -> SpectralField:
+    """Forward transform; exact for band-limited samples."""
+    return SpectralField(f.grid, f.grid.values_to_coeffs(f.values))
+
+
+def heat_norm_curve(u: SpectralField, spec: BesovSpec, t_grid,
+                    partition: DyadicPartition | None = None) -> np.ndarray:
+    """||e^{tA} u|| in the given Besov norm along a time grid."""
+    partition = partition or build_partition(u.grid)
+    return np.array([besov_norm(apply_semigroup(u, t), spec, partition) for t in t_grid])
+
+
+def wick_action_per_order(values: np.ndarray, P: PolynomialSpec, c: float,
+                          cell_area: float) -> float:
+    """The Wick action from the samples of u, each order's integral taken by
+    `np.sum` (He_0 = 1 as the scalar times values.size)."""
+    total = 0.0
+    for a_n, he in zip(P.a, _hermite_orders(values, _c_value(c), P.degree)):
+        if a_n != 0.0:
+            total += a_n * (float(np.sum(he)) if np.ndim(he) else he * values.size)
+    return total * cell_area
 
 
 def block(u: SpectralField, j: int, partition: DyadicPartition) -> SpectralField:

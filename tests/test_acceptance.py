@@ -30,7 +30,7 @@ from wickflow import (
     substream,
     wick_power,
 )
-from wickflow.besov import BesovSpec, besov_norm, build_partition, heat_norm_curve
+from wickflow.besov import BesovSpec, besov_norm, build_partition
 from wickflow.experiments import (
     ExperimentConfig,
     run_equivalence,
@@ -40,6 +40,7 @@ from wickflow.experiments import (
     run_wick_convergence,
 )
 from wickflow.solver import SolverConfig, half_constants, step
+from oracles import heat_norm_curve
 
 
 def report(num, name, passed, detail):

@@ -9,7 +9,6 @@ from wickflow import (
     TorusGrid,
     apply_semigroup,
     sample_stationary,
-    to_spectral,
 )
 from wickflow.besov import (
     BesovSpec,
@@ -18,11 +17,10 @@ from wickflow.besov import (
     block_norms,
     block_rms,
     build_partition,
-    heat_norm_curve,
     regularity_estimate,
 )
 from wickflow.ou import block_steps, hermitian_normals
-from oracles import block
+from oracles import block, heat_norm_curve, to_spectral
 
 
 @pytest.fixture(scope="module")

@@ -18,7 +18,7 @@ from wickflow import PolynomialSpec, SpectralField, TorusGrid, __version__, cli,
 from wickflow.cli import main
 from wickflow.errors import BlowUpError, ConfigurationError, DomainError, WarmupError
 from wickflow.experiments import ExperimentConfig
-from wickflow.sampler import ChainState, pcn_step
+from wickflow.sampler import ChainState, gibbs_samples, pcn_step
 from wickflow.solver import SolverConfig
 
 
@@ -458,6 +458,27 @@ def test_the_gaussian_check_chain_is_the_hand_written_pcn_loop(n_chain):
             vals.append(abs(state.phi.get_mode(1, -2)) ** 2)
     assert res["chain"]["1_-2"]["mean"] == float(np.mean(vals))
     assert res["chain"]["1_-2"]["iat"] == experiments.integrated_autocorrelation(np.array(vals))
+
+
+def test_the_gaussian_check_reads_its_modes_as_get_mode_does_bitwise():
+    # the chain's thinned samples and the SDE ensemble's final states, drawn as the check draws them
+    seed, n_chain, n_traj, scfg = 3, 400, 4, SolverConfig(delta=0.02, T=0.04)
+    res = experiments.run_gaussian_exactness(seed=seed, n_chain=n_chain, n_traj=n_traj,
+                                             T=scfg.T, delta=scfg.delta)
+    grid = TorusGrid(4, max_degree=2)
+    P = PolynomialSpec.quadratic(0.5)
+    c = experiments.counterterm_C(grid)
+    burn = n_chain // 10
+    chain, _ = gibbs_samples(grid, P, c, len(range(burn, n_chain, 10)), 0.5, burn, 10,
+                             experiments.substream(seed, 0, 0))
+    sde = [solver.stationary_solve(SpectralField.zero(grid), experiments.substream(seed, i, 1),
+                                   scfg, P).X[-1] for i in range(n_traj)]
+    modes = [(k1, k2) for k1 in range(-2, 3) for k2 in range(-2, 3)]
+    for name, fields in (("chain", chain), ("sde", sde)):
+        expected = {k: [abs(phi.get_mode(*k)) ** 2 for phi in fields] for k in modes}
+        assert experiments._mode_powers(fields, modes) == expected
+        for k in modes:
+            assert res[name][f"{k[0]}_{k[1]}"]["mean"] == float(np.mean(expected[k]))
 
 
 @pytest.mark.parametrize("command, data, stream", [

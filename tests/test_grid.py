@@ -12,12 +12,11 @@ from wickflow import (
     apply_semigroup,
     sample_stationary,
     to_real,
-    to_spectral,
 )
 import wickflow.grid as grid_module
 from wickflow.grid import DFT_MAX_M
 from wickflow.ou import symmetrize_normals
-from oracles import dealiased_product
+from oracles import dealiased_product, to_spectral
 
 
 def random_field(grid, seed):

@@ -15,7 +15,6 @@ from wickflow import (
     ou_step,
     sample_stationary,
     substream,
-    to_spectral,
     wick_power,
 )
 from wickflow.besov import BesovSpec, besov_norm, build_partition
@@ -25,6 +24,7 @@ from wickflow.ou import (
 )
 from wickflow.solver import SolverConfig, solve, stationary_solve
 from wickflow.wick import PolynomialSpec
+from oracles import to_spectral
 
 
 def test_substream_deterministic_and_split():

@@ -15,7 +15,6 @@ from wickflow import (
     counterterm_C,
     sample_stationary,
     substream,
-    to_spectral,
     wick_action,
 )
 from wickflow import sampler as sampler_module
@@ -30,6 +29,7 @@ from wickflow.sampler import (
 )
 from wickflow.solver import field_observables
 from wickflow.wick import hermite_variance
+from oracles import to_spectral
 
 
 def make_chain(grid, P, c, seed):

@@ -19,7 +19,6 @@ from wickflow import (
     field_tower,
     sample_stationary,
     substream,
-    to_spectral,
 )
 from wickflow import solver as solver_module
 from wickflow import wick as wick_module
@@ -36,7 +35,7 @@ from wickflow.solver import (
 )
 from wickflow.wick import recombine, wick_nonlinearity_values
 
-from oracles import picard_solve
+from oracles import picard_solve, to_spectral
 
 
 def zero_noise_path(grid, delta, n_steps):

@@ -18,12 +18,17 @@ from wickflow import (
     recombine,
     sample_stationary,
     to_real,
-    to_spectral,
     wick_action,
     wick_power,
 )
 from wickflow.solver import SolverConfig, field_observables, nonlinear_term, stationary_solve
-from wickflow.wick import hermite_tower_values, hermite_variance, wick_nonlinearity_values
+from wickflow.wick import (
+    hermite_tower_values,
+    hermite_variance,
+    wick_action_values,
+    wick_nonlinearity_values,
+)
+from oracles import to_spectral, wick_action_per_order
 
 
 def hermite_closed_sum(n, x):
@@ -230,6 +235,31 @@ def test_wick_action_gradient_matches_nonlinearity():
         fd = (plus - minus) / (2 * eps)
         pairing = float(np.real(np.sum(grad * np.conj(v.coeffs))))
         assert fd == pytest.approx(pairing, rel=1e-6, abs=1e-6)
+
+
+# the quadratic model, a quartic with every a_n != 0 and a sextic
+ACTION_MODELS = {
+    "quadratic": PolynomialSpec.quadratic(0.5),
+    "quartic-every-term": PolynomialSpec(2, (0.3, -0.7, 0.2, 1.1, 0.25)),
+    "sextic": PolynomialSpec(3, (0.0, 0.4, -0.5, 0.0, 0.3, 0.0, 0.1)),
+}
+
+
+@pytest.mark.parametrize("K", [0, 4, 10])
+@pytest.mark.parametrize("model", sorted(ACTION_MODELS))
+@pytest.mark.parametrize("zero_c", [False, True])
+def test_wick_action_values_equal_the_per_order_sum_bitwise(K, model, zero_c):
+    P = ACTION_MODELS[model]
+    grid = TorusGrid(K, max_degree=P.degree)
+    cgrid = grid.compute_grid(P.degree)
+    c = 0.0 if zero_c else counterterm_C(grid)
+    phi = sample_stationary(grid, np.random.default_rng([K, P.degree]))
+    values = cgrid.coeffs_to_values(phi.coeffs)
+    action = wick_action_values(values, P, c, cgrid.cell_area)
+    assert type(action) is float
+    assert action == wick_action_per_order(values, P, c, cgrid.cell_area)
+    with pytest.raises(DomainError):
+        wick_action_values(values, P, -1e-3, cgrid.cell_area)
 
 
 def test_recombine_constants():
