@@ -1,9 +1,9 @@
-"""Time the two grid-transform routes, to place `grid.DFT_MAX_M`.
+"""Time the two grid-transform routes, to place `grid.DFT_MAX_M`, and `besov_norm`.
 
-    python3 scripts/transform_tables.py [--repeats 9] > tables.json
+    python3 scripts/transform_tables.py [--repeats 9] [--parent ROOT] > tables.json
 
 Run from the root of a checkout; it imports `wickflow` from `./src` with one
-BLAS thread, as `perfbench/run.py` does.  Two tables, microseconds per call,
+BLAS thread, as `perfbench/run.py` does.  Three tables, microseconds per call,
 each the median of `--repeats` interleaved timeit loops of >= 10 ms:
 
 * crossover: per grid (K, max_degree), the single inverse of a full
@@ -12,12 +12,21 @@ each the median of `--repeats` interleaved timeit loops of >= 10 ms:
   inverse, on the FFT route (`DFT_MAX_M` set below M) and on the dense
   route (set above M);
 * band: on the K = 32 grid (M = 130), the inverse and forward with
-  `band` = s on both routes.
+  `band` = s on both routes;
+* besov: `besov_norm` (alpha = -0.2, on a partition built beforehand) at
+  K = 4, 10, 16 and 32 (default degree: M = 18, 42, 66, 130), of a
+  stationary sample and of that sample restricted to |k|_inf <= 4.  With
+  `--parent ROOT` the same calls run also on the `wickflow` of the
+  checkout at ROOT (say, a parent commit), loaded into this process under
+  another name and timed interleaved with this checkout's; the table says
+  whether the two trees' norms are equal.
 
-Writes one JSON object to stdout and the two tables as markdown to stderr.
+Writes one JSON object to stdout and the tables as markdown to stderr.
 """
 
 import argparse
+import importlib
+import importlib.util
 import json
 import os
 import sys
@@ -30,6 +39,7 @@ sys.path.insert(0, os.path.join(os.getcwd(), "src"))
 import numpy as np  # noqa: E402
 
 import wickflow.grid as grid_module  # noqa: E402
+from wickflow import sample_stationary  # noqa: E402
 from wickflow.grid import TorusGrid  # noqa: E402
 
 # (K, max_degree) and their M: both sides of the bound, FFT-friendly sizes
@@ -112,9 +122,52 @@ def band_table(repeats, K=32, d=3):
     return {"K": K, "max_degree": d, "M": g.M, "rows": rows}
 
 
+def load_tree(root, name):
+    """The `wickflow` package of the checkout at `root`, imported as `name`."""
+    init = os.path.join(root, "src", "wickflow", "__init__.py")
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[os.path.dirname(init)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    return name
+
+
+def besov_table(repeats, parent=None):
+    trees = {"change": "wickflow"}
+    if parent is not None:
+        trees["parent"] = load_tree(parent, "wickflow_parent")
+    rows = []
+    for K in (4, 10, 16, 32):
+        g = TorusGrid(K)
+        u = sample_stationary(g, np.random.default_rng(K)).coeffs
+        inside = (np.abs(g.kx) <= 4) & (np.abs(g.ky) <= 4)
+        for field, coeffs in (("stationary", u), ("band 4", np.where(inside, u, 0.0))):
+            calls, norms = [], {}
+            for side, name in trees.items():
+                grid_m = importlib.import_module(f"{name}.grid")
+                besov = importlib.import_module(f"{name}.besov")
+                tg = grid_m.TorusGrid(K)
+                x = grid_m.SpectralField(tg, coeffs.copy())
+                part, spec = besov.build_partition(tg), besov.BesovSpec(-0.2)
+                norms[side] = besov.besov_norm(x, spec, part)
+                calls.append(lambda b=besov, x=x, p=part, a=spec: b.besov_norm(x, a, p))
+            times = dict(zip(trees, per_call_us(calls, repeats)))
+            row = {"K": K, "M": g.M, "field": field, **{f"{k}_us": v for k, v in times.items()}}
+            if parent is not None:
+                row["change_over_parent"] = round(times["change"] / times["parent"], 3)
+                row["norms_equal"] = norms["change"] == norms["parent"]
+            rows.append(row)
+            print(f"| {K} | {g.M} | {field} | " + " | ".join(f"{v:.1f}" for v in times.values())
+                  + " |", file=sys.stderr)
+    return {"trees": list(trees), "parent": parent, "rows": rows}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=9)
+    parser.add_argument("--parent", metavar="ROOT",
+                        help="time besov_norm also on the checkout at ROOT")
     args = parser.parse_args(argv)
     bound = grid_module.DFT_MAX_M
     print("| M | inverse | inverse, half window | forward | inverse, per slice of 8 |"
@@ -123,13 +176,16 @@ def main(argv=None):
     print("| band | inverse | forward |  (FFT/dense, us, M = 130)", file=sys.stderr)
     bands = band_table(args.repeats)
     grid_module.DFT_MAX_M = bound
+    print("| K | M | field | besov_norm, this checkout" + (" | parent" if args.parent else "")
+          + " |  (us)", file=sys.stderr)
+    besov = besov_table(args.repeats, args.parent)
     json.dump({
         "method": f"scripts/transform_tables.py --repeats {args.repeats}: one process, one BLAS "
                   "thread; microseconds per call (per slice for the batch), median of interleaved "
                   "timeit loops of >= 10 ms; the route forced by setting grid.DFT_MAX_M",
         "environment": {"python": sys.version.split()[0], "numpy": np.__version__,
                         "cores": os.cpu_count()},
-        "DFT_MAX_M": bound, "crossover": cross, "band": bands,
+        "DFT_MAX_M": bound, "crossover": cross, "band": bands, "besov": besov,
     }, sys.stdout, indent=1)
     print()
 

@@ -14,10 +14,13 @@ two or more apart have disjoint supports.
 The one Besov norm is B^alpha_{inf,inf}, the norm every suite reads: the
 largest block sup norm over the grid's samples, weighted 2^{j alpha} and 1
 for the low block j = -1 (an equivalent norm that keeps scaling and
-monotonicity in alpha exact).  The regularity fit reads block root mean
+monotonicity in alpha exact).  A block is band-limited by construction,
+so `block_norms` forms and transforms each one on the half window of its
+band alone.  The regularity fit reads block root mean
 squares (measure dx/(2pi)^2) by Parseval on the coefficients, no transform.
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -25,20 +28,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .grid import SpectralField, TorusGrid
+from .grid import SpectralField, TorusGrid, _window
 from .ou import block_steps
 
 _PLATEAU_RADIUS = 1.0       # S == 1 inside; theta vanishes below this
 _SUPPORT_RADIUS = 4.0 / 3.0  # S == 0 outside; theta support ends at twice this
 
 
-def _smooth_step(s: np.ndarray) -> np.ndarray:
-    """C^infinity transition 1 -> 0 on [0, 1], from the bump exp(-1/(1-u^2))."""
+@functools.cache
+def _bump_cdf():
+    """The normalized CDF of the bump exp(-1/(1-u^2)) at 4097 points of
+    [-1, 1], by the trapezoid rule: `_smooth_step`'s table, built once per
+    process and read only."""
     u = np.linspace(-1.0, 1.0, 4097)
     with np.errstate(divide="ignore", over="ignore"):
         bump = np.where(np.abs(u) < 1.0, np.exp(-1.0 / np.maximum(1.0 - u * u, 1e-300)), 0.0)
     cdf = np.concatenate(([0.0], np.cumsum((bump[1:] + bump[:-1]) * 0.5 * (u[1] - u[0]))))
     cdf /= cdf[-1]
+    u.flags.writeable = cdf.flags.writeable = False
+    return u, cdf
+
+
+def _smooth_step(s: np.ndarray) -> np.ndarray:
+    """C^infinity transition 1 -> 0 on [0, 1], from the bump exp(-1/(1-u^2))."""
+    u, cdf = _bump_cdf()
     return 1.0 - np.interp(np.clip(s, 0.0, 1.0) * 2.0 - 1.0, u, cdf)
 
 
@@ -88,6 +101,16 @@ class DyadicPartition:
         # nonzero (profiles are exactly 0.0 outside their supports)
         kinf = np.maximum(np.abs(grid.kx), np.abs(grid.ky))
         self.bands = [int(np.max(kinf, where=p != 0.0, initial=0)) for p in self.profiles]
+        # the batches of `block_norms`, `ou.block_steps(grid)` blocks each:
+        # the first block, the largest band s of the batch, the rows of its
+        # sub-window and the blocks' profiles on the half window (2s+1, s+1)
+        self._batches = []
+        size = block_steps(grid)
+        for start in range(0, len(self.bands), size):
+            s = max(self.bands[start:start + size])
+            rows = _window(s, grid.M)[0]
+            self._batches.append((start, s, rows, self.profiles[start:start + size][
+                :, rows[:, None], rows[:s + 1]]))
 
     def multiplier(self, j: int) -> np.ndarray:
         if not -1 <= j <= self.j_max:
@@ -110,28 +133,36 @@ def _check_grid(u: SpectralField, partition: DyadicPartition) -> None:
 def block_norms(u: SpectralField, partition: DyadicPartition) -> np.ndarray:
     """Sup norms over the grid's samples of all blocks, j = -1 .. j_max.
 
-    Blocks are formed and inverse-transformed `ou.block_steps(grid)` at a
-    time (as many as fit a block's coefficients in 64 KiB: all of them at
-    K = 4 and K = 10, three at K = 16, one at K = 32), through the batch
-    axis of `coeffs_to_values`; each batch is transformed over the largest
-    band among its live blocks (`DyadicPartition.bands`: K for a batch
-    holding the outer block, 1, 2, 5, 10, 21, 32, 32 at K = 32), which
-    every block of the batch lies inside, and each norm is bitwise that of
-    its block's own transform over that band.  A block with no nonzero
-    coefficient has norm exactly 0.0 and is not transformed.
+    Blocks are formed over their bands and inverse-transformed
+    `ou.block_steps(grid)` at a time (as many as fit a block's coefficients
+    in 64 KiB: all of them at K = 4 and K = 10, three at K = 16, one at
+    K = 32), through the batch axis of `coeffs_to_values`.  u's Hermitian
+    half (`TorusGrid.half_window`) is taken once; each batch multiplies its
+    blocks' profiles into the half window (2s+1, s+1) of its largest band s
+    and transforms its live blocks over the largest band among them
+    (`DyadicPartition.bands`: K for a batch holding the outer block, 1, 2,
+    5, 10, 21, 32, 32 at K = 32), which every block of the batch lies
+    inside.  For a window whose columns ky > 0 mirror its columns ky < 0
+    exactly, as every real field's do here, each norm is bitwise that of
+    its full-window block's own transform over that band.  A block with no
+    nonzero coefficient has norm exactly 0.0 and is not transformed.
     """
     _check_grid(u, partition)
     grid = u.grid
+    half = grid.half_window(u.coeffs)
     out = np.zeros(partition.j_max + 2)
-    size = block_steps(grid)
-    for start in range(0, out.size, size):
-        coeffs = u.coeffs * partition.profiles[start:start + size]
-        live = [j for j, c in enumerate(coeffs) if c.any()]
-        if live:  # copying out the live blocks costs about 13% at K = 32
-            batch = coeffs if len(live) == len(coeffs) else coeffs[live]
-            band = max(partition.bands[start + j] for j in live)
-            out[start + np.array(live)] = np.abs(
-                grid.coeffs_to_values(batch, band=band)).max(axis=(1, 2))
+    for start, s, rows, profiles in partition._batches:
+        blocks = (half if s == grid.K else half[rows, :s + 1]) * profiles
+        live = [j for j, b in enumerate(blocks) if b.any()]
+        if not live:
+            continue
+        band = max(partition.bands[start + j] for j in live)
+        if len(live) < len(blocks):
+            blocks = blocks[live]
+        if band < s:
+            blocks = blocks[:, _window(band, grid.M)[0], :band + 1]
+        v = grid.coeffs_to_values(blocks, band=band)
+        out[start + np.array(live)] = np.maximum(v.max(axis=(1, 2)), -v.min(axis=(1, 2)))
     return out
 
 

@@ -666,8 +666,9 @@ def run_wick_convergence(cfg: ExperimentConfig, n_pairs: int = 200) -> dict:
     """Cutoff stability of the Wick square in a negative-regularity norm.
 
     One stationary sample on the K = 32 grid is projected to nested
-    cutoffs, as the inverse transform with `band` = K'; each Wick square
-    uses its own cutoff's counterterm.  The squares converge as
+    cutoffs, as the inverse transform of its half window with `band` = K'
+    (bitwise that of the full window: the sample is exactly Hermitian);
+    each Wick square uses its own cutoff's counterterm.  The squares converge as
     distributions, i.e. pairings with any fixed test function stabilize,
     so the differences are compared on the frequency window every member
     of the family resolves (|k|_inf <= 4), the only coefficients the
@@ -692,9 +693,10 @@ def run_wick_convergence(cfg: ExperimentConfig, n_pairs: int = 200) -> dict:
     dists = []
     for i in range(n_pairs):
         phi = sample_stationary(big, np.random.default_rng([cfg.master_seed, 77, i]))
+        half = big.half_window(phi.coeffs)
         wick_sq = {}
         for K in family:
-            vals = big.coeffs_to_values(phi.coeffs, band=K)
+            vals = big.coeffs_to_values(half, band=K)
             wick_sq[K] = big.values_to_coeffs(hermite_variance(2, vals, cterm[K]), band=min(Ks))
         d = [besov_norm(SpectralField(big, wick_sq[K] - wick_sq[2 * K]), spec, part) for K in Ks]
         dists.append(d)

@@ -74,6 +74,8 @@ class TorusGrid:
     Both transforms take a `band` s <= K: they then act on the sub-window
     |k|_inf <= s alone, as above with s in place of K (on the dense route
     with the matrices of (s, M)), which projects the field to that band.
+    The inverse also takes that band's own half window (2s+1, s+1).  A
+    window or samples of any other shape raise ConfigurationError.
 
     Parameters
     ----------
@@ -106,9 +108,6 @@ class TorusGrid:
         self._neg = -np.arange(n) % n  # wrap-order index of -k along one axis
         self._neg_flat = (self._neg[:, None] * n + self._neg[None, :]).ravel()  # -k, flat
 
-        x = self.L * np.arange(self.M) / self.M
-        self.x1 = x[:, None] * np.ones(self.M)[None, :]
-        self.x2 = np.ones(self.M)[:, None] * x[None, :]
         self.cell_area = (self.L / self.M) ** 2
 
     def __eq__(self, other):
@@ -161,22 +160,31 @@ class TorusGrid:
 
         `band` = s in 0..K transforms only the coefficients with |k|_inf <= s
         (the others are treated as zero) and costs by the (2s+1)^2 window;
-        None, like s = K, transforms the whole window.
+        None, like s = K, transforms the whole window.  With s < K, `coeffs`
+        may also be the band's own half window (..., 2s+1, s+1), the rows
+        and columns |kx| <= s, 0 <= ky <= s of a half window in the same
+        order, whose samples are bitwise those of the half window it was
+        cut from.  A window of any other shape raises ConfigurationError.
         """
         s = self.K if band is None else self._band(band)
-        neg, rows = self._neg, self._rows
-        full = coeffs.shape[-1] == 2 * self.K + 1
-        if s < self.K:
-            idx, neg, rows = _window(s, self.M)
-            coeffs = coeffs[..., idx[:, None], idx] if full else coeffs[..., idx, :s + 1]
-        # the columns ky > 0 stand for k and -k together: a full window's sums
-        # H = c(k) + conj c(-k), or a half window's h = H/2
-        H = _mirror_sums(coeffs, neg, s) if full else coeffs
-        if self.M <= DFT_MAX_M:
-            # Re(E H W) with W[j, m] = exp(i j x_m): E H read as (re, im) pairs
-            # against G's rows (cos, -sin)/L, for h with the rows j > 0 doubled
-            E, G, _, _ = _dft_matrices(s, self.M)
-            return (E @ H).view(np.float64) @ (G if full else _half_rows(s, self.M))
+        if s < self.K or self.M > DFT_MAX_M:
+            coeffs = self._band_window(coeffs, s)
+        neg, rows = (self._neg, self._rows) if s == self.K else _window(s, self.M)[1:]
+        try:
+            full = coeffs.shape[-1] == 2 * s + 1
+            # the columns ky > 0 stand for k and -k together: a full window's
+            # sums H = c(k) + conj c(-k), or a half window's h = H/2
+            H = _mirror_sums(coeffs, neg, s) if full else coeffs
+            if self.M <= DFT_MAX_M:
+                # Re(E H W) with W[j, m] = exp(i j x_m): E H read as (re, im) pairs
+                # against G's rows (cos, -sin)/L, for h with the rows j > 0 doubled
+                E, G, _, _ = _dft_matrices(s, self.M)
+                return (E @ H).view(np.float64) @ (G if full else _half_rows(s, self.M))
+        except (ValueError, IndexError):
+            # numpy's, for a window of another shape on the dense route at
+            # band K: caught here, not checked beforehand, so that the K = 4
+            # solver's transforms pay nothing for it
+            raise self._window_error(np.shape(coeffs), s) from None
         half = np.zeros(H.shape[:-2] + (self.M, s + 1), dtype=np.complex128)
         half[..., rows, 0] = H[..., 0] * (1.0 / self.L)
         # the imaginary part of the ky = 0 output is dropped by irfft
@@ -193,7 +201,9 @@ class TorusGrid:
         polynomial operations performed on this grid.  The columns ky < 0
         are the exact conjugates of their mirrors, c(-k) = conj c(k);
         `half` returns the half window (2K+1, K+1) without them, bitwise
-        the columns ky >= 0 of the full one.
+        the columns ky >= 0 of the full one.  Leading axes of `values`
+        (..., M, M) are a batch, as for `coeffs_to_values`; samples of any
+        other shape raise ConfigurationError.
 
         `band` = s in 0..K computes only the coefficients with |k|_inf <= s
         and returns zeros elsewhere, at the cost of the (2s+1)^2 window;
@@ -205,16 +215,21 @@ class TorusGrid:
             idx, neg, rows = _window(s, self.M)
         if self.M <= DFT_MAX_M:
             _, _, F, Eh = _dft_matrices(s, self.M)
-            h = Eh @ (values @ F).view(np.complex128)
+            try:
+                h = Eh @ (values @ F).view(np.complex128)
+            except ValueError:  # numpy's matmul, for samples of another shape
+                raise self._samples_error(np.shape(values)) from None
         else:
-            h = np.fft.fft(np.fft.rfft(values, axis=1)[:, :s + 1], axis=0)[rows]
+            if np.shape(values)[-2:] != (self.M, self.M):
+                raise self._samples_error(np.shape(values))
+            h = np.fft.fft(np.fft.rfft(values, axis=-1)[..., :s + 1], axis=-2)[..., rows, :]
             h *= self.L / self.M**2
         coeffs = h if half else _mirrored(h, neg, s)
         if s == self.K:
             return coeffs
         n = 2 * self.K + 1
-        out = np.zeros((n, self.K + 1 if half else n), dtype=np.complex128)
-        out[idx[:, None], idx[:s + 1] if half else idx] = coeffs
+        out = np.zeros(h.shape[:-2] + (n, self.K + 1 if half else n), dtype=np.complex128)
+        out[..., idx[:, None], idx[:s + 1] if half else idx] = coeffs
         return out
 
     def half_window(self, coeffs: np.ndarray) -> np.ndarray:
@@ -237,6 +252,31 @@ class TorusGrid:
                 and 0 <= band <= self.K:
             return int(band)
         raise ConfigurationError(f"band must be an int in 0..{self.K} or None, got {band!r}")
+
+    def _band_window(self, coeffs, s: int):
+        """The window `coeffs_to_values` transforms at band s: the sub-window
+        |k|_inf <= s of a full or half window, or the band's own half window
+        as it is; any other shape raises ConfigurationError."""
+        n, shape = 2 * self.K + 1, np.shape(coeffs)[-2:]
+        if shape == (2 * s + 1, s + 1):
+            return coeffs
+        if shape not in ((n, n), (n, self.K + 1)):
+            raise self._window_error(shape, s)
+        if s == self.K:
+            return coeffs
+        idx = _window(s, self.M)[0]
+        return coeffs[..., idx[:, None], idx] if shape[1] == n else coeffs[..., idx, :s + 1]
+
+    def _window_error(self, shape, s: int) -> ConfigurationError:
+        n = 2 * self.K + 1
+        own = f", or with band={s} (..., {2 * s + 1}, {s + 1})" if s < self.K else ""
+        return ConfigurationError(
+            f"coefficient window of shape {shape} on K={self.K}: expected a full window "
+            f"(..., {n}, {n}) or a half window (..., {n}, {self.K + 1}){own}")
+
+    def _samples_error(self, shape) -> ConfigurationError:
+        return ConfigurationError(
+            f"samples of shape {shape} on M={self.M}: expected (..., {self.M}, {self.M})")
 
 
 _lattice_grid = functools.cache(TorusGrid)

@@ -53,7 +53,10 @@ taken on the half window: bitwise the columns ky >= 0 of
 (seed, 0, 1)), a Generator or a frozen `OUNoisePath`; the three give
 bitwise the same run.  A `Trajectory`
 records itself at t = 0, after every `record_every` steps and at T;
-`record_every=None` records the start and the end only.
+`record_every=None` records the start and the end only.  Records of
+`solve` also take their observables (`field_observables` and sup_Y, two
+inverse transforms each), which `simulate` writes; `stationary_solve`
+records fields only, since its callers read X at T alone.
 
 Drift scaling: with the free measure fixed to mode variance 1/(2 lambda_k)
 and unit cylindrical noise, the dynamics that preserves the Gibbs density
@@ -185,8 +188,10 @@ def _innovations(grid: TorusGrid, noise, cfg: SolverConfig, sigma: np.ndarray):
 
 class Trajectory:
     """Recorded snapshots and observables of one run, X = Y + zbar on `grid`
-    Wick-ordered with counterterm c; `record` appends one time, and `_run`
-    turns `times` and each of `observables` into arrays when the run ends.
+    Wick-ordered with counterterm c; `record` appends one time, `observe`
+    the observables of the last record, and `_run` turns `times` and each
+    of `observables` into arrays when the run ends.  A stationary solve
+    records fields only: its `observables` stay empty.
 
     Each recorded X is formed as Y + zbar, so `reconstruction_defect`, the
     largest |X - Y - zbar| over the records, measures only the rounding of
@@ -212,20 +217,26 @@ class Trajectory:
             fields.append(SpectralField(self.grid, self.grid.full_window(half)))
         defect = float(np.max(np.abs(X - Y - zbar)))
         self.reconstruction_defect = max(self.reconstruction_defect, defect)
+
+    def observe(self, Y):
+        """Append the observables of the last record, whose Y is the half
+        window Y: `field_observables` of X and sup_Y, the largest |Y| over
+        the grid's samples."""
         obs = field_observables(self.X[-1], self.c)
         obs["sup_Y"] = float(np.max(np.abs(self.grid.coeffs_to_values(Y))))
         for name, value in obs.items():
             self.observables.setdefault(name, []).append(value)
 
 
-def _run(grid, cfg, P, Y0, z_init_datum, noise, c=None):
+def _run(grid, cfg, P, Y0, z_init_datum, noise, c=None, observe=True):
     """The loop of every solve, on half windows: step Y against the samples
     of zbar = Z + e^{tA} v on the compute grid, advance Z by the exact OU
     step Z <- decay * Z + the next innovation of the noise
     (`_innovations`), and record X = Y + zbar on `grid`, all with
-    counterterm c (default c_C of `grid`).  A step whose Y is not finite or
-    exceeds `BLOWUP_THRESHOLD` raises `BlowUpError` with its start time and
-    Y there."""
+    counterterm c (default c_C of `grid`); with `observe` each record also
+    takes its observables (`Trajectory.observe`).  A step whose Y is not
+    finite or exceeds `BLOWUP_THRESHOLD` raises `BlowUpError` with its start
+    time and Y there."""
     cgrid = grid.compute_grid(P.degree if P is not None else 2)
     decay, sigma, weight, lam = half_constants(cgrid, cfg)
     innovations = _innovations(cgrid, noise, cfg, sigma)
@@ -239,9 +250,14 @@ def _run(grid, cfg, P, Y0, z_init_datum, noise, c=None):
     def zbar_at(t):
         return Z + _heat_flow(v, lam, t) if v is not None else Z
 
+    def record(t):
+        traj.record(t, Y, zbar)
+        if observe:
+            traj.observe(Y)
+
     zbar = zbar_at(0.0)
     zbar_values = cgrid.coeffs_to_values(zbar)
-    traj.record(0.0, Y, zbar)
+    record(0.0)
     for n in range(n_steps):
         t = n * cfg.delta
         new = step(cgrid, Y, zbar_values, decay, weight, P, c)
@@ -253,7 +269,7 @@ def _run(grid, cfg, P, Y0, z_init_datum, noise, c=None):
         zbar = zbar_at(t_next)
         zbar_values = cgrid.coeffs_to_values(zbar)
         if n + 1 == n_steps or cfg.record_every and (n + 1) % cfg.record_every == 0:
-            traj.record(t_next, Y, zbar)
+            record(t_next)
     traj.times = np.array(traj.times)
     traj.observables = {name: np.array(v) for name, v in traj.observables.items()}
     return traj
@@ -289,6 +305,10 @@ def stationary_solve(eta, noise, cfg: SolverConfig, P: PolynomialSpec,
     Runs with drift_scale = 1/2: that is the Langevin drift for the density
     exp(-integral :q:) relative to the mode-variance-1/(2 lambda) free
     measure under unit cylindrical noise.
+
+    The trajectory records Y, X and zbar at cfg's schedule but no
+    observables (`Trajectory.observables` stays empty): its callers read
+    X at T alone and observe it with their own counterterm.
     """
     cfg = replace(cfg, drift_scale=0.5 * cfg.drift_scale)
-    return _run(eta.grid, cfg, P, eta, None, noise, c)
+    return _run(eta.grid, cfg, P, eta, None, noise, c, observe=False)

@@ -6,8 +6,9 @@ through the grid transforms, the route the convolution oracle and the
 product identities check; `picard_solve` iterates the discrete mild map
 to its fixed point, the exponential-Euler trajectory of `solver.step`;
 `wick_action_per_order` is the Wick action summed order by order with
-`np.sum`, the oracle of `wick.wick_action_values`; `to_spectral` and
-`heat_norm_curve` build the tests' fields and Besov curves.
+`np.sum`, the oracle of `wick.wick_action_values`; `to_spectral`,
+`heat_norm_curve` and `sample_points` build the tests' fields, Besov
+curves and sample coordinates.
 """
 
 import numpy as np
@@ -24,6 +25,13 @@ from wickflow.grid import _check_same_grid
 from wickflow.ou import step_constants
 from wickflow.solver import nonlinear_term
 from wickflow.wick import PolynomialSpec, _c_value, _hermite_orders
+
+
+def sample_points(grid) -> tuple:
+    """The M x M coordinate arrays (x1, x2) of the grid's samples,
+    x_m = 2 pi m / M along each axis."""
+    x = grid.L * np.arange(grid.M) / grid.M
+    return x[:, None] * np.ones(grid.M)[None, :], np.ones(grid.M)[:, None] * x[None, :]
 
 
 def to_spectral(f: RealField) -> SpectralField:

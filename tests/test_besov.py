@@ -10,6 +10,7 @@ from wickflow import (
     apply_semigroup,
     sample_stationary,
 )
+from wickflow import besov as besov_module
 from wickflow.besov import (
     BesovSpec,
     DyadicPartition,
@@ -20,7 +21,7 @@ from wickflow.besov import (
     regularity_estimate,
 )
 from wickflow.ou import block_steps, hermitian_normals
-from oracles import block, heat_norm_curve, to_spectral
+from oracles import block, heat_norm_curve, sample_points, to_spectral
 
 
 @pytest.fixture(scope="module")
@@ -31,6 +32,29 @@ def g16():
 @pytest.fixture(scope="module")
 def p16(g16):
     return build_partition(g16)
+
+
+def smooth_step_rebuilt(s):
+    """`besov._smooth_step` with its bump table rebuilt on each call."""
+    u = np.linspace(-1.0, 1.0, 4097)
+    with np.errstate(divide="ignore", over="ignore"):
+        bump = np.where(np.abs(u) < 1.0, np.exp(-1.0 / np.maximum(1.0 - u * u, 1e-300)), 0.0)
+    cdf = np.concatenate(([0.0], np.cumsum((bump[1:] + bump[:-1]) * 0.5 * (u[1] - u[0]))))
+    cdf /= cdf[-1]
+    return 1.0 - np.interp(np.clip(s, 0.0, 1.0) * 2.0 - 1.0, u, cdf)
+
+
+def test_the_smooth_step_table_is_built_once_and_its_profiles_stay_bitwise():
+    s = np.linspace(-0.25, 1.25, 3001)
+    assert np.array_equal(besov_module._smooth_step(s), smooth_step_rebuilt(s))
+    built = besov_module._bump_cdf.cache_info().misses
+    partition = build_partition(TorusGrid(32, max_degree=2))
+    assert besov_module._bump_cdf.cache_info().misses == built == 1
+    r = np.sqrt(partition.grid.ksq.astype(np.float64))
+    step = lambda x: smooth_step_rebuilt((x - 1.0) / (4.0 / 3.0 - 1.0))  # noqa: E731
+    assert np.array_equal(partition.profiles[0], step(r))
+    for j in range(partition.j_max + 1):
+        assert np.array_equal(partition.profiles[j + 1], step(r / 2 ** (j + 1)) - step(r / 2**j))
 
 
 def test_partition_sums_to_one_exactly(p16):
@@ -107,7 +131,8 @@ def test_besov_norm_constant_all_specs(g16, p16):
 
 def test_besov_norm_cosine_against_multiplier_oracle(g16, p16):
     # u = cos(4 x1): peak |u| = 1, annuli j with theta(2^-j * 4) != 0 share it
-    u = to_spectral(RealField(g16, np.cos(4 * g16.x1)))
+    x1, _ = sample_points(g16)
+    u = to_spectral(RealField(g16, np.cos(4 * x1)))
     alpha = 1.0
     norm = besov_norm(u, BesovSpec(alpha), p16)
     oracle = 0.0
@@ -278,7 +303,8 @@ def test_batched_block_norms_equal_the_per_block_loop_bitwise(K, monkeypatch):
     original = TorusGrid.coeffs_to_values
     seen = []
     monkeypatch.setattr(TorusGrid, "coeffs_to_values",
-                        lambda self, coeffs, band=None: seen.append(coeffs) or original(self, coeffs, band))
+                        lambda self, coeffs, band=None: seen.append((coeffs, band))
+                        or original(self, coeffs, band))
     for field, empty in ((u, 0), (band, partition.j_max - 1)):
         loop = per_block_norms(field, partition, original, batch_bands(field, partition))
         norms = block_norms(field, partition)
@@ -286,8 +312,9 @@ def test_batched_block_norms_equal_the_per_block_loop_bitwise(K, monkeypatch):
         assert np.count_nonzero(norms == 0.0) == empty
         full_band = per_block_norms(field, partition, original, [None] * norms.size)
         np.testing.assert_allclose(norms, full_band, rtol=1e-14, atol=0)
-    n = 2 * K + 1
-    assert seen and all(c.reshape(-1, n, n).any(axis=(1, 2)).all() for c in seen)
+    # each batch is its live blocks on the half window of their band
+    assert seen and all(c.shape[1:] == (2 * s + 1, s + 1) for c, s in seen)
+    assert all(c.any(axis=(1, 2)).all() for c, _ in seen)
 
 
 def transform_block_rms(u, partition):

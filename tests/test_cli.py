@@ -399,6 +399,32 @@ def test_invariance_results_at_two_threads_equal_one_thread():
     assert experiments.run_invariance(cfg)["results"] == serial
 
 
+def test_suites_read_no_observable_of_a_stationary_record(monkeypatch):
+    # the records of `stationary_solve` take no observables; observing them
+    # again, as every record did before, must leave each result's bits as they are
+    cfg = ExperimentConfig(K=4, n_traj=4, T=0.01, delta=1e-3, rho=0.3,
+                           n_steps=200, burn_in=100, thinning=10, master_seed=8, threads=1)
+    cfg.validate()
+
+    def run_both():
+        return (experiments.run_invariance(cfg, negative_control=True),
+                experiments.run_gaussian_exactness(seed=8, n_chain=400, n_traj=4, T=0.04,
+                                                   delta=0.02))
+
+    reports = run_both()
+    real_run, real_observe = solver._run, solver.Trajectory.observe
+    observed = []
+    monkeypatch.setattr(solver, "_run", lambda *args, **kwargs: real_run(
+        *args, **{**kwargs, "observe": True}))
+    monkeypatch.setattr(solver.Trajectory, "observe",
+                        lambda self, Y: observed.append(None) or real_observe(self, Y))
+    observing = run_both()
+    # two records per trajectory: 3 drift ensembles and the Gaussian check's
+    assert len(observed) == 2 * (3 * cfg.n_traj + 4)
+    assert json.dumps(observing, sort_keys=True) == json.dumps(reports, sort_keys=True)
+    assert reports[0]["results"]["negative_control_max_abs_z"] > 0.0
+
+
 def test_config_file_threads_is_not_replaced_by_the_core_count(tmp_path, monkeypatch):
     # the core count once overwrote a config file's threads
     monkeypatch.setattr(os, "cpu_count", lambda: 5)

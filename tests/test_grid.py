@@ -16,7 +16,7 @@ from wickflow import (
 import wickflow.grid as grid_module
 from wickflow.grid import DFT_MAX_M
 from wickflow.ou import symmetrize_normals
-from oracles import dealiased_product, to_spectral
+from oracles import dealiased_product, sample_points, to_spectral
 
 
 def random_field(grid, seed):
@@ -43,7 +43,8 @@ def test_constant_field_coefficient():
 
 def test_single_mode_cosine():
     grid = TorusGrid(3)
-    f = RealField(grid, np.cos(grid.x1))
+    x1, _ = sample_points(grid)
+    f = RealField(grid, np.cos(x1))
     u = to_spectral(f)
     a, b = u.get_mode(1, 0), u.get_mode(-1, 0)
     assert a == pytest.approx(b, abs=1e-13)
@@ -137,9 +138,10 @@ def test_product_of_constants():
 def test_cosine_square_identity():
     # cos^2 x = 1/2 + cos(2x)/2, exact once 2K is retained
     grid = TorusGrid(2)
-    u = to_spectral(RealField(grid, np.cos(grid.x1)))
+    x1, _ = sample_points(grid)
+    u = to_spectral(RealField(grid, np.cos(x1)))
     sq = to_real(dealiased_product([u, u]))
-    expected = 0.5 + 0.5 * np.cos(2 * grid.x1)
+    expected = 0.5 + 0.5 * np.cos(2 * x1)
     assert np.max(np.abs(sq.values - expected)) < 1e-12
 
 
@@ -381,6 +383,59 @@ def test_band_transforms_are_the_projected_full_transforms(K, route, monkeypatch
                 assert u.get_mode(-k1, -k2) == np.conj(u.get_mode(k1, k2))
     assert np.array_equal(grid.coeffs_to_values(coeffs, band=K), grid.coeffs_to_values(coeffs))
     assert np.array_equal(grid.values_to_coeffs(values, band=K), grid.values_to_coeffs(values))
+
+
+@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("K", [4, 10, 32])
+def test_a_bands_own_half_window_transforms_as_the_window_at_that_band_bitwise(K, route,
+                                                                              monkeypatch):
+    monkeypatch.setattr(grid_module, "DFT_MAX_M", ROUTES[route])
+    grid = TorusGrid(K)
+    n = 2 * K + 1
+    rng = np.random.default_rng([K, 9])
+    coeffs = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+    half = grid.half_window(coeffs)
+    for s in sorted({0, 1, K // 2, K - 1}):
+        idx = np.fft.fftfreq(2 * s + 1, d=1.0 / (2 * s + 1)).astype(int)  # |kx| <= s, wrap order
+        own = half[..., idx, :s + 1]
+        samples = grid.coeffs_to_values(coeffs, band=s)
+        assert np.array_equal(grid.coeffs_to_values(own, band=s), samples)
+        assert np.array_equal(grid.coeffs_to_values(half, band=s), samples)
+        for b in range(3):
+            assert np.array_equal(grid.coeffs_to_values(own[b], band=s), samples[b])
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_transforms_reject_a_window_or_samples_of_another_shape(route, monkeypatch):
+    monkeypatch.setattr(grid_module, "DFT_MAX_M", ROUTES[route])
+    grid = TorusGrid(4)  # M = 18; the dense route is the K = 4 solver's
+    M = grid.M
+    for shape, band in (((5, 5), None), ((9, 4), None), ((9, 10), None), ((8, 9), None),
+                        ((10, 9), None), ((1, 5), None), ((9, 2), None), ((9,), None), ((), None),
+                        ((2, 9, 4), None), ((5, 5), 2), ((5, 4), 2), ((9, 8), 2), ((3, 2), 2),
+                        ((9,), 2)):
+        with pytest.raises(ConfigurationError, match=r"\(\.\.\., 9, 9\).*\(\.\.\., 9, 5\)"):
+            grid.coeffs_to_values(np.ones(shape, dtype=np.complex128), band=band)
+    with pytest.raises(ConfigurationError, match=r"band=2 \(\.\.\., 5, 3\)"):
+        grid.coeffs_to_values(np.ones((5, 4), dtype=np.complex128), band=2)
+    for shape in ((M, M + 1), (M - 1, M), (M + 2, M), (1, M), (M,), ()):
+        for band in (None, 2):
+            with pytest.raises(ConfigurationError, match=rf"\(\.\.\., {M}, {M}\)"):
+                grid.values_to_coeffs(np.ones(shape), band=band)
+
+
+@pytest.mark.parametrize("route", ROUTES)
+def test_a_batch_of_samples_transforms_as_each_slice_bitwise(route, monkeypatch):
+    monkeypatch.setattr(grid_module, "DFT_MAX_M", ROUTES[route])
+    grid = TorusGrid(10)
+    values = np.random.default_rng(10).standard_normal((3, grid.M, grid.M))
+    for band in (None, 4):
+        for half in (False, True):
+            batched = grid.values_to_coeffs(values, band=band, half=half)
+            assert batched.shape == (3, 21, 11 if half else 21)
+            for b in range(3):
+                assert np.array_equal(batched[b], grid.values_to_coeffs(values[b], band=band,
+                                                                        half=half))
 
 
 @pytest.mark.parametrize("band", [-1, 5, 1.0, "2", True, np.float64(2.0)])

@@ -371,6 +371,30 @@ def test_stationary_solve_deterministic_coupling():
     assert np.array_equal(a.X[-1].coeffs, b.X[-1].coeffs)
 
 
+def test_a_stationary_solve_records_its_fields_at_the_schedule_and_no_observables(monkeypatch):
+    grid = TorusGrid(4, max_degree=4)
+    P = PolynomialSpec.quartic(0.25)
+    eta = sample_stationary(grid, substream(23, 0, 0))
+    cfg = SolverConfig(delta=1e-3, T=0.02, record_every=5)
+    # the same run with observing records, as `solve` records
+    observing = solver_module._run(grid, replace(cfg, drift_scale=0.5), P, eta, None, 23)
+    assert len(observing.observables["sup_Y"]) == 5
+    monkeypatch.setattr(solver_module, "field_observables",
+                        lambda *args: pytest.fail("a stationary solve observed a record"))
+    real = TorusGrid.coeffs_to_values
+    inverses = []
+    monkeypatch.setattr(TorusGrid, "coeffs_to_values",
+                        lambda self, coeffs, band=None: inverses.append(None) or real(self, coeffs, band))
+    traj = stationary_solve(eta, 23, cfg, P)
+    assert traj.observables == {}
+    # one per nonlinear term and one per zbar: none for the records
+    assert len(inverses) == 2 * cfg.n_steps + 1
+    assert np.array_equal(traj.times, observing.times) and len(traj.times) == 5
+    for got, expected in zip(traj.Y + traj.X + traj.zbar, observing.Y + observing.X + observing.zbar):
+        assert np.array_equal(got.coeffs, expected.coeffs)
+    assert len(traj.X) == 5 and traj.reconstruction_defect == observing.reconstruction_defect
+
+
 def test_stationary_solve_gaussian_conjugacy_small():
     # quadratic-only interaction: mode variance 1/(2(lambda_k + a2))
     grid = TorusGrid(2, max_degree=2)
