@@ -1,6 +1,8 @@
 """Print sha256 hashes of wickflow's outputs at one seed, to compare checkouts.
 
     python3 scripts/output_hashes.py [--seed 1200] > hashes.txt
+    python3 scripts/output_hashes.py --check    # against OUTPUT_HASHES.json
+    python3 scripts/output_hashes.py --write    # record OUTPUT_HASHES.json
 
 Run from the root of a checkout; it imports `wickflow` from `./src` with one
 BLAS thread, as `perfbench/run.py` does, and prints one `name sha256` line
@@ -17,14 +19,23 @@ per output:
 A report is hashed as JSON with sorted keys, without its `version` and
 `config.out_dir`, which name the checkout and the directory, not what ran.
 Run it in two checkouts and diff the outputs: equal lines are equal bits.
+
+`OUTPUT_HASHES.json` at the root records the hashes at seeds 1200 and 2400
+and the environment that made them (Python, numpy, scipy and the BLAS that
+`np.show_config` names).  `--check` recomputes them, prints each output that
+differs and exits 1; a change that moves an output rewrites the file with
+`--write`.  The dense transforms' bits depend on the BLAS kernel, so when
+the environment differs from the file's, `--check` says so and exits 0.
 """
 
 import argparse
 import contextlib
 import hashlib
+import importlib.metadata
 import io
 import json
 import os
+import platform
 import sys
 import tempfile
 
@@ -48,6 +59,8 @@ from wickflow.wick import PolynomialSpec  # noqa: E402
 SIMULATE = {"grid": {"K": 32}, "solver": {"delta": 1e-3, "T": 0.15, "record_every": 10},
             "ensemble": {"n_traj": 2}, "output": {"formats": ["csv", "json", "wck1"]}}
 GIBBS = {"output": {"formats": ["csv", "json", "wck1"]}}
+RECORD = "OUTPUT_HASHES.json"
+SEEDS = (1200, 2400)
 
 
 def sha(data: bytes) -> str:
@@ -117,14 +130,62 @@ def hashes(seed: int, tmp: str):
     yield "gauss-k4 chain samples", samples
 
 
-def main():
+def environment() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    try:
+        scipy = importlib.metadata.version("scipy")
+    except importlib.metadata.PackageNotFoundError:
+        scipy = None
+    return {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy,
+            "blas": " ".join(str(blas.get(key)) for key in
+                             ("name", "version", "openblas configuration"))}
+
+
+def recorded_seeds(tmp: str) -> dict:
+    return {str(seed): dict(hashes(seed, tmp)) for seed in SEEDS}
+
+
+def check(tmp: str) -> int:
+    with open(RECORD, encoding="utf-8") as fh:
+        record = json.load(fh)
+    now = recorded_seeds(tmp)
+    differs = [f"seed {seed} {name}" for seed in sorted(set(now) | set(record["hashes"]))
+               for name in sorted(set(now.get(seed, {})) | set(record["hashes"].get(seed, {})))
+               if now.get(seed, {}).get(name) != record["hashes"].get(seed, {}).get(name)]
+    for line in differs:
+        print(f"differs: {line}")
+    if not differs:
+        print(f"all {sum(map(len, now.values()))} outputs equal {RECORD}")
+        return 0
+    if record["environment"] != environment():
+        print(f"the environment differs from {RECORD}'s, so these need not be faults: "
+              f"{json.dumps(environment())} against {json.dumps(record['environment'])}")
+        return 0
+    return 1
+
+
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1200)
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--check", action="store_true",
+                      help=f"compare the outputs at seeds {SEEDS} with {RECORD}; exit 1 on a difference")
+    mode.add_argument("--write", action="store_true",
+                      help=f"record the outputs at seeds {SEEDS} and the environment in {RECORD}")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
+        if args.check:
+            return check(tmp)
+        if args.write:
+            with open(RECORD, "w", encoding="utf-8") as fh:
+                json.dump({"environment": environment(), "hashes": recorded_seeds(tmp)}, fh,
+                          indent=1)
+                fh.write("\n")
+            return 0
         for name, digest in hashes(args.seed, tmp):
             print(f"{name} {digest}", flush=True)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

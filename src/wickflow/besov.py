@@ -162,7 +162,7 @@ def block_norms(u: SpectralField, partition: DyadicPartition) -> np.ndarray:
         if band < s:
             blocks = blocks[:, _window(band, grid.M)[0], :band + 1]
         v = grid.coeffs_to_values(blocks, band=band)
-        out[start + np.array(live)] = np.maximum(v.max(axis=(1, 2)), -v.min(axis=(1, 2)))
+        out[start + np.array(live)] = np.abs(v).max(axis=(1, 2))
     return out
 
 

@@ -3,8 +3,9 @@
 A JSON config file supplies the schema sections (grid, polynomial, solver,
 sampler, ensemble, output); the flags --seed/--out/--k/--dt/--threads
 override the fields `ExperimentConfig` names them for.  A command accepts
-the keys and flags of the fields its suite reads, plus output.dir and
-threads; any other is a config error, so none is silently dropped.
+the keys and flags of the fields its suite reads, plus output.dir; any
+other is a config error, so none is silently dropped.  Only the suites that
+run ensembles (`solver.ensemble`) read threads, the worker processes.
 WICKFLOW_OUT overrides the output directory.  Every run writes
 <out>/<command>_report.json, whose `config` states the parameters that
 ran, and prints the suite's summary lines.
@@ -32,9 +33,9 @@ FLAGGED = [f for f in fields(ExperimentConfig) if f.metadata["flag"]]  # fields 
 
 
 def accepted(command: str) -> set:
-    """The fields a key or flag may set for `command`: those its suite reads, the
-    report's directory, and threads (every command takes --threads for now)."""
-    return SUITES[command].reads | {"out_dir", "threads"}
+    """The fields a key or flag may set for `command`: those its suite reads and
+    the report's directory."""
+    return SUITES[command].reads | {"out_dir"}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,7 +1,7 @@
 """The experiment suites behind the command-line front end.
 
 Every suite is a pure function of an `ExperimentConfig`: deterministic
-given (config, master_seed) in sequential mode, returning a JSON-ready
+given (config, master_seed) at any `threads`, returning a JSON-ready
 report that states the parameters that ran and a version string.  Each
 command is declared once, by `command` on its suite: the config fields the
 suite reads (the CLI accepts their keys and flags), the fields it fixes
@@ -10,7 +10,6 @@ itself, and its summary lines.  Statistical pass/fail rules are fixed here
 tuned per run.
 """
 
-import contextlib
 import functools
 import math
 import numbers
@@ -24,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .besov import BesovSpec, besov_norm, build_partition, regularity_estimate
-from .errors import BlowUpError, ConfigurationError, WarmupError
+from .errors import ConfigurationError, WarmupError
 from .grid import SpectralField, TorusGrid, apply_semigroup
 from .ou import (
     OUNoisePath, build_tower, convert_tower, ct_tower, ou_step, sample_stationary, substream,
@@ -33,7 +32,7 @@ from .sampler import (
     MIN_ACCEPTANCE, ChainState, gibbs_samples, integrated_autocorrelation, observables, run_chain,
 )
 from .snapshots import write_snapshots
-from .solver import SolverConfig, Trajectory, solve, stationary_solve
+from .solver import SolverConfig, Trajectory, ensemble, solve, stationary_solve
 from .wick import (
     PolynomialSpec,
     binomial_identity_check,
@@ -223,16 +222,6 @@ def _sizes(grid: TorusGrid, P: PolynomialSpec) -> dict:
     return {"M": grid.M, "compute_M": grid.compute_grid(P.degree).M}
 
 
-@contextlib.contextmanager
-def _noise_stream(seed: int, i: int):
-    """Trajectory i's noise stream (seed, i, 1), named in a `BlowUpError` raised inside."""
-    try:
-        yield substream(seed, i, 1)
-    except BlowUpError as err:
-        err.trajectory, err.stream = i, (seed, i, 1)
-        raise
-
-
 def _check_warmup(acceptance_rate: float) -> None:
     """The warm-up rule of the chain suites: exit 4 below `MIN_ACCEPTANCE`."""
     if acceptance_rate < MIN_ACCEPTANCE:
@@ -257,7 +246,7 @@ def _trajectory_rows(traj: Trajectory):
 
 
 @command("simulate", ("K", *MODEL, "delta", "T", "record_every", "n_traj", "master_seed",
-                      "out_dir", "formats"))
+                      "out_dir", "formats", "threads"))
 def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     """Integrate `n_traj` trajectories of the shifted equation and dump observables."""
     grid = cfg.grid()
@@ -267,9 +256,8 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | None = None) -> dict:
     os.makedirs(out, exist_ok=True)
     sups = []
     defect = 0.0
-    for i in range(cfg.n_traj):
-        with _noise_stream(cfg.master_seed, i) as rng:
-            traj = solve(None, None, rng, scfg, P, grid=grid)
+    run = functools.partial(solve, z0=None, cfg=scfg, P=P, grid=grid)
+    for i, traj in enumerate(ensemble(run, [None] * cfg.n_traj, cfg.master_seed, cfg.threads)):
         sups.append(float(traj.observables["sup_Y"][-1]))
         defect = max(defect, float(traj.reconstruction_defect))
         if "csv" in cfg.formats:
@@ -386,33 +374,14 @@ def run_identities(cfg: ExperimentConfig) -> dict:
                    **_sizes(g, P), solver_steps=n)
 
 
-def _pmap(fn, payloads, threads):
-    # the pool starts all its workers at once: no more than payloads or cores
-    workers = min(threads, len(payloads), os.cpu_count() or 1)
-    if workers <= 1:
-        return [fn(p) for p in payloads]
-    from concurrent.futures import ProcessPoolExecutor  # imported here: it loads multiprocessing
-
-    chunk = max(1, len(payloads) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, payloads, chunksize=chunk))
-
-
-def _drift_end(scfg, P, c, c_obs, seed, item):
-    """Observables (counterterm c_obs) at time T of trajectory i, started from
-    the Gibbs sample eta and run with counterterm c."""
-    i, eta = item
-    with _noise_stream(seed, i) as rng:
-        traj = stationary_solve(eta, rng, scfg, P, c=c)
-    return observables(traj.X[-1], P, c_obs)
-
-
 def _drift_zscores(samples, start_obs, cfg, scfg, c, c_obs, seed):
     """Paired drift z-score of every observable of `sampler.observables`;
     `start_obs[i]` holds the observables of `samples[i]`, and the dynamics
-    runs on `scfg` with counterterm c."""
-    end = functools.partial(_drift_end, scfg, cfg.polynomial(), c, c_obs, seed)
-    end_obs = _pmap(end, list(enumerate(samples)), cfg.threads)
+    runs on `scfg` with counterterm c, observed at T with c_obs."""
+    P = cfg.polynomial()
+    run = functools.partial(stationary_solve, cfg=scfg, P=P, c=c)
+    end_obs = [observables(traj.X[-1], P, c_obs)
+               for traj in ensemble(run, samples, seed, cfg.threads)]
     stats = {}
     for name in start_obs[0]:
         start = np.asarray([o0[name] for o0 in start_obs])
@@ -522,11 +491,8 @@ def run_gaussian_exactness(K: int = 4, a2: float = 0.5, seed: int = 0,
                                substream(seed, 0, 0))
     chain_vals = _mode_powers(samples, modes)
 
-    finals = []
-    scfg = SolverConfig(delta=delta, T=T)
-    for i in range(n_traj):
-        with _noise_stream(seed, i) as rng:
-            finals.append(stationary_solve(SpectralField.zero(grid), rng, scfg, P).X[-1])
+    run = functools.partial(stationary_solve, cfg=SolverConfig(delta=delta, T=T), P=P)
+    finals = [traj.X[-1] for traj in ensemble(run, [SpectralField.zero(grid)] * n_traj, seed)]
     sde_vals = _mode_powers(finals, modes)
 
     def zscores(values):
@@ -559,7 +525,7 @@ def run_gaussian_exactness(K: int = 4, a2: float = 0.5, seed: int = 0,
     }
 
 
-@command("regularity", (*MODEL, "master_seed"), lambda r: [
+@command("regularity", (*MODEL, "master_seed", "threads"), lambda r: [
     f"alpha(Z) in band: {r['alpha_Z']['frac_in_band']:.2%}, "
     f"alpha(Y) >= 0.5: {r['alpha_Y']['frac_above_0.5']:.2%}"], K=16, T=0.1, delta=1e-3)
 def run_regularity(cfg: ExperimentConfig, n_runs: int = 100) -> dict:
@@ -575,9 +541,8 @@ def run_regularity(cfg: ExperimentConfig, n_runs: int = 100) -> dict:
     scfg = SolverConfig(delta=cfg.delta, T=cfg.T)
     a_z, a_z2, a_y = [], [], []
     rows = []
-    for i in range(n_runs):
-        with _noise_stream(cfg.master_seed, i) as rng:
-            traj = solve(None, None, rng, scfg, P, grid=grid)
+    run = functools.partial(solve, z0=None, cfg=scfg, P=P, grid=grid)
+    for i, traj in enumerate(ensemble(run, [None] * n_runs, cfg.master_seed, cfg.threads)):
         Z = traj.zbar[-1]
         Y = traj.Y[-1]
         z2 = wick_power(Z, 2, c_CT)

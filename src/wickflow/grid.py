@@ -201,7 +201,10 @@ class TorusGrid:
         polynomial operations performed on this grid.  The columns ky < 0
         are the exact conjugates of their mirrors, c(-k) = conj c(k);
         `half` returns the half window (2K+1, K+1) without them, bitwise
-        the columns ky >= 0 of the full one.  Leading axes of `values`
+        the columns ky >= 0 of the full one.  Column ky = 0 holds kx and -kx,
+        both computed, so it is Hermitian only to rounding (a few 1e-16 of
+        its largest coefficient); every inverse reads h_0 = c_0 and drops
+        that column's anti-Hermitian part.  Leading axes of `values`
         (..., M, M) are a batch, as for `coeffs_to_values`; samples of any
         other shape raise ConfigurationError.
 

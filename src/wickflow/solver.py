@@ -51,12 +51,13 @@ eta_n = sigma * xi_n the n-th innovation of one stream (`ou.noise_source`,
 taken on the half window: bitwise the columns ky >= 0 of
 `ou.ou_innovations`), whether the noise is given as a seed (its stream
 (seed, 0, 1)), a Generator or a frozen `OUNoisePath`; the three give
-bitwise the same run.  A `Trajectory`
-records itself at t = 0, after every `record_every` steps and at T;
-`record_every=None` records the start and the end only.  Records of
-`solve` also take their observables (`field_observables` and sup_Y, two
-inverse transforms each), which `simulate` writes; `stationary_solve`
-records fields only, since its callers read X at T alone.
+bitwise the same run.  `ensemble` runs trajectory i of an ensemble on the
+stream (seed, i, 1).  A `Trajectory` records itself at t = 0, after every
+`record_every` steps and at T; `record_every=None` records the start and
+the end only.  Records of `solve` also take their observables
+(`field_observables` and sup_Y, two inverse transforms each), which
+`simulate` writes; `stationary_solve` records fields only, since its
+callers read X at T alone.
 
 Drift scaling: with the free measure fixed to mode variance 1/(2 lambda_k)
 and unit cylindrical noise, the dynamics that preserves the Gibbs density
@@ -67,7 +68,9 @@ with the literal coefficients (drift_scale = 1), which is what the
 deterministic scheme tests exercise.
 """
 
+import functools
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -312,3 +315,30 @@ def stationary_solve(eta, noise, cfg: SolverConfig, P: PolynomialSpec,
     """
     cfg = replace(cfg, drift_scale=0.5 * cfg.drift_scale)
     return _run(eta.grid, cfg, P, eta, None, noise, c, observe=False)
+
+
+def _trajectory(run, seed, item):
+    """Trajectory i of item = (i, start) on its stream, named in a `BlowUpError`."""
+    i, start = item
+    try:
+        return run(start, noise=substream(seed, i, 1))
+    except BlowUpError as err:
+        err.trajectory, err.stream = i, (seed, i, 1)
+        raise
+
+
+def ensemble(run, starts, seed: int, threads: int = 1):
+    """Yield `run(starts[i], noise=substream(seed, i, 1))` in the order of i,
+    naming trajectory i and its stream on a `BlowUpError`; with threads > 1
+    the runs go to min(threads, len(starts), cores) worker processes (the
+    pool starts them all at once), so `run` and its results must pickle."""
+    items = list(enumerate(starts))
+    work = functools.partial(_trajectory, run, seed)
+    workers = min(threads, len(items), os.cpu_count() or 1)
+    if workers <= 1:
+        yield from map(work, items)
+        return
+    from concurrent.futures import ProcessPoolExecutor  # imported here: it loads multiprocessing
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(work, items, chunksize=max(1, len(items) // (4 * workers)))

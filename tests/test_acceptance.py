@@ -128,7 +128,7 @@ def test_criterion_05_gaussian_submodel_exactness():
 @pytest.mark.slow
 def test_criterion_06_invariance_of_gibbs_measure():
     cfg = ExperimentConfig(K=10, delta=5e-4, T=0.5, n_traj=256, rho=0.3,
-                           burn_in=3000, thinning=120, master_seed=0, threads=1)
+                           burn_in=3000, thinning=120, master_seed=0, threads=2)
     rep = run_invariance(cfg, negative_control=True)
     r = rep["results"]
     detail = (f"max |z| at delta = {r['max_abs_z_delta']:.2f}, "

@@ -6,7 +6,7 @@ import os
 import pickle
 import re
 import subprocess
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
@@ -123,7 +123,7 @@ def test_unknown_section_exit_2(tmp_path):
 def test_invalid_config_exit_2(tmp_path, data):
     cfg = write_config(tmp_path / "c.json", data)
     command = "gibbs" if "sampler" in data else "simulate"  # the command that reads the keys
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "out"), "--threads", "1"]) == 2
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
 
 
@@ -148,7 +148,7 @@ def test_out_dir_that_cannot_be_created_exit_2_before_the_command_runs(
     blocker = tmp_path / "file"
     blocker.write_text("")
     monkeypatch.setitem(cli.COMMANDS, command, lambda cfg: pytest.fail("the command ran"))
-    assert main([command, "--out", str(blocker / "out"), "--threads", "1"]) == 2
+    assert main([command, "--out", str(blocker / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("output error:") and err.count("\n") == 1
     assert "Traceback" not in err
@@ -159,10 +159,10 @@ def test_a_failed_command_removes_only_an_empty_dir_it_made(tmp_path, monkeypatc
         raise ConfigurationError("late")
 
     monkeypatch.setitem(cli.COMMANDS, "gibbs", fail)
-    assert main(["gibbs", "--out", str(tmp_path / "out"), "--threads", "1"]) == 2
+    assert main(["gibbs", "--out", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out").exists()
     (tmp_path / "kept").mkdir()
-    assert main(["gibbs", "--out", str(tmp_path / "kept"), "--threads", "1"]) == 2
+    assert main(["gibbs", "--out", str(tmp_path / "kept")]) == 2
     assert (tmp_path / "kept").is_dir()
 
 
@@ -175,7 +175,7 @@ def test_warmup_exit_code_follows_the_error_type(tmp_path, monkeypatch, error, c
         raise error
 
     monkeypatch.setitem(cli.COMMANDS, "gibbs", fail)
-    assert main(["gibbs", "--out", str(tmp_path / "out"), "--threads", "1"]) == code
+    assert main(["gibbs", "--out", str(tmp_path / "out")]) == code
 
 
 def test_gibbs_below_one_percent_acceptance_exit_4(tmp_path):
@@ -186,7 +186,7 @@ def test_gibbs_below_one_percent_acceptance_exit_4(tmp_path):
     })
     out = tmp_path / "out"
     with pytest.warns(UserWarning, match="acceptance"):
-        assert main(["gibbs", "--config", cfg, "--out", str(out), "--threads", "1"]) == 4
+        assert main(["gibbs", "--config", cfg, "--out", str(out)]) == 4
     assert not out.exists()
 
 
@@ -198,7 +198,7 @@ def test_bad_json_exit_2(tmp_path):
 
 def test_identities_command(tmp_path):
     out = tmp_path / "out"
-    assert main(["identities", "--out", str(out), "--threads", "1"]) == 0
+    assert main(["identities", "--out", str(out)]) == 0
     report = json.loads((out / "identities_report.json").read_text())
     assert report["pass"] is True
     assert all(v < 1e-10 for v in report["results"]["max_residuals"].values())
@@ -211,7 +211,7 @@ def test_gibbs_command(tmp_path):
         "output": {"formats": ["csv", "json", "wck1"]},
     })
     out = tmp_path / "out"
-    assert main(["gibbs", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
+    assert main(["gibbs", "--config", cfg, "--out", str(out)]) == 0
     assert (out / "chain_samples.wck1").exists()
     assert (out / "chain_wick2.csv").exists()
 
@@ -279,31 +279,37 @@ def config_of(keys):
     ("equivalence", "solver.T"),
     ("wick-convergence", "polynomial.a"),
     ("wick-convergence", "grid.dealiasing_degree"),
+    # every command took --threads and only invariance read it
+    *((command, "--threads") for command in ("gibbs", "identities", "equivalence",
+                                             "wick-convergence")),
 ])
 def test_flag_a_command_ignores_exit_2(tmp_path, capsys, command, flag):
     # the command never reads the key: the flag, or the config key, once ran
     # and was dropped silently (the report still named it)
     out = tmp_path / "out"
     if flag.startswith("--"):
-        args = [flag, "4" if flag == "--k" else "0.01"]
+        args = [flag, {"--k": "4", "--threads": "2"}.get(flag, "0.01")]
     else:
         args = ["--config", write_config(tmp_path / "c.json", config_of([flag]))]
-    assert main([command, *args, "--out", str(out), "--threads", "1"]) == 2
+    assert main([command, *args, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error") and flag in err
+    assert err.startswith("config error") and flag in err and "has no effect" in err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
 def test_every_command_accepts_the_keys_it_reads(tmp_path, command):
     keys = {experiments.KEYS[name] for name in cli.accepted(command)} - {"threads"}
-    data = dict(config_of(sorted(keys)), threads=2)
+    data = config_of(sorted(keys))
+    if "threads" in cli.accepted(command):
+        data["threads"] = 2
     argv = [command, "--config", write_config(tmp_path / "c.json", data), "--seed", "9",
             "--out", str(tmp_path / "out")]
     argv += ["--k", "5"] if "grid.K" in keys else []
     argv += ["--dt", "0.05"] if "solver.delta" in keys else []
     cfg = cli.resolve_config(cli.build_parser().parse_args(argv))  # runs nothing
-    assert cfg.master_seed == 9 and cfg.threads == 2 and cfg.out_dir == str(tmp_path / "out")
+    assert cfg.master_seed == 9 and cfg.out_dir == str(tmp_path / "out")
+    assert cfg.threads == 2 or "threads" not in data
     resolved = json.loads(json.dumps(asdict(cfg)))  # tuples as JSON lists
     for name in keys - {"ensemble.master_seed", "output.dir", "grid.K", "solver.delta"}:
         assert resolved[name.split(".")[1]] == KEY_VALUES[name], name
@@ -345,13 +351,16 @@ def test_config_resolution_returns_a_valid_config_or_a_config_error(
     # runs no experiment: only ExperimentConfig.from_dict and cli.resolve_config
     path = write_config(tmp_path_factory.getbasetemp() / "fuzz.json", data)
     argv = [command, "--config", path] + [f"{flag}={value}" for flag, value in flags.items()]
-    for resolve in (lambda: ExperimentConfig.from_dict(copy.deepcopy(data)),
-                    lambda: cli.resolve_config(cli.build_parser().parse_args(argv))):
+    for by_command, resolve in (
+            (False, lambda: ExperimentConfig.from_dict(copy.deepcopy(data))),
+            (True, lambda: cli.resolve_config(cli.build_parser().parse_args(argv)))):
         try:
             cfg = resolve()
         except (ConfigurationError, DomainError):
             continue
         cfg.validate()
+        if by_command and ("--threads" in flags or "threads" in data):
+            assert "threads" in cli.accepted(command)  # a command that runs no ensemble rejects it
         assert cfg.solver_config().n_steps >= 1 and cfg.polynomial().degree == 2 * cfg.N
         assert cfg.dealiasing_degree >= 1  # TorusGrid's max_degree rule
 
@@ -383,20 +392,43 @@ def test_invariance_pool_never_outnumbers_trajectories_or_cores(monkeypatch):
             return map(fn, payloads)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    for cores, expected in ((64, [3]), (2, [2]), (None, [])):
+    cfg = ExperimentConfig(K=2, n_traj=3, T=2e-3, delta=1e-3, burn_in=100, thinning=10,
+                           threads=10_000)
+    serial = experiments.run_invariance(replace(cfg, threads=1))["results"]
+    # one pool per drift ensemble: at delta, at delta/2 and the negative control
+    for cores, expected in ((64, [3, 3, 3]), (2, [2, 2, 2]), (None, [])):
         sizes.clear()
-        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
-        assert experiments._pmap(abs, [-1, -2, -3], 10_000) == [1, 2, 3]
+        monkeypatch.setattr(solver.os, "cpu_count", lambda: cores)
+        assert experiments.run_invariance(cfg)["results"] == serial
         assert sizes == expected
 
 
-def test_invariance_results_at_two_threads_equal_one_thread():
-    cfg = ExperimentConfig(K=4, n_traj=8, T=0.01, delta=1e-3, rho=0.3,
-                           n_steps=400, burn_in=200, thinning=10, master_seed=5, threads=1)
-    cfg.validate()
-    serial = experiments.run_invariance(cfg)["results"]
-    cfg.threads = 2
-    assert experiments.run_invariance(cfg)["results"] == serial
+ENSEMBLE_RUNS = {  # small runs of the suites that read threads, and the outputs to compare
+    "simulate": (dict(K=3, delta=2e-3, T=0.02, record_every=5, n_traj=3, master_seed=7,
+                      formats=("csv", "json", "wck1")), {}),
+    "regularity": (dict(master_seed=3), {"n_runs": 3}),
+    "invariance": (dict(K=4, n_traj=8, T=0.01, delta=1e-3, rho=0.3, n_steps=400, burn_in=200,
+                        thinning=10, master_seed=5), {}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ENSEMBLE_RUNS))
+def test_ensemble_suites_at_two_threads_equal_one_thread(tmp_path, monkeypatch, command):
+    # only invariance once ran its trajectories in worker processes
+    monkeypatch.setattr(solver.os, "cpu_count", lambda: 2)
+    fields, kwargs = ENSEMBLE_RUNS[command]
+    assert "threads" in experiments.SUITES[command].reads
+    outputs = []
+    for threads in (1, 2):
+        out = tmp_path / str(threads)
+        cfg = ExperimentConfig(**fields, out_dir=str(out), threads=threads)
+        cfg.validate()
+        report = cli.COMMANDS[command](cfg, **kwargs)
+        assert report["config"]["threads"] == threads
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+        outputs.append((report["results"], files))
+    assert outputs[1] == outputs[0]
+    assert command != "simulate" or len(outputs[0][1]) == 6  # a CSV and a WCK1 per trajectory
 
 
 def test_suites_read_no_observable_of_a_stationary_record(monkeypatch):
@@ -430,7 +462,7 @@ def test_config_file_threads_is_not_replaced_by_the_core_count(tmp_path, monkeyp
     monkeypatch.setattr(os, "cpu_count", lambda: 5)
     for data, argv, threads in (({"threads": 3}, [], 3), ({"threads": 3}, ["--threads", "2"], 2),
                                 ({}, [], 5)):
-        args = ["gibbs", "--config", write_config(tmp_path / "c.json", data), *argv]
+        args = ["simulate", "--config", write_config(tmp_path / "c.json", data), *argv]
         assert cli.resolve_config(cli.build_parser().parse_args(args)).threads == threads
 
 
@@ -447,17 +479,15 @@ def test_blow_up_error_survives_pickling():
 
 
 def test_a_blow_up_in_a_worker_is_re_raised_with_its_trajectory(monkeypatch):
-    monkeypatch.setattr(solver, "BLOWUP_THRESHOLD", 0.0)  # every first step blows up
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(solver.os, "cpu_count", lambda: 2)
     grid = TorusGrid(2, max_degree=4)
-    P = PolynomialSpec.quartic(0.25)
-    c = experiments.counterterm_C(grid)
-    scfg = SolverConfig(delta=1e-3, T=2e-3)
-    end = functools.partial(experiments._drift_end, scfg, P, c, c, 11)
+    run = functools.partial(solver.stationary_solve, cfg=SolverConfig(delta=1e-3, T=2e-3),
+                            P=PolynomialSpec.quartic(0.25))
     eta = experiments.sample_stationary(grid, np.random.default_rng(1))
+    huge = SpectralField(grid, eta.coeffs * 1e9)  # its first step passes BLOWUP_THRESHOLD
     with pytest.raises(BlowUpError) as err:
-        experiments._pmap(end, [(0, eta), (1, eta)], threads=2)
-    assert (err.value.t, err.value.trajectory, err.value.stream) == (0.0, 0, (11, 0, 1))
+        list(solver.ensemble(run, [eta, huge, eta], 11, threads=2))
+    assert (err.value.t, err.value.trajectory, err.value.stream) == (0.0, 1, (11, 1, 1))
 
 
 def test_a_blow_up_in_the_gaussian_check_names_its_trajectory(monkeypatch):
@@ -515,16 +545,17 @@ def test_the_gaussian_check_reads_its_modes_as_get_mode_does_bitwise():
 ])
 def test_forced_blow_up_exits_3_naming_its_trajectory(tmp_path, capsys, monkeypatch,
                                                      command, data, stream):
-    # invariance runs its trajectories in two worker processes here
+    # in one process, and in two worker processes of `solver.ensemble`
     monkeypatch.setattr(solver, "BLOWUP_THRESHOLD", 0.0)
-    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(solver.os, "cpu_count", lambda: 2)
     out = tmp_path / "out"
     argv = [command, "--config", write_config(tmp_path / "c.json", data), "--out", str(out)]
-    assert main(argv + ["--threads", "2"]) == 3
-    err = capsys.readouterr().err
-    assert re.fullmatch(rf"blow-up: solution blew up at t=\S+ in trajectory 0, "
-                        rf"stream {re.escape(stream)}\n", err)
-    assert not out.exists()
+    for threads in ("1", "2"):
+        assert main(argv + ["--threads", threads]) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"blow-up: solution blew up at t=\S+ in trajectory 0, "
+                            rf"stream {re.escape(stream)}\n", err)
+        assert not out.exists()
 
 
 # what each command runs, small; the suites fix the rest

@@ -1,3 +1,4 @@
+import functools
 import math
 from dataclasses import replace
 
@@ -27,6 +28,7 @@ from wickflow.ou import build_tower, hermitian_normals, ou_step, step_constants
 from wickflow.sampler import observables
 from wickflow.solver import (
     SolverConfig,
+    ensemble,
     half_constants,
     nonlinear_term,
     solve,
@@ -402,10 +404,9 @@ def test_stationary_solve_gaussian_conjugacy_small():
     P = PolynomialSpec.quadratic(a2)
     cfg = SolverConfig(delta=0.01, T=4.0)
     n = 300
-    vals = np.empty(n)
-    for i in range(n):
-        traj = stationary_solve(SpectralField.zero(grid), substream(12, i, 1), cfg, P)
-        vals[i] = abs(traj.X[-1].get_mode(0, 0)) ** 2
+    run = functools.partial(stationary_solve, cfg=cfg, P=P)
+    vals = np.array([abs(traj.X[-1].get_mode(0, 0)) ** 2
+                     for traj in ensemble(run, [SpectralField.zero(grid)] * n, 12)])
     target = 1.0 / (2 * (1 + a2))
     z = (vals.mean() - target) / (vals.std(ddof=1) / np.sqrt(n))
     assert abs(z) < 3.0
