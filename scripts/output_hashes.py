@@ -74,8 +74,11 @@ def report_hash(report: dict) -> str:
 
 
 def chain_hashes(result, samples) -> tuple:
+    """The accept history and the samples, each sample as its whole lattice
+    (`TorusGrid.full_window`), the bytes a sample's coefficients held before
+    fields became half windows."""
     return (sha(np.asarray(result.accept_history, dtype=bool).tobytes()),
-            sha(b"".join(phi.coeffs.tobytes() for phi in samples)))
+            sha(b"".join(phi.grid.full_window(phi.coeffs).tobytes() for phi in samples)))
 
 
 def command_hashes(name: str, config: dict, flags: list, tmp: str):

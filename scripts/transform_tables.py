@@ -6,11 +6,10 @@ Run from the root of a checkout; it imports `wickflow` from `./src` with one
 BLAS thread, as `perfbench/run.py` does.  Three tables, microseconds per call,
 each the median of `--repeats` interleaved timeit loops of >= 10 ms:
 
-* crossover: per grid (K, max_degree), the single inverse of a full
-  window and of a half window (the (2K+1) x (K+1) columns ky >= 0 that the
-  solver steps), the single forward and one slice of an 8-slice batched
-  inverse, on the FFT route (`DFT_MAX_M` set below M) and on the dense
-  route (set above M);
+* crossover: per grid (K, max_degree), the single inverse of a half
+  window (the (2K+1) x (K+1) coefficients of a field), the single forward
+  and one slice of an 8-slice batched inverse, on the FFT route
+  (`DFT_MAX_M` set below M) and on the dense route (set above M);
 * band: on the K = 32 grid (M = 130), the inverse and forward with
   `band` = s on both routes;
 * besov: `besov_norm` (alpha = -0.2, on a partition built beforehand) at
@@ -18,8 +17,9 @@ each the median of `--repeats` interleaved timeit loops of >= 10 ms:
   stationary sample and of that sample restricted to |k|_inf <= 4.  With
   `--parent ROOT` the same calls run also on the `wickflow` of the
   checkout at ROOT (say, a parent commit), loaded into this process under
-  another name and timed interleaved with this checkout's; the table says
-  whether the two trees' norms are equal.
+  another name and timed interleaved with this checkout's (a tree whose
+  fields hold the whole (2K+1)^2 lattice gets the sample's full window); the
+  table says whether the two trees' norms are equal.
 
 Writes one JSON object to stdout and the tables as markdown to stderr.
 """
@@ -80,15 +80,13 @@ def crossover(repeats):
     rows = []
     for K, d in GRIDS:
         g = TorusGrid(K, d)
-        n = 2 * K + 1
+        shape = (2 * K + 1, K + 1)
         rng = np.random.default_rng(K)
-        c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        h = g.half_window(c)
-        batch = rng.standard_normal((8, n, n)) + 1j * rng.standard_normal((8, n, n))
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        batch = rng.standard_normal((8, *shape)) + 1j * rng.standard_normal((8, *shape))
         v = rng.standard_normal((g.M, g.M))
         row = {"K": K, "max_degree": d, "M": g.M}
         for name, f, per in (("inverse", lambda: g.coeffs_to_values(c), 1),
-                             ("inverse_half", lambda: g.coeffs_to_values(h), 1),
                              ("forward", lambda: g.values_to_coeffs(v), 1),
                              ("inverse_batch8", lambda: g.coeffs_to_values(batch), 8)):
             fft, dense = per_call_us([routed("fft", f), routed("dense", f)], repeats, per)
@@ -96,7 +94,6 @@ def crossover(repeats):
                         f"{name}_fft_over_dense": round(fft / dense, 2)})
         rows.append(row)
         print(f"| {g.M} | {row['inverse_fft_us']:.0f}/{row['inverse_dense_us']:.0f} "
-              f"| {row['inverse_half_fft_us']:.0f}/{row['inverse_half_dense_us']:.0f} "
               f"| {row['forward_fft_us']:.0f}/{row['forward_dense_us']:.0f} "
               f"| {row['inverse_batch8_fft_us']:.0f}/{row['inverse_batch8_dense_us']:.0f} |",
               file=sys.stderr)
@@ -105,9 +102,9 @@ def crossover(repeats):
 
 def band_table(repeats, K=32, d=3):
     g = TorusGrid(K, d)
-    n = 2 * K + 1
+    shape = (2 * K + 1, K + 1)
     rng = np.random.default_rng(0)
-    c = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     v = rng.standard_normal((g.M, g.M))
     rows = []
     for s in BANDS:
@@ -141,14 +138,18 @@ def besov_table(repeats, parent=None):
     for K in (4, 10, 16, 32):
         g = TorusGrid(K)
         u = sample_stationary(g, np.random.default_rng(K)).coeffs
-        inside = (np.abs(g.kx) <= 4) & (np.abs(g.ky) <= 4)
+        inside = ((np.abs(g.kx) <= 4) & (np.abs(g.ky) <= 4))[:, :K + 1]
         for field, coeffs in (("stationary", u), ("band 4", np.where(inside, u, 0.0))):
             calls, norms = [], {}
             for side, name in trees.items():
                 grid_m = importlib.import_module(f"{name}.grid")
                 besov = importlib.import_module(f"{name}.besov")
+                errors = importlib.import_module(f"{name}.errors")
                 tg = grid_m.TorusGrid(K)
-                x = grid_m.SpectralField(tg, coeffs.copy())
+                try:
+                    x = grid_m.SpectralField(tg, coeffs.copy())
+                except errors.ConfigurationError:  # a tree whose fields hold the whole lattice
+                    x = grid_m.SpectralField(tg, tg.full_window(coeffs))
                 part, spec = besov.build_partition(tg), besov.BesovSpec(-0.2)
                 norms[side] = besov.besov_norm(x, spec, part)
                 calls.append(lambda b=besov, x=x, p=part, a=spec: b.besov_norm(x, a, p))
@@ -170,7 +171,7 @@ def main(argv=None):
                         help="time besov_norm also on the checkout at ROOT")
     args = parser.parse_args(argv)
     bound = grid_module.DFT_MAX_M
-    print("| M | inverse | inverse, half window | forward | inverse, per slice of 8 |"
+    print("| M | inverse | forward | inverse, per slice of 8 |"
           "  (FFT/dense, us)", file=sys.stderr)
     cross = crossover(args.repeats)
     print("| band | inverse | forward |  (FFT/dense, us, M = 130)", file=sys.stderr)

@@ -4,13 +4,7 @@ stochastic convolution, the shifted-equation solver, Gibbs sampling, and
 Besov-regularity diagnostics."""
 
 from .errors import BlowUpError, ConfigurationError, DomainError, NonContractionError, WarmupError
-from .grid import (
-    RealField,
-    SpectralField,
-    TorusGrid,
-    apply_semigroup,
-    to_real,
-)
+from .grid import SpectralField, TorusGrid, apply_semigroup
 from .ou import (
     OUNoisePath,
     build_tower,

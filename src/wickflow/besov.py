@@ -97,6 +97,7 @@ class DyadicPartition:
         for j in range(self.j_max + 1):
             profiles.append(_profile(r / 2 ** (j + 1)) - _profile(r / 2**j))
         self.profiles = np.stack(profiles)  # index 0 is block -1
+        self.profiles.flags.writeable = False  # shared by every caller of build_partition
         # each block's band: the largest |k|_inf at which its profile is
         # nonzero (profiles are exactly 0.0 outside their supports)
         kinf = np.maximum(np.abs(grid.kx), np.abs(grid.ky))
@@ -109,8 +110,9 @@ class DyadicPartition:
         for start in range(0, len(self.bands), size):
             s = max(self.bands[start:start + size])
             rows = _window(s, grid.M)[0]
-            self._batches.append((start, s, rows, self.profiles[start:start + size][
-                :, rows[:, None], rows[:s + 1]]))
+            profiles = self.profiles[start:start + size][:, rows[:, None], rows[:s + 1]]
+            profiles.flags.writeable = False
+            self._batches.append((start, s, rows, profiles))
 
     def multiplier(self, j: int) -> np.ndarray:
         if not -1 <= j <= self.j_max:
@@ -121,7 +123,9 @@ class DyadicPartition:
         return float(np.max(np.abs(self.profiles.sum(axis=0) - 1.0)))
 
 
+@functools.cache
 def build_partition(grid: TorusGrid) -> DyadicPartition:
+    """The partition of a grid, built once per grid and process."""
     return DyadicPartition(grid)
 
 
@@ -136,23 +140,19 @@ def block_norms(u: SpectralField, partition: DyadicPartition) -> np.ndarray:
     Blocks are formed over their bands and inverse-transformed
     `ou.block_steps(grid)` at a time (as many as fit a block's coefficients
     in 64 KiB: all of them at K = 4 and K = 10, three at K = 16, one at
-    K = 32), through the batch axis of `coeffs_to_values`.  u's Hermitian
-    half (`TorusGrid.half_window`) is taken once; each batch multiplies its
-    blocks' profiles into the half window (2s+1, s+1) of its largest band s
-    and transforms its live blocks over the largest band among them
-    (`DyadicPartition.bands`: K for a batch holding the outer block, 1, 2,
-    5, 10, 21, 32, 32 at K = 32), which every block of the batch lies
-    inside.  For a window whose columns ky > 0 mirror its columns ky < 0
-    exactly, as every real field's do here, each norm is bitwise that of
-    its full-window block's own transform over that band.  A block with no
-    nonzero coefficient has norm exactly 0.0 and is not transformed.
+    K = 32), through the batch axis of `coeffs_to_values`.  Each batch
+    multiplies its blocks' profiles into the half window (2s+1, s+1) of its
+    largest band s and transforms its live blocks over the largest band
+    among them (`DyadicPartition.bands`: K for a batch holding the outer
+    block, 1, 2, 5, 10, 21, 32, 32 at K = 32), which every block of the
+    batch lies inside.  A block with no nonzero coefficient has norm
+    exactly 0.0 and is not transformed.
     """
     _check_grid(u, partition)
-    grid = u.grid
-    half = grid.half_window(u.coeffs)
+    grid, coeffs = u.grid, u.coeffs
     out = np.zeros(partition.j_max + 2)
     for start, s, rows, profiles in partition._batches:
-        blocks = (half if s == grid.K else half[rows, :s + 1]) * profiles
+        blocks = (coeffs if s == grid.K else coeffs[rows, :s + 1]) * profiles
         live = [j for j, b in enumerate(blocks) if b.any()]
         if not live:
             continue
@@ -167,9 +167,11 @@ def block_norms(u: SpectralField, partition: DyadicPartition) -> np.ndarray:
 
 
 def block_rms(u: SpectralField, partition: DyadicPartition) -> np.ndarray:
-    """Root mean squares of all blocks, sqrt(sum_k |theta_j(k) u_k|^2) / (2 pi)."""
+    """Root mean squares of all blocks, sqrt(sum_k |theta_j(k) u_k|^2) / (2 pi),
+    the sum over the whole lattice."""
     _check_grid(u, partition)
-    return np.sqrt(np.sum(np.abs(u.coeffs * partition.profiles) ** 2, axis=(1, 2))) / u.grid.L
+    coeffs = u.grid.full_window(u.coeffs)
+    return np.sqrt(np.sum(np.abs(coeffs * partition.profiles) ** 2, axis=(1, 2))) / u.grid.L
 
 
 def besov_norm(u: SpectralField, spec: BesovSpec, partition: DyadicPartition | None = None) -> float:

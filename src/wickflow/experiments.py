@@ -14,7 +14,6 @@ import functools
 import math
 import numbers
 import os
-import subprocess
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
@@ -49,6 +48,8 @@ from .wick import (
 @functools.cache
 def version_string() -> str:
     """Package version plus `git describe` of the checkout, looked up once per process."""
+    import subprocess  # imported here: it costs every import of wickflow several ms
+
     try:
         desc = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
@@ -463,10 +464,12 @@ def run_invariance(cfg: ExperimentConfig, negative_control: bool = True) -> dict
 
 def _mode_powers(fields, modes) -> dict:
     """{k: [|phi_k|^2 for phi in fields]}: each field's modes gathered by one
-    index, squared by Python's complex abs as `abs(phi.get_mode(*k)) ** 2` is."""
-    n = 2 * fields[0].grid.K + 1
-    idx = np.array(modes) % n
-    picked = np.array([phi.coeffs[idx[:, 0], idx[:, 1]] for phi in fields])
+    index, mode -k for ky < 0 (its conjugate has the same modulus), squared
+    by Python's complex abs as `abs(phi.get_mode(*k)) ** 2` is."""
+    k = np.array(modes)
+    k[k[:, 1] < 0] *= -1
+    rows = k[:, 0] % (2 * fields[0].grid.K + 1)
+    picked = np.array([phi.coeffs[rows, k[:, 1]] for phi in fields])
     return {k: [abs(z) ** 2 for z in col.tolist()] for k, col in zip(modes, picked.T)}
 
 
@@ -605,7 +608,8 @@ def run_equivalence(cfg: ExperimentConfig) -> dict:
         cpath = path.coarsen(round(delta / fine))
         ta = solve(None, z0, cpath, runs[delta], P)
         tb = solve(z0 - z1_init, z1_init, cpath, runs[delta], P)
-        gaps.append(float(np.sqrt(np.sum(np.abs(ta.X[-1].coeffs - ref.X[-1].coeffs) ** 2))))
+        gap = grid.full_window(ta.X[-1].coeffs - ref.X[-1].coeffs)
+        gaps.append(float(np.sqrt(np.sum(np.abs(gap) ** 2))))
         coupled.append(float(np.max(np.abs(ta.X[-1].coeffs - tb.X[-1].coeffs))))
         # the defining relation between the two remainders, checked directly
         rel = ta.Y[-1] - (tb.Y[-1] + apply_semigroup(z1_init, T) - apply_semigroup(z0, T))
@@ -631,9 +635,8 @@ def run_wick_convergence(cfg: ExperimentConfig, n_pairs: int = 200) -> dict:
     """Cutoff stability of the Wick square in a negative-regularity norm.
 
     One stationary sample on the K = 32 grid is projected to nested
-    cutoffs, as the inverse transform of its half window with `band` = K'
-    (bitwise that of the full window: the sample is exactly Hermitian);
-    each Wick square uses its own cutoff's counterterm.  The squares converge as
+    cutoffs, as its inverse transform with `band` = K'; each Wick square
+    uses its own cutoff's counterterm.  The squares converge as
     distributions, i.e. pairings with any fixed test function stabilize,
     so the differences are compared on the frequency window every member
     of the family resolves (|k|_inf <= 4), the only coefficients the
@@ -658,10 +661,9 @@ def run_wick_convergence(cfg: ExperimentConfig, n_pairs: int = 200) -> dict:
     dists = []
     for i in range(n_pairs):
         phi = sample_stationary(big, np.random.default_rng([cfg.master_seed, 77, i]))
-        half = big.half_window(phi.coeffs)
         wick_sq = {}
         for K in family:
-            vals = big.coeffs_to_values(half, band=K)
+            vals = big.coeffs_to_values(phi.coeffs, band=K)
             wick_sq[K] = big.values_to_coeffs(hermite_variance(2, vals, cterm[K]), band=min(Ks))
         d = [besov_norm(SpectralField(big, wick_sq[K] - wick_sq[2 * K]), spec, part) for K in Ks]
         dists.append(d)

@@ -13,18 +13,17 @@ hold deterministically per sample.  `ou_step(z, delta, rng)` takes that
 step and returns the new field; the solver keeps the time.
 
 Noise source.  `noise_source(grid, rng, n_steps)` yields each step's
-Hermitian normals in stream order, and every draw of the module comes
-from it: `hermitian_normals` is one step of it and `ou_step` adds one
-innovation of `ou_innovations`.  It draws S = `block_steps(grid)` steps
-with one `standard_normal((S, 2, n, n))` and one `symmetrize_normals`
-call, bitwise the per-step draws, and leaves the rng where they would.
-S is as many steps as fit their complex normals (16 n^2 bytes,
-n = 2K + 1) in `BLOCK_BYTES` = 64 KiB, at least one: 50 at K = 4, 9 at
-K = 10, 1 at K = 32.  Above about 100 KiB, near glibc's
+Hermitian normals in stream order, as half windows, and every draw of the
+module comes from it: `hermitian_normals` is one step of it and `ou_step`
+adds one innovation of `ou_innovations`.  It draws S = `block_steps(grid)`
+steps with one `standard_normal((S, 2, n, n))` and one
+`symmetrize_normals` call, bitwise the per-step draws, and leaves the rng
+where they would.  S is as many steps as fit their complex normals
+(16 n^2 bytes, n = 2K + 1) in `BLOCK_BYTES` = 64 KiB, at least one: 50 at
+K = 4, 9 at K = 10, 1 at K = 32.  Above about 100 KiB, near glibc's
 128 KiB mmap threshold, a block costs more per step than single draws.
 `ou_innovations` scales them into the per-step innovations sigma * xi,
-the one noise stream of the solver (which scales the half windows
-xi[:, :K+1] alone, bitwise the same columns) and of `OUNoisePath`; the pCN
+the one noise stream of the solver and of `OUNoisePath`; the pCN
 proposals and `besov.block_norms` size their blocks by `block_steps`.  A
 solve that raises `BlowUpError` may leave its rng up to one block ahead.
 
@@ -82,7 +81,8 @@ def ou_innovations(grid: TorusGrid, delta: float, rng: np.random.Generator, n_st
 
 
 def hermitian_normals(grid: TorusGrid, rng: np.random.Generator) -> np.ndarray:
-    """Complex standard normals xi with xi(-k) = conj(xi(k)), E|xi(k)|^2 = 1.
+    """The half window of complex standard normals xi with
+    xi(-k) = conj(xi(k)), E|xi(k)|^2 = 1.
 
     Built by symmetrizing an i.i.d. complex array; the self-paired k = 0
     entry comes out real with unit variance.  One step of `noise_source`.
@@ -94,21 +94,24 @@ def symmetrize_normals(grid: TorusGrid, draws: np.ndarray) -> np.ndarray:
     """`hermitian_normals` of given real draws of shape (..., 2, n, n).
 
     draws[..., 0, :, :] are the real parts and draws[..., 1, :, :] the
-    imaginary parts, in the order the stream gives them; leading axes are a
-    batch, and each slice equals the unbatched result bitwise.
+    imaginary parts, in the order the stream gives them, over the whole
+    lattice; leading axes are a batch, and each slice equals the unbatched
+    result bitwise.
     """
-    n = 2 * grid.K + 1
-    raw = np.empty(draws.shape[:-3] + (n, n), dtype=np.complex128)
+    n, h = 2 * grid.K + 1, grid.K + 1
+    batch = draws.shape[:-3]
+    raw = np.empty(batch + (n, n), dtype=np.complex128)
     raw.real = draws[..., 0, :, :]
     raw.imag = draws[..., 1, :, :]
     raw *= math.sqrt(0.5)
-    mirror = raw.reshape(raw.shape[:-2] + (n * n,)).take(grid._neg_flat, axis=-1)
-    return (raw + np.conj(mirror.reshape(raw.shape))) * math.sqrt(0.5)
+    mirror = raw.reshape(batch + (n * n,)).take(grid._neg_flat, axis=-1)
+    return (raw[..., :h] + np.conj(mirror.reshape(batch + (n, h)))) * math.sqrt(0.5)
 
 
 def stationary_std(grid: TorusGrid) -> np.ndarray:
-    """Per-mode std of the truncated free field, sqrt(1/(2 lambda_k))."""
-    return np.sqrt(1.0 / (2.0 * grid.lam))
+    """Per-mode std of the truncated free field, sqrt(1/(2 lambda_k)), on the
+    half window."""
+    return np.sqrt(1.0 / (2.0 * grid.lam[:, :grid.K + 1]))
 
 
 def sample_stationary(grid: TorusGrid, rng: np.random.Generator) -> SpectralField:
@@ -117,7 +120,7 @@ def sample_stationary(grid: TorusGrid, rng: np.random.Generator) -> SpectralFiel
 
 
 class StepConstants(NamedTuple):
-    """Per-mode constants of one time step of size delta (read-only arrays).
+    """Per-mode constants of one time step of size delta (read-only half windows).
 
     decay  = e^{-lambda delta}, the semigroup over one step;
     sigma  = sqrt((1 - decay^2) / (2 lambda)), the std of the exact OU innovation;
@@ -137,9 +140,10 @@ def step_constants(grid: TorusGrid, delta: float, drift_scale: float = 1.0) -> S
     sigma = np.sqrt((1.0 - decay**2) / (2.0 * grid.lam))
     x = grid.lam * delta
     weight = delta * drift_scale * ((1.0 - np.exp(-x)) / x)
-    for a in (decay, sigma, weight):
+    out = [np.ascontiguousarray(a[:, :grid.K + 1]) for a in (decay, sigma, weight)]
+    for a in out:
         a.flags.writeable = False  # shared by every caller of the cache
-    return StepConstants(decay, sigma, weight)
+    return StepConstants(*out)
 
 
 def ou_step(z: SpectralField, delta: float, rng: np.random.Generator) -> SpectralField:
@@ -226,16 +230,16 @@ class OUNoisePath:
         self.grid = grid
         self.delta = float(delta)
         self.n_steps = int(n_steps)
-        n = 2 * grid.K + 1
+        shape = (self.n_steps, 2 * grid.K + 1, grid.K + 1)
         if innovations is None:
             if rng is None:
                 raise ConfigurationError("OUNoisePath needs an rng or explicit innovations")
             innovations = np.fromiter(ou_innovations(grid, self.delta, rng, self.n_steps),
-                                      np.dtype((np.complex128, (n, n))), self.n_steps)
+                                      np.dtype((np.complex128, shape[1:])), self.n_steps)
         self.innovations = np.asarray(innovations, dtype=np.complex128)
-        if self.innovations.shape != (self.n_steps, n, n):
+        if self.innovations.shape != shape:
             raise ConfigurationError(f"innovations of shape {self.innovations.shape}, "
-                                     f"expected {(self.n_steps, n, n)}")
+                                     f"expected {shape}")
 
     def coarsen(self, factor: int) -> "OUNoisePath":
         if factor < 1:
@@ -248,8 +252,7 @@ class OUNoisePath:
             )
         decay = step_constants(self.grid, self.delta).decay
         m = self.n_steps // factor
-        n = 2 * self.grid.K + 1
-        out = np.zeros((m, n, n), dtype=np.complex128)
+        out = np.zeros((m,) + self.innovations.shape[1:], dtype=np.complex128)
         for j in range(m):
             acc = self.innovations[j * factor]
             for i in range(1, factor):

@@ -20,9 +20,8 @@ them) and then one uniform, accepted or not.  The draws do not depend on
 the state, so the chain takes them `ou.block_steps(grid)` proposals ahead
 (as many xi as fit in `ou.BLOCK_BYTES`: 50 at K = 4, 9 at K = 10, 1 at
 K = 32), in that order, and symmetrizes and transforms a block's xi in
-one batched call each (the inverse on xi's half windows: xi is exactly
-Hermitian).  After a chain, its rng has
-advanced to the end of the last block drawn.
+one batched call each.  After a chain, its rng has advanced to the end
+of the last block drawn.
 
 Cost.  Past its share of the block, a proposal costs its arithmetic and
 runs no transform: the state carries phi's samples v(phi) on the compute
@@ -34,7 +33,6 @@ Samples and accept decisions are bitwise those of drawing and combining
 per proposal; V(phi') differs from a fresh transform's at rounding level.
 """
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -43,12 +41,11 @@ import numpy as np
 
 from .besov import BesovSpec, besov_norm, build_partition
 from .errors import ConfigurationError, DomainError
-from .grid import RealField, SpectralField, TorusGrid
+from .grid import SpectralField, TorusGrid
 from .ou import block_steps, sample_stationary, stationary_std, symmetrize_normals
 from .solver import field_observables
-from .wick import wick2_integral, wick_action, wick_action_values
+from .wick import _check_quadrature, wick2_integral, wick_action_values
 
-_partition_for = functools.cache(build_partition)
 MIN_ACCEPTANCE = 0.01  # below it a chain has not warmed up: the step parameter is too large
 
 
@@ -76,7 +73,7 @@ class _Proposals:
             u.append(uniform())
         self.xi = self.std * symmetrize_normals(self.grid, self.draws)
         self.values = (None if self.cgrid is None
-                       else self.cgrid.coeffs_to_values(self.xi[..., :self.grid.K + 1]))
+                       else self.cgrid.coeffs_to_values(self.xi))
         self.next = 0
 
 
@@ -105,8 +102,9 @@ class ChainState:
         if P is None:
             return cls(phi, 0.0, rng, _Proposals(phi.grid, None, rng))
         cgrid = phi.grid.compute_grid(P.degree)
-        values = cgrid.coeffs_to_values(phi.coeffs[:, :phi.grid.K + 1])
-        return cls(phi, wick_action(RealField(cgrid, values), P, c), rng,
+        _check_quadrature(cgrid, P)
+        values = cgrid.coeffs_to_values(phi.coeffs)
+        return cls(phi, wick_action_values(values, P, c, cgrid.cell_area), rng,
                    _Proposals(phi.grid, cgrid, rng), values)
 
 
@@ -152,7 +150,7 @@ def observables(phi: SpectralField, P, c) -> dict:
     """Registered scalar observables of one field configuration: those of
     `solver.field_observables` plus its B^{-0.1}_{inf,inf} norm, "besov"."""
     out = field_observables(phi, c)
-    out["besov"] = besov_norm(phi, BesovSpec(-0.1), _partition_for(phi.grid))
+    out["besov"] = besov_norm(phi, BesovSpec(-0.1), build_partition(phi.grid))
     return out
 
 

@@ -10,33 +10,34 @@ import struct
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import RealField, SpectralField, TorusGrid, sample_count, to_real
+from .grid import TorusGrid, sample_count
 
 MAGIC = b"WCK1"
 _HEADER = struct.Struct("<4sIII")
 
 
 def write_snapshots(path, fields) -> None:
+    """Write the samples of `SpectralField`s of one grid."""
     fields = list(fields)
     if not fields:
         raise ConfigurationError("nothing to write")
-    reals = [to_real(f) if isinstance(f, SpectralField) else f for f in fields]
-    grid = reals[0].grid
-    for f in reals:
-        if f.grid != grid:
-            raise ConfigurationError("snapshot fields live on different grids")
+    grid = fields[0].grid
+    if any(f.grid != grid for f in fields):
+        raise ConfigurationError("snapshot fields live on different grids")
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, grid.K, grid.M, len(reals)))
-        for f in reals:
-            fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
+        fh.write(_HEADER.pack(MAGIC, grid.K, grid.M, len(fields)))
+        for f in fields:
+            values = grid.coeffs_to_values(f.coeffs)
+            fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
 
 
 def read_snapshots(path, grid: TorusGrid | None = None):
-    """Read fields back; a grid with matching (K, M) may be supplied to reuse.
+    """The grid and the samples (count, M, M) of a file; a grid with
+    matching (K, M) may be supplied to reuse.
 
     The header is checked before any grid is built: the file must hold
-    exactly its `count` >= 1 blocks of M x M samples, and M must be the
-    size of a standard grid at cutoff K.
+    exactly its `count` >= 1 blocks of M x M finite samples, and M must be
+    the size of a standard grid at cutoff K.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -55,8 +56,10 @@ def read_snapshots(path, grid: TorusGrid | None = None):
         raise ConfigurationError(
             f"{path}: snapshot (K={K}, M={M}) does not match grid {grid!r}"
         )
-    blocks = np.frombuffer(data, dtype="<f8", offset=_HEADER.size).reshape(count, M, M)
-    return [RealField(grid, values) for values in blocks]
+    values = np.frombuffer(data, dtype="<f8", offset=_HEADER.size).reshape(count, M, M)
+    if not np.all(np.isfinite(values)):
+        raise ConfigurationError(f"{path}: samples must be finite")
+    return grid, values
 
 
 def _grid_for(K: int, M: int) -> TorusGrid:

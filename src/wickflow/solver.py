@@ -35,29 +35,16 @@ caller's grid (`TorusGrid.compute_grid`), the smallest one on which the
 step is exact; records move the coefficients back onto the caller's grid,
 so every recorded field and observable is the caller's.
 
-Half windows.  X is a real field, so the columns ky < 0 of Y, Z and zbar
-are the conjugate mirrors of the columns ky > 0.  A solve carries Y, Z,
-zbar and the datum's coefficients as half windows, their (2K+1) x (K+1)
-columns ky >= 0, and slices the step constants to them once; `step` and
-`nonlinear_term` act on half windows, which the grid transforms take as
-they are.  y0 and z0 enter as their Hermitian halves
-(`TorusGrid.half_window`), bitwise their first K+1 columns when they are
-exactly Hermitian (samples, chain states, their differences, zero).
-Records expand to full windows by the conjugate mirrors
-(`TorusGrid.full_window`), as `values_to_coeffs` fills them.
-
 Noise and records.  Z advances by Z <- e^{-lambda delta} Z + eta_n, with
-eta_n = sigma * xi_n the n-th innovation of one stream (`ou.noise_source`,
-taken on the half window: bitwise the columns ky >= 0 of
-`ou.ou_innovations`), whether the noise is given as a seed (its stream
-(seed, 0, 1)), a Generator or a frozen `OUNoisePath`; the three give
-bitwise the same run.  `ensemble` runs trajectory i of an ensemble on the
-stream (seed, i, 1).  A `Trajectory` records itself at t = 0, after every
-`record_every` steps and at T; `record_every=None` records the start and
-the end only.  Records of `solve` also take their observables
-(`field_observables` and sup_Y, two inverse transforms each), which
-`simulate` writes; `stationary_solve` records fields only, since its
-callers read X at T alone.
+eta_n the n-th innovation of one stream (`ou.ou_innovations`), whether the
+noise is given as a seed (its stream (seed, 0, 1)), a Generator or a
+frozen `OUNoisePath`; the three give bitwise the same run.  `ensemble`
+runs trajectory i of an ensemble on the stream (seed, i, 1).  A
+`Trajectory` records itself at t = 0, after every `record_every` steps and
+at T; `record_every=None` records the start and the end only.  Records of
+`solve` also take their observables (`field_observables` and sup_Y, two
+inverse transforms each), which `simulate` writes; `stationary_solve`
+records fields only, since its callers read X at T alone.
 
 Drift scaling: with the free measure fixed to mode variance 1/(2 lambda_k)
 and unit cylindrical noise, the dynamics that preserves the Gibbs density
@@ -77,7 +64,7 @@ import numpy as np
 
 from .errors import BlowUpError, ConfigurationError
 from .grid import SpectralField, TorusGrid
-from .ou import OUNoisePath, noise_source, step_constants, substream
+from .ou import OUNoisePath, ou_innovations, step_constants, substream
 from .wick import (
     PolynomialSpec, _c_value, _hermite_orders, counterterm_C, wick2_integral,
     wick_nonlinearity_values,
@@ -142,32 +129,21 @@ def nonlinear_term(grid: TorusGrid, Y: np.ndarray, zbar_values: np.ndarray,
 
     evaluated as :p(Y + zbar):_c at the samples of Y plus `zbar_values`, the
     samples of zbar on `grid`, pointwise on that dealiased grid and
-    projected to the window.  Y is a half or full window of coefficients
-    (`TorusGrid.coeffs_to_values`); F is returned as a half window.
-    P = None: F = 0.
+    projected to the window.  P = None: F = 0.
     """
     if P is None:
         return np.zeros((2 * grid.K + 1, grid.K + 1), dtype=np.complex128)
     grid.assert_product_degree(max(P.degree - 1, 1))
     x = grid.coeffs_to_values(Y) + zbar_values
     F = wick_nonlinearity_values(x, P, c)
-    return grid.values_to_coeffs(F, half=True)
+    return grid.values_to_coeffs(F)
 
 
 def step(grid: TorusGrid, Y: np.ndarray, zbar_values: np.ndarray, decay: np.ndarray,
          weight: np.ndarray, P: PolynomialSpec | None, c: float) -> np.ndarray:
-    """One exponential-Euler step of the shifted equation on half windows:
-    decay * Y - weight * F, with `decay` and `weight` the half windows of
-    `ou.step_constants` (`half_constants`)."""
+    """One exponential-Euler step of the shifted equation,
+    decay * Y - weight * F, with `decay` and `weight` of `ou.step_constants`."""
     return decay * Y - weight * nonlinear_term(grid, Y, zbar_values, P, c)
-
-
-def half_constants(grid: TorusGrid, cfg: SolverConfig):
-    """decay, sigma and weight of `ou.step_constants` for cfg's step, and
-    lambda, sliced to the half window once per solve."""
-    h = grid.K + 1
-    decay, sigma, weight = step_constants(grid, cfg.delta, cfg.drift_scale)
-    return decay[:, :h], sigma[:, :h], weight[:, :h], grid.lam[:, :h]
 
 
 def _heat_flow(v: np.ndarray, lam: np.ndarray, t: float) -> np.ndarray:
@@ -175,18 +151,15 @@ def _heat_flow(v: np.ndarray, lam: np.ndarray, t: float) -> np.ndarray:
     return v * np.exp(-lam * t)
 
 
-def _innovations(grid: TorusGrid, noise, cfg: SolverConfig, sigma: np.ndarray):
-    """The half windows of the per-step OU innovations sigma * xi of a solve
-    on `grid`: xi drawn from a seed's stream (seed, 0, 1) or a Generator by
-    `ou.noise_source`, or read from a frozen path; bitwise the columns
-    ky >= 0 of `ou.ou_innovations`."""
-    h = grid.K + 1
+def _innovations(grid: TorusGrid, noise, cfg: SolverConfig):
+    """The per-step OU innovations of a solve on `grid`: `ou.ou_innovations`
+    of a seed's stream (seed, 0, 1) or of a Generator, or a frozen path's."""
     if isinstance(noise, OUNoisePath):
         if abs(noise.delta - cfg.delta) > 1e-12 * cfg.delta or noise.n_steps < cfg.n_steps:
             raise ConfigurationError("noise path does not match the solver schedule")
-        return iter(noise.innovations[:, :, :h])
+        return iter(noise.innovations)
     rng = noise if isinstance(noise, np.random.Generator) else substream(int(noise), 0, 1)
-    return (sigma * xi[:, :h] for xi in noise_source(grid, rng, cfg.n_steps))
+    return ou_innovations(grid, cfg.delta, rng, cfg.n_steps)
 
 
 class Trajectory:
@@ -213,18 +186,18 @@ class Trajectory:
         self.reconstruction_defect = 0.0
 
     def record(self, t, Y, zbar):
-        """Append time t with Y and zbar given as half windows."""
+        """Append time t with the coefficients Y and zbar."""
         X = Y + zbar
         self.times.append(t)
-        for fields, half in ((self.Y, Y), (self.X, X), (self.zbar, zbar)):
-            fields.append(SpectralField(self.grid, self.grid.full_window(half)))
+        for fields, coeffs in ((self.Y, Y), (self.X, X), (self.zbar, zbar)):
+            fields.append(SpectralField(self.grid, coeffs))
         defect = float(np.max(np.abs(X - Y - zbar)))
         self.reconstruction_defect = max(self.reconstruction_defect, defect)
 
     def observe(self, Y):
-        """Append the observables of the last record, whose Y is the half
-        window Y: `field_observables` of X and sup_Y, the largest |Y| over
-        the grid's samples."""
+        """Append the observables of the last record, whose Y has the
+        coefficients Y: `field_observables` of X and sup_Y, the largest |Y|
+        over the grid's samples."""
         obs = field_observables(self.X[-1], self.c)
         obs["sup_Y"] = float(np.max(np.abs(self.grid.coeffs_to_values(Y))))
         for name, value in obs.items():
@@ -232,7 +205,7 @@ class Trajectory:
 
 
 def _run(grid, cfg, P, Y0, z_init_datum, noise, c=None, observe=True):
-    """The loop of every solve, on half windows: step Y against the samples
+    """The loop of every solve: step Y against the samples
     of zbar = Z + e^{tA} v on the compute grid, advance Z by the exact OU
     step Z <- decay * Z + the next innovation of the noise
     (`_innovations`), and record X = Y + zbar on `grid`, all with
@@ -241,14 +214,15 @@ def _run(grid, cfg, P, Y0, z_init_datum, noise, c=None, observe=True):
     finite or exceeds `BLOWUP_THRESHOLD` raises `BlowUpError` with its start
     time and Y there."""
     cgrid = grid.compute_grid(P.degree if P is not None else 2)
-    decay, sigma, weight, lam = half_constants(cgrid, cfg)
-    innovations = _innovations(cgrid, noise, cfg, sigma)
+    decay, _, weight = step_constants(cgrid, cfg.delta, cfg.drift_scale)
+    lam = cgrid.lam[:, :cgrid.K + 1]
+    innovations = _innovations(cgrid, noise, cfg)
     n_steps = cfg.n_steps
     c = _c_value(counterterm_C(grid) if c is None else c)
     traj = Trajectory(grid, c)
-    Y = cgrid.half_window(Y0.coeffs)
+    Y = Y0.coeffs.copy()
     Z = np.zeros_like(Y)
-    v = cgrid.half_window(z_init_datum.coeffs) if z_init_datum is not None else None
+    v = z_init_datum.coeffs if z_init_datum is not None else None
 
     def zbar_at(t):
         return Z + _heat_flow(v, lam, t) if v is not None else Z
@@ -265,7 +239,7 @@ def _run(grid, cfg, P, Y0, z_init_datum, noise, c=None, observe=True):
         t = n * cfg.delta
         new = step(cgrid, Y, zbar_values, decay, weight, P, c)
         if not np.abs(new).max() <= BLOWUP_THRESHOLD:  # also NaN and inf
-            raise BlowUpError(t=t, last_state=SpectralField(grid, grid.full_window(Y)))
+            raise BlowUpError(t=t, last_state=SpectralField(grid, Y))
         Y = new
         Z = decay * Z + next(innovations)
         t_next = (n + 1) * cfg.delta
@@ -282,12 +256,7 @@ def solve(y0, z0, noise, cfg: SolverConfig, P: PolynomialSpec,
           c: float | None = None, grid: TorusGrid | None = None) -> Trajectory:
     """Integrate the shifted equation with Y(0) = y0 (default 0) and
     zbar = Z + e^{tA} z0, X = Y + zbar, Wick-ordered with counterterm c
-    (default `counterterm_C(grid)`).
-
-    y0 and z0 enter as their Hermitian halves (`TorusGrid.half_window`): a
-    window whose columns ky < 0 are not the mirrors of its columns ky > 0
-    stands for the real field that `coeffs_to_values` samples from it, and
-    the trajectory records that field's Y and X."""
+    (default `counterterm_C(grid)`)."""
     if grid is None:
         grid = y0.grid if y0 is not None else (z0.grid if z0 is not None else None)
     if grid is None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .grid import RealField, SpectralField, TorusGrid
+from .grid import SpectralField, TorusGrid
 
 HERMITE_MAX_ORDER = 64
 
@@ -199,40 +199,25 @@ class WickTower:
         return SpectralField(self.grid, self.grid.values_to_coeffs(self.order_values(j)))
 
 
-def field_tower(z, c, n_orders: int) -> WickTower:
+def field_tower(z: SpectralField, c, n_orders: int) -> WickTower:
     """Wick tower of a single field with a fixed counterterm (kind "C")."""
     cval = _c_value(c)
-    grid, values = _field_values(z)
+    grid = z.grid
     grid.assert_product_degree(max(n_orders - 1, 1))
-    raw = hermite_tower_values(values, cval, n_orders)
+    raw = hermite_tower_values(grid.coeffs_to_values(z.coeffs), cval, n_orders)
     return WickTower(grid=grid, t=0.0, kind="C", counterterm=cval, raw=raw)
 
 
-def _field_values(u):
-    if isinstance(u, RealField):
-        return u.grid, u.values
-    if isinstance(u, SpectralField):
-        return u.grid, u.grid.coeffs_to_values(u.coeffs)
-    raise ConfigurationError(f"expected a field, got {type(u).__name__}")
-
-
-def _return_like(u, grid: TorusGrid, values: np.ndarray):
-    """Project pointwise results to the window, in the caller's representation."""
-    coeffs = grid.values_to_coeffs(values)
-    if isinstance(u, RealField):
-        return RealField(grid, grid.coeffs_to_values(coeffs))
-    return SpectralField(grid, coeffs)
-
-
-def wick_power(u, n: int, c):
+def wick_power(u: SpectralField, n: int, c) -> SpectralField:
     """:u^n:_c as a field, dealiased and projected to the window."""
     if n < 0:
         raise DomainError(f"Wick power order must be >= 0, got {n}")
     cval = _c_value(c)
-    grid, values = _field_values(u)
+    grid = u.grid
     if n >= 2:
         grid.assert_product_degree(n)
-    return _return_like(u, grid, hermite_variance(n, values, cval))
+    values = hermite_variance(n, grid.coeffs_to_values(u.coeffs), cval)
+    return SpectralField(grid, grid.values_to_coeffs(values))
 
 
 def wick_nonlinearity_values(values: np.ndarray, P: PolynomialSpec, c: float) -> np.ndarray:
@@ -249,7 +234,7 @@ def wick_nonlinearity_values(values: np.ndarray, P: PolynomialSpec, c: float) ->
     return out
 
 
-def wick_action(u, P: PolynomialSpec | None, c) -> float:
+def wick_action(u: SpectralField, P: PolynomialSpec | None, c) -> float:
     """The Wick-ordered action integral(sum_n a_n :u^n:_c) over the torus.
 
     Quadrature is exact: the integrand is a trigonometric polynomial of
@@ -258,12 +243,17 @@ def wick_action(u, P: PolynomialSpec | None, c) -> float:
     """
     if P is None:
         return 0.0
-    grid, values = _field_values(u)
+    grid = u.grid
+    _check_quadrature(grid, P)
+    return wick_action_values(grid.coeffs_to_values(u.coeffs), P, c, grid.cell_area)
+
+
+def _check_quadrature(grid: TorusGrid, P: PolynomialSpec) -> None:
+    """Raise unless the action of P is exact by quadrature on the grid."""
     if P.degree * grid.K + 1 > grid.M:
         raise ConfigurationError(
             f"grid M={grid.M} too small for exact degree-{P.degree} quadrature at K={grid.K}"
         )
-    return wick_action_values(values, P, c, grid.cell_area)
 
 
 def wick_action_values(values: np.ndarray, P: PolynomialSpec, c: float,
@@ -280,19 +270,20 @@ def wick_action_values(values: np.ndarray, P: PolynomialSpec, c: float,
 
 
 def wick2_integral(u: SpectralField, c) -> float:
-    """integral :u^2:_c over the torus by Parseval, sum_k |u_k|^2 - L^2 c."""
-    coeffs = u.coeffs
+    """integral :u^2:_c over the torus by Parseval, sum_k |u_k|^2 - L^2 c,
+    the sum over the whole lattice."""
+    coeffs = u.grid.full_window(u.coeffs)
     return float(np.vdot(coeffs, coeffs).real) - u.grid.L**2 * _c_value(c)
 
 
-def recombine(y, tower: WickTower, n: int):
+def recombine(y: SpectralField, tower: WickTower, n: int) -> SpectralField:
     """Reassemble :(y + zbar)^n: from y-powers and the tower of zbar:
 
         sum_k C(n, k) y^{n-k} :zbar^k:
 
     Exact at finite dimension because the tower keeps unprojected samples.
     """
-    grid, yvals = _field_values(y)
+    grid = y.grid
     if tower.grid != grid:
         raise ConfigurationError("tower and field live on different grids")
     if n >= tower.n_orders:
@@ -301,7 +292,8 @@ def recombine(y, tower: WickTower, n: int):
         )
     if n >= 2:
         grid.assert_product_degree(n)
-    return _return_like(y, grid, binomial_fold(yvals, tower.raw, n))
+    values = binomial_fold(grid.coeffs_to_values(y.coeffs), tower.raw, n)
+    return SpectralField(grid, grid.values_to_coeffs(values))
 
 
 def binomial_fold(y: np.ndarray, raw: np.ndarray, n: int) -> np.ndarray:

@@ -39,7 +39,8 @@ from wickflow.experiments import (
     run_regularity,
     run_wick_convergence,
 )
-from wickflow.solver import SolverConfig, half_constants, step
+from wickflow.ou import step_constants
+from wickflow.solver import SolverConfig, step
 from oracles import heat_norm_curve
 
 
@@ -107,7 +108,7 @@ def test_criterion_04_free_field_calibration():
         for i in range(n):
             phi = sample_stationary(grid, rng)
             # spatial mean of phi(x)^2 via Parseval; expectation is c exactly
-            stats[i] = np.sum(np.abs(phi.coeffs) ** 2) / (2 * np.pi) ** 2
+            stats[i] = np.sum(np.abs(grid.full_window(phi.coeffs)) ** 2) / (2 * np.pi) ** 2
         z = (stats.mean() - c) / (stats.std(ddof=1) / math.sqrt(n))
         worst_z = max(worst_z, abs(z))
         detail.append(f"K={K}: z={z:+.2f}")
@@ -156,11 +157,11 @@ def test_criterion_08_scheme_convergence_linear():
     errors = []
     for delta in (0.01, 0.005, 0.0025):
         cfg = SolverConfig(delta=delta, T=1.0)
-        decay, _, weight, _ = half_constants(grid, cfg)
-        Y = grid.half_window(y0.coeffs)
+        decay, _, weight = step_constants(grid, cfg.delta)
+        Y = y0.coeffs
         for _ in range(cfg.n_steps):
             Y = step(grid, Y, zeros, decay, weight, P, 0.0)
-        Y = SpectralField(grid, grid.full_window(Y))
+        Y = SpectralField(grid, Y)
         err = max(
             abs(Y.get_mode(0, 0).real - np.exp(-(1 + 1.0))),      # lambda = 1
             abs(Y.get_mode(1, 0).real - 0.5 * np.exp(-(2 + 1.0))),  # lambda = 2
@@ -192,7 +193,7 @@ def test_criterion_10_besov_machinery():
         u = sample_stationary(grid, rng)
         total = np.zeros_like(u.coeffs)
         for j in range(-1, part.j_max + 1):
-            total += u.coeffs * part.multiplier(j)
+            total += u.coeffs * part.multiplier(j)[:, :grid.K + 1]
         recon_worst = max(recon_worst, float(np.max(np.abs(total - u.coeffs))))
 
     # Schauder smoothing at delta = 0.5 from the field's own regularity

@@ -4,7 +4,6 @@ import pytest
 from wickflow import (
     ConfigurationError,
     DomainError,
-    RealField,
     SpectralField,
     TorusGrid,
     apply_semigroup,
@@ -94,7 +93,7 @@ def test_block_reconstruction(p16, g16):
 
 
 def test_block_constant_only_low(p16, g16):
-    u = to_spectral(RealField.constant(g16, 2.0))
+    u = to_spectral(g16, np.full((g16.M, g16.M), 2.0))
     low = block(u, -1, p16)
     assert np.max(np.abs(low.coeffs - u.coeffs)) < 1e-13
     for j in range(0, p16.j_max + 1):
@@ -124,7 +123,7 @@ def test_block_out_of_range(p16, g16):
 
 
 def test_besov_norm_constant_all_specs(g16, p16):
-    u = to_spectral(RealField.constant(g16, -2.5))
+    u = to_spectral(g16, np.full((g16.M, g16.M), -2.5))
     for alpha in (0.7, -0.3, 1.0, 0.5, 0.0):
         assert besov_norm(u, BesovSpec(alpha), p16) == pytest.approx(2.5, rel=1e-12)
 
@@ -132,7 +131,7 @@ def test_besov_norm_constant_all_specs(g16, p16):
 def test_besov_norm_cosine_against_multiplier_oracle(g16, p16):
     # u = cos(4 x1): peak |u| = 1, annuli j with theta(2^-j * 4) != 0 share it
     x1, _ = sample_points(g16)
-    u = to_spectral(RealField(g16, np.cos(4 * x1)))
+    u = to_spectral(g16, np.cos(4 * x1))
     alpha = 1.0
     norm = besov_norm(u, BesovSpec(alpha), p16)
     oracle = 0.0
@@ -166,7 +165,7 @@ def test_besov_norm_monotone_in_alpha(g16, p16):
 
 
 def test_regularity_smooth_field(g16, p16):
-    u = SpectralField(g16, np.exp(-g16.ksq.astype(float) / 4.0) * (1.0 + 0j))
+    u = SpectralField(g16, np.exp(-g16.ksq[:, :17].astype(float) / 4.0) * (1.0 + 0j))
     alpha, res = regularity_estimate(u, p16)
     assert alpha > 2.0
 
@@ -276,11 +275,12 @@ def per_block_norms(field, partition, transform, bands):
 def test_block_norms_skip_zero_blocks_bit_for_bit():
     # a field restricted to |k|_inf <= 4 on the K = 32 grid leaves the
     # annuli j >= 3 empty, as in the Wick convergence suite
-    grid = TorusGrid(32, max_degree=3)
+    K = 32
+    grid = TorusGrid(K, max_degree=3)
     partition = build_partition(grid)
     assert partition.bands == [1, 2, 5, 10, 21, 32, 32]
     u = sample_stationary(grid, np.random.default_rng(21))
-    mask = (np.abs(grid.kx) <= 4) & (np.abs(grid.ky) <= 4)
+    mask = ((np.abs(grid.kx) <= 4) & (np.abs(grid.ky) <= 4))[:, :K + 1]
     v = SpectralField(grid, np.where(mask, u.coeffs, 0.0))
     unskipped = np.array([
         np.max(np.abs(grid.coeffs_to_values(block(v, j, partition).coeffs, band=partition.bands[j + 1])))
@@ -298,7 +298,8 @@ def test_batched_block_norms_equal_the_per_block_loop_bitwise(K, monkeypatch):
     grid = TorusGrid(K)
     partition = build_partition(grid)
     u = sample_stationary(grid, np.random.default_rng(K))
-    mask = (np.abs(grid.kx) <= 2) & (np.abs(grid.ky) <= 2)  # leaves the annuli j >= 2 empty
+    # leaves the annuli j >= 2 empty
+    mask = ((np.abs(grid.kx) <= 2) & (np.abs(grid.ky) <= 2))[:, :K + 1]
     band = SpectralField(grid, np.where(mask, u.coeffs, 0.0))
     original = TorusGrid.coeffs_to_values
     seen = []
@@ -344,3 +345,14 @@ def test_regularity_estimate_runs_no_transform(g16, p16, monkeypatch):
                         lambda self, coeffs: pytest.fail("regularity_estimate transformed"))
     alpha, _ = regularity_estimate(u, p16)
     assert np.isfinite(alpha)
+
+
+def test_the_partition_is_built_once_per_grid_and_read_only():
+    grid = TorusGrid(8)
+    partition = build_partition(grid)
+    assert build_partition(TorusGrid(8)) is partition
+    assert build_partition(TorusGrid(8, max_degree=4)) is not partition  # another M
+    assert not partition.profiles.flags.writeable
+    assert not any(profiles.flags.writeable for *_, profiles in partition._batches)
+    with pytest.raises(ValueError):
+        partition.profiles[0, 0] = 2.0

@@ -6,6 +6,7 @@ import os
 import pickle
 import re
 import subprocess
+import sys
 from dataclasses import asdict, replace
 
 import pytest
@@ -230,7 +231,7 @@ def test_version_string_runs_git_once_per_process(monkeypatch):
         calls.append(args)
         return subprocess.CompletedProcess(args, 0, stdout="abc123\n", stderr="")
 
-    monkeypatch.setattr(experiments.subprocess, "run", fake_run)
+    monkeypatch.setattr(subprocess, "run", fake_run)  # imported by the call
     experiments.version_string.cache_clear()
     try:
         reports = [experiments._report("identities", ExperimentConfig(), {}, True) for _ in range(2)]
@@ -238,6 +239,14 @@ def test_version_string_runs_git_once_per_process(monkeypatch):
         experiments.version_string.cache_clear()
     assert len(calls) == 1
     assert reports[0]["version"] == reports[1]["version"] == f"wickflow {__version__} (abc123)"
+
+
+def test_importing_the_command_line_loads_no_subprocess_module():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    probe = "import sys, wickflow.cli; print('subprocess' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert out.returncode == 0 and out.stdout.strip() == "False", out.stderr
 
 
 # a valid value of each config key

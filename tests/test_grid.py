@@ -6,17 +6,15 @@ from hypothesis import strategies as st
 from wickflow import (
     ConfigurationError,
     DomainError,
-    RealField,
     SpectralField,
     TorusGrid,
     apply_semigroup,
     sample_stationary,
-    to_real,
 )
 import wickflow.grid as grid_module
 from wickflow.grid import DFT_MAX_M
 from wickflow.ou import symmetrize_normals
-from oracles import dealiased_product, sample_points, to_spectral
+from oracles import dealiased_product, full_window_inverse, sample_points, to_spectral
 
 
 def random_field(grid, seed):
@@ -26,15 +24,14 @@ def random_field(grid, seed):
 def test_round_trip_identity():
     grid = TorusGrid(6)
     u = random_field(grid, 0)
-    f = to_real(u)
-    back = to_spectral(f)
+    back = to_spectral(grid, grid.coeffs_to_values(u.coeffs))
     assert np.max(np.abs(back.coeffs - u.coeffs)) < 1e-12 * u.l2_norm()
 
 
 def test_constant_field_coefficient():
     # direct integral of a constant against e_0 = (2 pi)^{-1}: c * (2 pi)^2 / (2 pi)
     grid = TorusGrid(3)
-    u = to_spectral(RealField.constant(grid, 3.0))
+    u = to_spectral(grid, np.full((grid.M, grid.M), 3.0))
     assert u.get_mode(0, 0) == pytest.approx(2.0 * np.pi * 3.0, rel=1e-14)
     rest = u.coeffs.copy()
     rest[0, 0] = 0.0
@@ -44,8 +41,7 @@ def test_constant_field_coefficient():
 def test_single_mode_cosine():
     grid = TorusGrid(3)
     x1, _ = sample_points(grid)
-    f = RealField(grid, np.cos(x1))
-    u = to_spectral(f)
+    u = to_spectral(grid, np.cos(x1))
     a, b = u.get_mode(1, 0), u.get_mode(-1, 0)
     assert a == pytest.approx(b, abs=1e-13)
     assert abs(a.imag) < 1e-13
@@ -58,8 +54,7 @@ def test_single_mode_cosine():
 def test_parseval():
     grid = TorusGrid(5)
     u = random_field(grid, 1)
-    f = to_real(u)
-    l2_real = np.sqrt(np.sum(f.values**2) * grid.cell_area)
+    l2_real = np.sqrt(np.sum(grid.coeffs_to_values(u.coeffs) ** 2) * grid.cell_area)
     assert l2_real == pytest.approx(u.l2_norm(), rel=1e-12)
 
 
@@ -108,6 +103,7 @@ def brute_force_product_coeffs(u, v):
     K, n = grid.K, 2 * grid.K + 1
     out = np.zeros((n, n), dtype=np.complex128)
     wn = grid.wavenumbers
+    uc, vc = grid.full_window(u.coeffs), grid.full_window(v.coeffs)
     for i1 in range(n):
         for j1 in range(n):
             for i2 in range(n):
@@ -115,8 +111,8 @@ def brute_force_product_coeffs(u, v):
                     k1 = wn[i1] + wn[i2]
                     k2 = wn[j1] + wn[j2]
                     if abs(k1) <= K and abs(k2) <= K:
-                        out[k1 % n, k2 % n] += u.coeffs[i1, j1] * v.coeffs[i2, j2]
-    return out / (2.0 * np.pi)
+                        out[k1 % n, k2 % n] += uc[i1, j1] * vc[i2, j2]
+    return out[:, :K + 1] / (2.0 * np.pi)
 
 
 def test_dealiased_product_matches_convolution_oracle():
@@ -129,20 +125,20 @@ def test_dealiased_product_matches_convolution_oracle():
 
 def test_product_of_constants():
     grid = TorusGrid(3)
-    a = to_spectral(RealField.constant(grid, 2.0))
-    b = to_spectral(RealField.constant(grid, 3.0))
-    p = to_real(dealiased_product([a, b]))
-    assert np.max(np.abs(p.values - 6.0)) < 1e-12
+    a = to_spectral(grid, np.full((grid.M, grid.M), 2.0))
+    b = to_spectral(grid, np.full((grid.M, grid.M), 3.0))
+    p = grid.coeffs_to_values(dealiased_product([a, b]).coeffs)
+    assert np.max(np.abs(p - 6.0)) < 1e-12
 
 
 def test_cosine_square_identity():
     # cos^2 x = 1/2 + cos(2x)/2, exact once 2K is retained
     grid = TorusGrid(2)
     x1, _ = sample_points(grid)
-    u = to_spectral(RealField(grid, np.cos(x1)))
-    sq = to_real(dealiased_product([u, u]))
+    u = to_spectral(grid, np.cos(x1))
+    sq = grid.coeffs_to_values(dealiased_product([u, u]).coeffs)
     expected = 0.5 + 0.5 * np.cos(2 * x1)
-    assert np.max(np.abs(sq.values - expected)) < 1e-12
+    assert np.max(np.abs(sq - expected)) < 1e-12
 
 
 def test_product_commutative():
@@ -161,7 +157,7 @@ def test_product_associative_when_intermediates_stay_in_band():
     fields = []
     for _ in range(3):
         f = sample_stationary(grid, rng)
-        mask = (np.abs(grid.kx) <= 2) & (np.abs(grid.ky) <= 2)
+        mask = ((np.abs(grid.kx) <= 2) & (np.abs(grid.ky) <= 2))[:, :grid.K + 1]
         fields.append(SpectralField(grid, np.where(mask, f.coeffs, 0.0)))
     u, v, w = fields
     uv_w = dealiased_product([dealiased_product([u, v]), w], degree=3)
@@ -186,8 +182,28 @@ def test_grid_mismatch_rejected():
 
 def test_real_field_shape_checked():
     grid = TorusGrid(2)
-    with pytest.raises(ConfigurationError):
-        RealField(grid, np.zeros((3, 3)))
+    for shape in ((3, 3), (5, 2), (5,), ()):
+        with pytest.raises(ConfigurationError, match=r"half window \(5, 3\)"):
+            SpectralField(grid, np.zeros(shape))
+    with pytest.raises(ConfigurationError, match=rf"\(\.\.\., {grid.M}, {grid.M}\)"):
+        grid.values_to_coeffs(np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("route", ["dense", "fft"])
+@pytest.mark.parametrize("K", [1, 4, 10])
+def test_a_full_window_is_rejected_naming_the_half_shape(K, route, monkeypatch):
+    monkeypatch.setattr(grid_module, "DFT_MAX_M", 10**6 if route == "dense" else -1)
+    grid = TorusGrid(K)
+    n = 2 * K + 1
+    half = rf"half window \(\.\.\., {n}, {K + 1}\)"
+    for full in (np.ones((n, n), dtype=np.complex128), np.ones((2, n, n), dtype=np.complex128)):
+        for band in (None, K - 1):
+            with pytest.raises(ConfigurationError, match=half):
+                grid.coeffs_to_values(full, band=band)
+        with pytest.raises(ConfigurationError, match=rf"\(\.\.\., {grid.M}, {grid.M}\)"):
+            grid.values_to_coeffs(full.real)  # (2K+1)^2 is never a grid of samples
+    with pytest.raises(ConfigurationError, match=rf"half window \({n}, {K + 1}\)"):
+        SpectralField(grid, np.ones((n, n)))
 
 
 def test_dealiasing_grid_size_rule():
@@ -234,8 +250,9 @@ def test_inverse_transform_matches_full_fft_for_non_hermitian_input(K, max_degre
     grid = TorusGrid(K, max_degree)
     n = 2 * K + 1
     rng = np.random.default_rng(100 + K)
-    coeffs = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    assert_rel_close(grid.coeffs_to_values(coeffs), full_inverse(grid, coeffs), 1e-14)
+    coeffs = rng.standard_normal((n, K + 1)) + 1j * rng.standard_normal((n, K + 1))
+    assert_rel_close(grid.coeffs_to_values(coeffs), full_inverse(grid, grid.full_window(coeffs)),
+                     1e-14)
 
 
 @pytest.mark.parametrize("K, max_degree", TRANSFORM_KS)
@@ -244,7 +261,8 @@ def test_inverse_transform_matches_full_fft_for_single_modes(K, max_degree):
     for k1, k2 in {(K, K), (-K, K), (K, -K), (-K, -K), (K, 0), (-K, 0), (0, 0)}:
         u = SpectralField.zero(grid)
         u.set_mode(k1, k2, 0.7 - 1.3j)
-        assert_rel_close(grid.coeffs_to_values(u.coeffs), full_inverse(grid, u.coeffs), 1e-14)
+        assert_rel_close(grid.coeffs_to_values(u.coeffs),
+                         full_inverse(grid, grid.full_window(u.coeffs)), 1e-14)
 
 
 @pytest.mark.parametrize("K, max_degree", TRANSFORM_KS)
@@ -252,7 +270,7 @@ def test_forward_transform_matches_full_fft_and_is_hermitian(K, max_degree):
     grid = TorusGrid(K, max_degree)
     values = np.random.default_rng(200 + K).standard_normal((grid.M, grid.M))
     coeffs = grid.values_to_coeffs(values)
-    assert_rel_close(coeffs, full_forward(grid, values), 1e-14)
+    assert_rel_close(grid.full_window(coeffs), full_forward(grid, values), 1e-14)
     u = SpectralField(grid, coeffs)
     for k1 in range(-K, K + 1):
         for k2 in range(1, K + 1):
@@ -289,7 +307,7 @@ def test_batched_inverse_transform_equals_each_unbatched_call_bitwise(K, max_deg
     grid = TorusGrid(K, max_degree)
     n = 2 * K + 1
     rng = np.random.default_rng([K, 1])
-    coeffs = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+    coeffs = rng.standard_normal((3, n, K + 1)) + 1j * rng.standard_normal((3, n, K + 1))
     batched = grid.coeffs_to_values(coeffs)
     assert batched.shape == (3, grid.M, grid.M)
     for b in range(3):
@@ -310,19 +328,16 @@ def test_half_window_transforms_equal_the_full_window_transforms_bitwise(K, max_
     assert grid.M == M and (M <= DFT_MAX_M) == (M <= 130)
     n = 2 * K + 1
     rng = np.random.default_rng([K, M])
-    coeffs = symmetrize_normals(grid, rng.standard_normal((3, 2, n, n)))  # exactly Hermitian
-    half = coeffs[..., :K + 1]
-    assert np.array_equal(grid.half_window(coeffs), half)
-    assert np.array_equal(grid.full_window(half), coeffs)
-    values = rng.standard_normal((M, M))
+    half = symmetrize_normals(grid, rng.standard_normal((3, 2, n, n)))
+    coeffs = grid.full_window(half)  # exactly Hermitian
+    neg = -np.arange(n) % n
+    assert np.array_equal(coeffs[..., :K + 1], half)
+    assert np.array_equal(coeffs[..., neg[:, None], neg], np.conj(coeffs))
     for band in sorted({0, K // 2, K}) + [None]:
-        samples = grid.coeffs_to_values(coeffs, band=band)
+        samples = full_window_inverse(grid, coeffs, band=band)
         assert np.array_equal(grid.coeffs_to_values(half, band=band), samples)
         for b in range(3):
             assert np.array_equal(grid.coeffs_to_values(half[b], band=band), samples[b])
-        window = grid.values_to_coeffs(values, band=band)
-        assert np.array_equal(grid.values_to_coeffs(values, band=band, half=True),
-                              window[:, :K + 1])
 
 
 @settings(max_examples=60, deadline=None)
@@ -334,18 +349,16 @@ def test_a_full_window_and_its_hermitian_half_give_bitwise_equal_samples(
     n = 2 * K + 1
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    expected = coeffs[:, :K + 1].copy()
+    half = coeffs[:, :K + 1].copy()
     for i in range(n):
         for j in range(1, K + 1):
-            expected[i, j] = (coeffs[i, j] + np.conj(coeffs[-i % n, -j % n])) / 2
-    half = grid.half_window(coeffs)
-    assert np.array_equal(half, expected)
+            half[i, j] = (coeffs[i, j] + np.conj(coeffs[-i % n, -j % n])) / 2
     band = data.draw(st.none() | st.integers(0, K))
     bound = grid_module.DFT_MAX_M
     grid_module.DFT_MAX_M = 10**6 if dense else -1
     try:
         assert np.array_equal(grid.coeffs_to_values(half, band=band),
-                              grid.coeffs_to_values(coeffs, band=band))
+                              full_window_inverse(grid, coeffs, band=band))
     finally:
         grid_module.DFT_MAX_M = bound
 
@@ -366,18 +379,19 @@ def test_band_transforms_are_the_projected_full_transforms(K, route, monkeypatch
     grid = TorusGrid(K)
     n = 2 * K + 1
     rng = np.random.default_rng([K, 7])
-    coeffs = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+    coeffs = rng.standard_normal((3, n, K + 1)) + 1j * rng.standard_normal((3, n, K + 1))
     values = rng.standard_normal((grid.M, grid.M))
     for s in sorted({0, 1, K // 2, K}):
         inside = band_mask(grid, s)
         samples = grid.coeffs_to_values(coeffs, band=s)
         for b in range(3):
-            assert_rel_close(samples[b], full_inverse(grid, np.where(inside, coeffs[b], 0.0)), 1e-14)
+            full = grid.full_window(coeffs[b])
+            assert_rel_close(samples[b], full_inverse(grid, np.where(inside, full, 0.0)), 1e-14)
             assert np.array_equal(samples[b], grid.coeffs_to_values(coeffs[b], band=s))
-        window = grid.values_to_coeffs(values, band=s)
+        window = grid.full_window(grid.values_to_coeffs(values, band=s))
         assert_rel_close(window, np.where(inside, full_forward(grid, values), 0.0), 1e-14)
         assert np.all(window[~inside] == 0.0)
-        u = SpectralField(grid, window)
+        u = SpectralField(grid, window[:, :K + 1])
         for k1 in range(-K, K + 1):
             for k2 in range(1, K + 1):
                 assert u.get_mode(-k1, -k2) == np.conj(u.get_mode(k1, k2))
@@ -393,14 +407,12 @@ def test_a_bands_own_half_window_transforms_as_the_window_at_that_band_bitwise(K
     grid = TorusGrid(K)
     n = 2 * K + 1
     rng = np.random.default_rng([K, 9])
-    coeffs = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
-    half = grid.half_window(coeffs)
+    half = rng.standard_normal((3, n, K + 1)) + 1j * rng.standard_normal((3, n, K + 1))
     for s in sorted({0, 1, K // 2, K - 1}):
         idx = np.fft.fftfreq(2 * s + 1, d=1.0 / (2 * s + 1)).astype(int)  # |kx| <= s, wrap order
         own = half[..., idx, :s + 1]
-        samples = grid.coeffs_to_values(coeffs, band=s)
+        samples = grid.coeffs_to_values(half, band=s)
         assert np.array_equal(grid.coeffs_to_values(own, band=s), samples)
-        assert np.array_equal(grid.coeffs_to_values(half, band=s), samples)
         for b in range(3):
             assert np.array_equal(grid.coeffs_to_values(own[b], band=s), samples[b])
 
@@ -410,11 +422,11 @@ def test_transforms_reject_a_window_or_samples_of_another_shape(route, monkeypat
     monkeypatch.setattr(grid_module, "DFT_MAX_M", ROUTES[route])
     grid = TorusGrid(4)  # M = 18; the dense route is the K = 4 solver's
     M = grid.M
-    for shape, band in (((5, 5), None), ((9, 4), None), ((9, 10), None), ((8, 9), None),
-                        ((10, 9), None), ((1, 5), None), ((9, 2), None), ((9,), None), ((), None),
-                        ((2, 9, 4), None), ((5, 5), 2), ((5, 4), 2), ((9, 8), 2), ((3, 2), 2),
-                        ((9,), 2)):
-        with pytest.raises(ConfigurationError, match=r"\(\.\.\., 9, 9\).*\(\.\.\., 9, 5\)"):
+    for shape, band in (((9, 9), None), ((5, 5), None), ((9, 4), None), ((9, 10), None),
+                        ((8, 9), None), ((10, 9), None), ((1, 5), None), ((9, 2), None),
+                        ((9,), None), ((), None), ((2, 9, 4), None), ((9, 9), 2), ((5, 5), 2),
+                        ((5, 4), 2), ((9, 8), 2), ((3, 2), 2), ((9,), 2)):
+        with pytest.raises(ConfigurationError, match=r"half window \(\.\.\., 9, 5\)"):
             grid.coeffs_to_values(np.ones(shape, dtype=np.complex128), band=band)
     with pytest.raises(ConfigurationError, match=r"band=2 \(\.\.\., 5, 3\)"):
         grid.coeffs_to_values(np.ones((5, 4), dtype=np.complex128), band=2)
@@ -430,18 +442,16 @@ def test_a_batch_of_samples_transforms_as_each_slice_bitwise(route, monkeypatch)
     grid = TorusGrid(10)
     values = np.random.default_rng(10).standard_normal((3, grid.M, grid.M))
     for band in (None, 4):
-        for half in (False, True):
-            batched = grid.values_to_coeffs(values, band=band, half=half)
-            assert batched.shape == (3, 21, 11 if half else 21)
-            for b in range(3):
-                assert np.array_equal(batched[b], grid.values_to_coeffs(values[b], band=band,
-                                                                        half=half))
+        batched = grid.values_to_coeffs(values, band=band)
+        assert batched.shape == (3, 21, 11)
+        for b in range(3):
+            assert np.array_equal(batched[b], grid.values_to_coeffs(values[b], band=band))
 
 
 @pytest.mark.parametrize("band", [-1, 5, 1.0, "2", True, np.float64(2.0)])
 def test_bad_band_rejected(band):
     grid = TorusGrid(4)
     with pytest.raises(ConfigurationError):
-        grid.coeffs_to_values(np.zeros((9, 9), dtype=np.complex128), band=band)
+        grid.coeffs_to_values(np.zeros((9, 5), dtype=np.complex128), band=band)
     with pytest.raises(ConfigurationError):
         grid.values_to_coeffs(np.zeros((grid.M, grid.M)), band=band)

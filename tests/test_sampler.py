@@ -9,7 +9,6 @@ from wickflow import (
     ConfigurationError,
     DomainError,
     PolynomialSpec,
-    RealField,
     SpectralField,
     TorusGrid,
     counterterm_C,
@@ -28,7 +27,7 @@ from wickflow.sampler import (
     run_chain,
 )
 from wickflow.solver import field_observables
-from wickflow.wick import hermite_variance
+from wickflow.wick import hermite_variance, wick_action_values
 from oracles import to_spectral
 
 
@@ -46,7 +45,7 @@ def test_free_case_always_accepts_and_targets_mu():
     for i in range(n):
         state, acc = pcn_step(state, 0.7, None, c)
         assert acc
-        stats[i] = np.sum(np.abs(state.phi.coeffs) ** 2) / (2 * np.pi) ** 2
+        stats[i] = np.sum(np.abs(grid.full_window(state.phi.coeffs)) ** 2) / (2 * np.pi) ** 2
     # spatial variance statistic has expectation counterterm_C under mu;
     # account for chain autocorrelation in the standard error
     tau = integrated_autocorrelation(stats)
@@ -214,11 +213,12 @@ def test_chain_on_the_compute_grid_accepts_as_on_the_observation_grid(monkeypatc
     assert grid.compute_grid(4).M == 42
     P = PolynomialSpec.quartic(0.25, a2=0.3)
     c = counterterm_C(grid)
-    seen = set()
-    monkeypatch.setattr(sampler_module, "wick_action",
-                        lambda u, P, c: seen.add(u.grid.M) or wick_action(u, P, c))
+    seen = set()  # the sample shapes of every action: the start's and each proposal's
+    monkeypatch.setattr(sampler_module, "wick_action_values",
+                        lambda values, P, c, area: seen.add(values.shape)
+                        or wick_action_values(values, P, c, area))
     res = run_chain(make_chain(grid, P, c, 12), 500, 100, 50, 0.3, P, c)
-    assert seen == {42}
+    assert seen == {(42, 42)}
     monkeypatch.setattr(TorusGrid, "compute_grid", lambda self, degree: self)
     ref = run_chain(make_chain(grid, P, c, 12), 500, 100, 50, 0.3, P, c)
     assert 0.05 < res.acceptance_rate < 0.95
@@ -339,7 +339,7 @@ def test_observables_reference_values():
     P = PolynomialSpec.quartic(0.25)
     c = counterterm_C(grid)
     phi0 = 0.9
-    obs = observables(to_spectral(RealField.constant(grid, phi0)), P, c)
+    obs = observables(to_spectral(grid, np.full((grid.M, grid.M), phi0)), P, c)
     assert obs["wick2"] == pytest.approx((2 * np.pi) ** 2 * (phi0**2 - c), rel=1e-12)
     zero = observables(SpectralField.zero(grid), P, c)
     assert zero["wick4"] == pytest.approx((2 * np.pi) ** 2 * 3 * c**2, rel=1e-12)
@@ -354,7 +354,7 @@ def test_free_sample_mean_wick2_zero():
     vals = np.empty(n)
     for i in range(n):
         phi = sample_stationary(grid, rng)
-        vals[i] = np.sum(np.abs(phi.coeffs) ** 2) - (2 * np.pi) ** 2 * c
+        vals[i] = np.sum(np.abs(grid.full_window(phi.coeffs)) ** 2) - (2 * np.pi) ** 2 * c
     z = vals.mean() / (vals.std(ddof=1) / np.sqrt(n))
     assert abs(z) < 3.0
 
@@ -371,7 +371,7 @@ def test_pcn_free_invariance_two_sample_ks():
         state, _ = pcn_step(state, rho, None, c)
         if i % thin == 0:
             phi = state.phi
-            chain_obs["wick2"].append(np.sum(np.abs(phi.coeffs) ** 2))
+            chain_obs["wick2"].append(np.sum(np.abs(grid.full_window(phi.coeffs)) ** 2))
             chain_obs["m00"].append(phi.get_mode(0, 0).real)
             chain_obs["m10r"].append(phi.get_mode(1, 0).real)
             chain_obs["m11i"].append(phi.get_mode(1, 1).imag)
@@ -380,7 +380,7 @@ def test_pcn_free_invariance_two_sample_ks():
     direct = {k: [] for k in chain_obs}
     for _ in range(n // thin):
         phi = sample_stationary(grid, rng)
-        direct["wick2"].append(np.sum(np.abs(phi.coeffs) ** 2))
+        direct["wick2"].append(np.sum(np.abs(grid.full_window(phi.coeffs)) ** 2))
         direct["m00"].append(phi.get_mode(0, 0).real)
         direct["m10r"].append(phi.get_mode(1, 0).real)
         direct["m11i"].append(phi.get_mode(1, 1).imag)

@@ -5,21 +5,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wickflow import ConfigurationError, TorusGrid, sample_stationary, to_real
+from wickflow import ConfigurationError, TorusGrid, sample_stationary
 from wickflow.snapshots import read_snapshots, write_snapshots
 
 
 def test_round_trip(tmp_path):
     grid = TorusGrid(3)
     rng = np.random.default_rng(0)
-    fields = [to_real(sample_stationary(grid, rng)) for _ in range(3)]
+    fields = [sample_stationary(grid, rng) for _ in range(3)]
     path = tmp_path / "fields.wck1"
     write_snapshots(path, fields)
-    back = read_snapshots(path)
-    assert len(back) == 3
-    assert back[0].grid.K == 3 and back[0].grid.M == grid.M
+    back_grid, back = read_snapshots(path)
+    assert back.shape == (3, grid.M, grid.M)
+    assert back_grid.K == 3 and back_grid.M == grid.M
     for a, b in zip(fields, back):
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(grid.coeffs_to_values(a.coeffs), b)
 
 
 def test_spectral_inputs_accepted(tmp_path):
@@ -27,13 +27,14 @@ def test_spectral_inputs_accepted(tmp_path):
     u = sample_stationary(grid, np.random.default_rng(1))
     path = tmp_path / "one.wck1"
     write_snapshots(path, [u])
-    (back,) = read_snapshots(path, grid=grid)
-    assert np.max(np.abs(back.values - to_real(u).values)) < 1e-12
+    back_grid, (back,) = read_snapshots(path, grid=grid)
+    assert back_grid is grid
+    assert np.max(np.abs(back - grid.coeffs_to_values(u.coeffs))) < 1e-12
 
 
 def test_header_layout(tmp_path):
     grid = TorusGrid(2)
-    u = to_real(sample_stationary(grid, np.random.default_rng(2)))
+    u = sample_stationary(grid, np.random.default_rng(2))
     path = tmp_path / "h.wck1"
     write_snapshots(path, [u, u])
     raw = path.read_bytes()
@@ -42,7 +43,7 @@ def test_header_layout(tmp_path):
     assert (K, M, count) == (2, grid.M, 2)
     assert len(raw) == 16 + count * M * M * 8
     first = np.frombuffer(raw, dtype="<f8", count=M * M, offset=16).reshape(M, M)
-    assert np.array_equal(first, u.values)
+    assert np.array_equal(first, grid.coeffs_to_values(u.coeffs))
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -54,7 +55,7 @@ def test_bad_magic_rejected(tmp_path):
 
 def test_truncated_payload_rejected(tmp_path):
     grid = TorusGrid(2)
-    u = to_real(sample_stationary(grid, np.random.default_rng(3)))
+    u = sample_stationary(grid, np.random.default_rng(3))
     path = tmp_path / "t.wck1"
     write_snapshots(path, [u])
     data = path.read_bytes()
@@ -66,7 +67,7 @@ def test_truncated_payload_rejected(tmp_path):
 def _snapshot_bytes(tmp_path, K, max_degree, n_fields, seed):
     grid = TorusGrid(K, max_degree=max_degree)
     rng = np.random.default_rng(seed)
-    fields = [to_real(sample_stationary(grid, rng)) for _ in range(n_fields)]
+    fields = [sample_stationary(grid, rng) for _ in range(n_fields)]
     path = tmp_path / "f.wck1"
     write_snapshots(path, fields)
     return path, fields
@@ -78,11 +79,10 @@ def _snapshot_bytes(tmp_path, K, max_degree, n_fields, seed):
        seed=st.integers(0, 2**32 - 1))
 def test_round_trip_any_grid(tmp_path, K, max_degree, n_fields, seed):
     path, fields = _snapshot_bytes(tmp_path, K, max_degree, n_fields, seed)
-    back = read_snapshots(path)
-    assert len(back) == n_fields
+    grid, back = read_snapshots(path)
+    assert grid == fields[0].grid and len(back) == n_fields
     for a, b in zip(fields, back):
-        assert b.grid == a.grid
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(grid.coeffs_to_values(a.coeffs), b)
 
 
 @settings(max_examples=40, deadline=None,
@@ -127,3 +127,14 @@ def test_header_is_checked_before_any_grid_is_built(tmp_path, K, M, count, paylo
     with pytest.raises(ConfigurationError):
         read_snapshots(path)
 
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_samples_rejected(tmp_path, bad):
+    grid = TorusGrid(2)
+    path = tmp_path / "nan.wck1"
+    values = np.zeros((grid.M, grid.M))
+    values[1, 3] = bad
+    path.write_bytes(struct.pack("<4sIII", b"WCK1", 2, grid.M, 1) + values.astype("<f8").tobytes())
+    with pytest.raises(ConfigurationError, match="finite"):
+        read_snapshots(path)

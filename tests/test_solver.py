@@ -13,7 +13,6 @@ from wickflow import (
     NonContractionError,
     OUNoisePath,
     PolynomialSpec,
-    RealField,
     SpectralField,
     TorusGrid,
     counterterm_C,
@@ -29,7 +28,6 @@ from wickflow.sampler import observables
 from wickflow.solver import (
     SolverConfig,
     ensemble,
-    half_constants,
     nonlinear_term,
     solve,
     stationary_solve,
@@ -41,9 +39,8 @@ from oracles import picard_solve, to_spectral
 
 
 def zero_noise_path(grid, delta, n_steps):
-    n = 2 * grid.K + 1
-    return OUNoisePath(grid, delta, n_steps,
-                       innovations=np.zeros((n_steps, n, n), dtype=np.complex128))
+    shape = (n_steps, 2 * grid.K + 1, grid.K + 1)
+    return OUNoisePath(grid, delta, n_steps, innovations=np.zeros(shape, dtype=np.complex128))
 
 
 def test_nonlinear_term_quartic_structure():
@@ -55,7 +52,7 @@ def test_nonlinear_term_quartic_structure():
     c = counterterm_C(grid)
     tower = field_tower(zbar, c, 4)
     P = PolynomialSpec.quartic(0.25)
-    F = grid.full_window(nonlinear_term(grid, Y.coeffs, grid.coeffs_to_values(zbar.coeffs), P, c))
+    F = nonlinear_term(grid, Y.coeffs, grid.coeffs_to_values(zbar.coeffs), P, c)
     yv = grid.coeffs_to_values(Y.coeffs)
     oracle = (tower.order_values(3) + 3 * yv * tower.order_values(2)
               + 3 * yv**2 * tower.order_values(1) + yv**3)
@@ -67,7 +64,7 @@ def test_nonlinear_term_constants():
     # Y = zbar = 1 with counterterm c: F = :2^3:_c = 8 - 6c for p = phi^3
     grid = TorusGrid(2, max_degree=4)
     c = 0.3
-    one = to_spectral(RealField.constant(grid, 1.0))
+    one = to_spectral(grid, np.ones((grid.M, grid.M)))
     F = nonlinear_term(grid, one.coeffs, grid.coeffs_to_values(one.coeffs),
                        PolynomialSpec.quartic(0.25), c)
     assert F[0, 0].real == pytest.approx(2 * np.pi * (8 - 6 * c), rel=1e-12)
@@ -78,7 +75,7 @@ def test_nonlinear_term_linear_case():
     Y = sample_stationary(grid, substream(1, 0, 1))
     F = nonlinear_term(grid, Y.coeffs, np.zeros((grid.M, grid.M)), PolynomialSpec.quadratic(0.8),
                        0.0)
-    assert np.max(np.abs(grid.full_window(F) - 2 * 0.8 * Y.coeffs)) < 1e-12
+    assert np.max(np.abs(F - 2 * 0.8 * Y.coeffs)) < 1e-12
 
 
 def test_nonlinear_term_collapses_to_wick_polynomial():
@@ -88,7 +85,7 @@ def test_nonlinear_term_collapses_to_wick_polynomial():
     zbar, Y = sample_stationary(grid, rng), sample_stationary(grid, rng)
     c = counterterm_C(grid)
     P = PolynomialSpec.quartic(0.25, a2=0.3)
-    F = grid.full_window(nonlinear_term(grid, Y.coeffs, grid.coeffs_to_values(zbar.coeffs), P, c))
+    F = nonlinear_term(grid, Y.coeffs, grid.coeffs_to_values(zbar.coeffs), P, c)
     x = grid.coeffs_to_values((Y + zbar).coeffs)
     direct = SpectralField(grid, grid.values_to_coeffs(wick_nonlinearity_values(x, P, c)))
     assert np.max(np.abs(F - direct.coeffs)) < 1e-11 * (1 + np.max(np.abs(direct.coeffs)))
@@ -106,7 +103,7 @@ def test_nonlinear_term_is_the_recombination_of_every_tower_order(K, N, c, extra
     a[2 * N] = abs(a[2 * N]) + 0.1
     P = PolynomialSpec(N, a)
     tower = field_tower(zbar, c, 2 * N + extra)
-    F = grid.full_window(nonlinear_term(grid, Y.coeffs, grid.coeffs_to_values(zbar.coeffs), P, c))
+    F = nonlinear_term(grid, Y.coeffs, grid.coeffs_to_values(zbar.coeffs), P, c)
     oracle = SpectralField.zero(grid)
     for k in range(1, 2 * N + 1):
         oracle = oracle + recombine(Y, tower, k - 1) * (k * P.a[k])
@@ -167,11 +164,10 @@ def test_a_seed_its_stream_and_its_frozen_path_give_bitwise_equal_records(K, M, 
 def test_step_pure_semigroup_when_free():
     grid = TorusGrid(2)
     Y = sample_stationary(grid, substream(4, 0, 1))
-    decay, _, weight, _ = half_constants(grid, SolverConfig(delta=0.05, T=1.0))
-    out = step(grid, grid.half_window(Y.coeffs), np.zeros((grid.M, grid.M)), decay, weight,
-               None, 0.0)
-    expected = Y.coeffs * np.exp(-grid.lam * 0.05)
-    assert np.max(np.abs(grid.full_window(out) - expected)) < 1e-14
+    decay, _, weight = step_constants(grid, 0.05)
+    out = step(grid, Y.coeffs, np.zeros((grid.M, grid.M)), decay, weight, None, 0.0)
+    expected = Y.coeffs * np.exp(-grid.lam * 0.05)[:, :grid.K + 1]
+    assert np.max(np.abs(out - expected)) < 1e-14
 
 
 def test_step_constants_are_cached_and_bitwise_equal_to_inline_formulas():
@@ -186,23 +182,20 @@ def test_step_constants_are_cached_and_bitwise_equal_to_inline_formulas():
     z = sample_stationary(grid, substream(1, 0, 1))
     zv = grid.coeffs_to_values(z.coeffs)
     h = grid.K + 1
-    y = grid.half_window(Y.coeffs)
-    assert np.array_equal(y, Y.coeffs[:, :h])  # a sample is exactly Hermitian
-    halves = half_constants(grid, SolverConfig(delta=delta, T=1.0, drift_scale=0.3))
-    for got, full in zip(halves, (decay, sigma, delta * 0.3 * phi1, grid.lam)):
+    y = Y.coeffs
+    consts = step_constants(grid, delta, 0.3)
+    for got, full in zip(consts, (decay, sigma, delta * 0.3 * phi1)):
         assert np.array_equal(got, full[:, :h])
     expected = decay[:, :h] * y - delta * 0.3 * phi1[:, :h] * nonlinear_term(grid, y, zv, P, 0.0)
-    assert np.array_equal(step(grid, y, zv, halves[0], halves[2], P, 0.0), expected)
+    assert np.array_equal(step(grid, y, zv, consts.decay, consts.weight, P, 0.0), expected)
     moved = ou_step(z, delta, substream(2, 0, 1)).coeffs
     xi = hermitian_normals(grid, substream(2, 0, 1))
-    assert np.array_equal(moved, decay * z.coeffs + sigma * xi)
+    assert np.array_equal(moved, decay[:, :h] * z.coeffs + sigma[:, :h] * xi)
     path = OUNoisePath(grid, delta, 2, rng=substream(3, 0, 1))
     rng = substream(3, 0, 1)
-    innovations = [sigma * hermitian_normals(grid, rng) for _ in range(2)]
+    innovations = [sigma[:, :h] * hermitian_normals(grid, rng) for _ in range(2)]
     assert np.array_equal(path.innovations, innovations)
-    consts = step_constants(TorusGrid(4, max_degree=4), delta, 0.3)
-    assert consts is step_constants(grid, delta, 0.3)
-    assert np.array_equal(consts.weight, delta * 0.3 * phi1)
+    assert consts is step_constants(TorusGrid(4, max_degree=4), delta, 0.3)
     assert not any(a.flags.writeable for a in consts)
 
 
@@ -216,8 +209,8 @@ def test_step_linear_closed_form_and_order():
     errors = []
     for delta in (0.01, 0.005, 0.0025):
         cfg = SolverConfig(delta=delta, T=1.0)
-        decay, _, weight, _ = half_constants(grid, cfg)
-        Y = grid.half_window(y0.coeffs)
+        decay, _, weight = step_constants(grid, cfg.delta)
+        Y = y0.coeffs
         for _ in range(cfg.n_steps):
             Y = step(grid, Y, zeros, decay, weight, P, 0.0)
         errors.append(abs(Y[0, 0].real - np.exp(-2.0)))
@@ -289,7 +282,7 @@ def test_scheme_self_convergence_on_fixed_path():
     for delta in (2e-3, 1e-3, 5e-4):
         cfg = SolverConfig(delta=delta, T=T)
         traj = solve(None, None, path.coarsen(round(delta / fine)), cfg, P, grid=grid)
-        finals[delta] = traj.X[-1].coeffs
+        finals[delta] = grid.full_window(traj.X[-1].coeffs)
     d1 = np.sqrt(np.sum(np.abs(finals[2e-3] - finals[1e-3]) ** 2))
     d2 = np.sqrt(np.sum(np.abs(finals[1e-3] - finals[5e-4]) ** 2))
     assert 1.7 <= d1 / d2 <= 2.3
@@ -336,11 +329,11 @@ def test_picard_linear_convergence():
     assert len(residuals) <= 30
     assert residuals[-1] < 1e-8
     # fixed point coincides with the step integrator
-    decay, _, weight, _ = half_constants(grid, SolverConfig(delta=delta, T=T))
-    Y = grid.half_window(y0.coeffs)
+    decay, _, weight = step_constants(grid, delta)
+    Y = y0.coeffs
     for _ in range(n):
         Y = step(grid, Y, zbar_values[0], decay, weight, P, 0.0)
-    assert np.max(np.abs(path[-1].coeffs - grid.full_window(Y))) < 1e-10
+    assert np.max(np.abs(path[-1].coeffs - Y)) < 1e-10
 
 
 def test_picard_zero_data():
@@ -415,7 +408,7 @@ def test_stationary_solve_gaussian_conjugacy_small():
 def test_blow_up_detected():
     grid = TorusGrid(2, max_degree=4)
     P = PolynomialSpec.quartic(0.25)
-    huge = to_spectral(RealField.constant(grid, 1e5))
+    huge = to_spectral(grid, np.full((grid.M, grid.M), 1e5))
     cfg = SolverConfig(delta=0.5, T=1.0)
     with pytest.raises(BlowUpError):
         solve(huge, None, 13, cfg, P)
@@ -501,31 +494,10 @@ def test_solve_on_a_grid_too_small_for_the_step_still_raises():
 def test_blow_up_state_lives_on_the_callers_grid():
     grid = TorusGrid(2, max_degree=8)
     assert grid.compute_grid(4).M < grid.M
-    huge = to_spectral(RealField.constant(grid, 1e5))
+    huge = to_spectral(grid, np.full((grid.M, grid.M), 1e5))
     with pytest.raises(BlowUpError) as err:
         solve(huge, None, 13, SolverConfig(delta=0.5, T=1.0), PolynomialSpec.quartic(0.25))
     assert err.value.last_state.grid is grid
-
-
-def test_a_y0_whose_negative_columns_are_not_mirrors_runs_the_real_field_it_denotes():
-    # the inverse transform samples the Hermitian part of any window; that
-    # real field is what the solve steps from and records
-    grid = TorusGrid(4, max_degree=4)
-    n = 2 * grid.K + 1
-    P = PolynomialSpec.quartic(0.25, a2=0.2)
-    cfg = SolverConfig(delta=1e-3, T=0.01, record_every=5)
-    rng = np.random.default_rng(23)
-    skew = sample_stationary(grid, rng).coeffs
-    skew[:, grid.K + 1:] += 0.1 * (rng.standard_normal((n, grid.K))
-                                   + 1j * rng.standard_normal((n, grid.K)))
-    real = SpectralField(grid, grid.full_window(grid.half_window(skew)))
-    assert real.hermitian_defect() == 0.0 < SpectralField(grid, skew).hermitian_defect()
-    assert np.array_equal(grid.coeffs_to_values(skew), grid.coeffs_to_values(real.coeffs))
-    got = solve(SpectralField(grid, skew), None, 23, cfg, P)
-    expected = solve(real, None, 23, cfg, P)
-    assert np.array_equal(got.Y[0].coeffs, real.coeffs)
-    for a, b in zip(got.Y + got.X + got.zbar, expected.Y + expected.X + expected.zbar):
-        assert np.array_equal(a.coeffs, b.coeffs)
 
 
 def test_solver_config_validation():

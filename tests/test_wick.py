@@ -8,7 +8,6 @@ from wickflow import (
     ConfigurationError,
     DomainError,
     PolynomialSpec,
-    RealField,
     SpectralField,
     TorusGrid,
     binomial_identity_check,
@@ -17,7 +16,6 @@ from wickflow import (
     hermite,
     recombine,
     sample_stationary,
-    to_real,
     wick_action,
     wick_power,
 )
@@ -124,10 +122,10 @@ def test_counterterm_monotone_in_K():
 
 def test_wick_power_constants():
     grid = TorusGrid(2)
-    u = to_spectral(RealField.constant(grid, 2.0))
+    u = to_spectral(grid, np.full((grid.M, grid.M), 2.0))
     c = 1.0
-    w2 = to_real(wick_power(u, 2, c)).values
-    w3 = to_real(wick_power(u, 3, c)).values
+    w2 = grid.coeffs_to_values(wick_power(u, 2, c).coeffs)
+    w3 = grid.coeffs_to_values(wick_power(u, 3, c).coeffs)
     assert np.max(np.abs(w2 - 3.0)) < 1e-12   # phi^2 - c at phi = 2
     assert np.max(np.abs(w3 - 2.0)) < 1e-12   # phi^3 - 3 c phi at phi = 2
 
@@ -143,10 +141,13 @@ def test_wick_power_low_orders():
 
 
 def test_wick_power_realfield_roundtrip():
+    # a real field's Wick square: its samples' He_2, projected to the window
     grid = TorusGrid(2)
-    f = to_real(sample_stationary(grid, np.random.default_rng(5)))
-    out = wick_power(f, 2, 0.3)
-    assert isinstance(out, RealField)
+    u = sample_stationary(grid, np.random.default_rng(5))
+    out = wick_power(u, 2, 0.3)
+    assert isinstance(out, SpectralField) and out.grid is grid
+    values = hermite_variance(2, grid.coeffs_to_values(u.coeffs), 0.3)
+    assert np.array_equal(out.coeffs, grid.values_to_coeffs(values))
 
 
 def test_negative_counterterm_rejected():
@@ -172,7 +173,7 @@ def test_wick_power_zero_counterterm_classical():
 def test_wick_nonlinearity_quartic_constant():
     grid = TorusGrid(2)
     P = PolynomialSpec.quartic(0.25)
-    u = to_spectral(RealField.constant(grid, 2.0))
+    u = to_spectral(grid, np.full((grid.M, grid.M), 2.0))
     out = grid.coeffs_to_values(nonlinear_term(grid, u.coeffs, np.zeros((grid.M, grid.M)), P, 1.0))
     assert np.max(np.abs(out - 2.0)) < 1e-12  # 4 a4 :phi^3: = :2^3: at c = 1
 
@@ -182,7 +183,7 @@ def test_wick_nonlinearity_linear_case():
     P = PolynomialSpec.quadratic(0.7)
     u = sample_stationary(grid, np.random.default_rng(8))
     out = nonlinear_term(grid, u.coeffs, np.zeros((grid.M, grid.M)), P, counterterm_C(grid))
-    assert np.max(np.abs(grid.full_window(out) - 2 * 0.7 * u.coeffs)) < 1e-12
+    assert np.max(np.abs(out - 2 * 0.7 * u.coeffs)) < 1e-12
 
 
 def test_wick_nonlinearity_classical_limit():
@@ -192,7 +193,7 @@ def test_wick_nonlinearity_classical_limit():
     vals = grid.coeffs_to_values(u.coeffs)
     classical = grid.values_to_coeffs(vals**3 + 2 * 0.5 * vals)
     out = nonlinear_term(grid, u.coeffs, np.zeros((grid.M, grid.M)), P, 0.0)
-    assert np.max(np.abs(grid.full_window(out) - classical)) < 1e-11
+    assert np.max(np.abs(out - classical)) < 1e-11
 
 
 def test_wick_action_constant_field():
@@ -200,7 +201,7 @@ def test_wick_action_constant_field():
     P = PolynomialSpec.quartic(0.25)
     c = counterterm_C(grid)
     phi0 = 1.3
-    u = to_spectral(RealField.constant(grid, phi0))
+    u = to_spectral(grid, np.full((grid.M, grid.M), phi0))
     expected = (2 * np.pi) ** 2 * 0.25 * (phi0**4 - 6 * c * phi0**2 + 3 * c**2)
     assert wick_action(u, P, c) == pytest.approx(expected, rel=1e-13)
 
@@ -233,7 +234,7 @@ def test_wick_action_gradient_matches_nonlinearity():
         plus = wick_action(u + eps * v, P, c)
         minus = wick_action(u - eps * v, P, c)
         fd = (plus - minus) / (2 * eps)
-        pairing = float(np.real(np.sum(grad * np.conj(v.coeffs))))
+        pairing = float(np.real(np.sum(grad * np.conj(grid.full_window(v.coeffs)))))
         assert fd == pytest.approx(pairing, rel=1e-6, abs=1e-6)
 
 
@@ -265,10 +266,10 @@ def test_wick_action_values_equal_the_per_order_sum_bitwise(K, model, zero_c):
 def test_recombine_constants():
     grid = TorusGrid(2, max_degree=4)
     c = 0.41
-    z = to_spectral(RealField.constant(grid, 1.0))
+    z = to_spectral(grid, np.ones((grid.M, grid.M)))
     tower = field_tower(z, c, 4)
-    y = to_spectral(RealField.constant(grid, 1.0))
-    out = to_real(recombine(y, tower, 3)).values
+    y = to_spectral(grid, np.ones((grid.M, grid.M)))
+    out = grid.coeffs_to_values(recombine(y, tower, 3).coeffs)
     assert np.max(np.abs(out - (8.0 - 6.0 * c))) < 1e-12  # :2^3:_c
 
 
@@ -402,7 +403,7 @@ def test_hermite_evaluators_equal_the_written_out_recurrence_bitwise(n, c, M):
     for k in range(P.degree + 1):
         if P.a[k] != 0.0:
             total += P.a[k] * float(np.sum(he[k]))
-    assert wick_action(RealField(grid, x), P, c) == total * grid.cell_area
+    assert wick_action_values(x, P, c, grid.cell_area) == total * grid.cell_area
 
 
 @pytest.mark.parametrize("M", sorted(EVALUATOR_GRIDS))
@@ -413,6 +414,7 @@ def test_field_observables_equal_the_written_out_recurrence_bitwise(c, M):
     he = written_out_orders(grid.coeffs_to_values(X.coeffs), c, 4)
     obs = field_observables(X, c)
     # wick2 by Parseval on the coefficients, wick4 over the samples
-    assert obs["wick2"] == float(np.vdot(X.coeffs, X.coeffs).real) - grid.L**2 * c
+    full = grid.full_window(X.coeffs)
+    assert obs["wick2"] == float(np.vdot(full, full).real) - grid.L**2 * c
     assert obs["wick2"] == pytest.approx(float(np.sum(he[2])) * grid.cell_area, rel=1e-12)
     assert obs["wick4"] == float(np.sum(he[4])) * grid.cell_area
